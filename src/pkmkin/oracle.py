@@ -72,38 +72,6 @@ def residuals_machine(geom, tool, machine_joints):
     )
 
 
-def _residual_array(geom, v, rho):
-    c, s = math.cos(v[3]), math.sin(v[3])
-    X1 = v[0] + geom.D1 - geom.d1
-    X2 = v[0] + geom.D2 - geom.d2
-    y, z = v[1], v[2]
-    return np.array([
-        X1**2 + (y + geom.R1 * c - geom.r1)**2 + (z + geom.R1 * s - rho[0])**2 - geom.L1**2,
-        X1**2 + (y - geom.R1 * c + geom.r1)**2 + (z - geom.R1 * s - rho[0])**2 - geom.L1**2,
-        X2**2 + (y - geom.R2 * c + geom.r4)**2 + (z - geom.R2 * s - rho[1])**2 - geom.L2**2,
-        X2**2 + (y + geom.R2 * c - geom.r4)**2 + (z + geom.R2 * s - rho[2])**2 - geom.L3**2,
-    ])
-
-
-def residual_jacobian(geom, v, rho):
-    """Analytic Jacobian of the quadratic-form residuals w.r.t. (x, y, z, alpha)."""
-    c, s = math.cos(v[3]), math.sin(v[3])
-    R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
-    X1 = v[0] + geom.D1 - geom.d1
-    X2 = v[0] + geom.D2 - geom.d2
-    y, z = v[1], v[2]
-    y1p, z1p = y + R1 * c - r1, z + R1 * s - rho[0]
-    y1m, z1m = y - R1 * c + r1, z - R1 * s - rho[0]
-    y2, z2 = y - R2 * c + r4, z - R2 * s - rho[1]
-    y3, z3 = y + R2 * c - r4, z + R2 * s - rho[2]
-    return np.array([
-        [2 * X1, 2 * y1p, 2 * z1p, 2 * (-y1p * R1 * s + z1p * R1 * c)],
-        [2 * X1, 2 * y1m, 2 * z1m, 2 * (y1m * R1 * s - z1m * R1 * c)],
-        [2 * X2, 2 * y2, 2 * z2, 2 * (y2 * R2 * s - z2 * R2 * c)],
-        [2 * X2, 2 * y3, 2 * z3, 2 * (-y3 * R2 * s + z3 * R2 * c)],
-    ])
-
-
 def default_start_box(geom, rho):
     """Pose box covering every assembly: ellipse span in x/y, rod reach in z."""
     reach = math.sqrt(max(geom.a_sq(1.0), geom.a_sq(-1.0), 0.0)) + geom.L2 + geom.L3
@@ -133,7 +101,7 @@ def _batch_residuals(geom, v, rho):
         X1**2 + leg1m[0]**2 + leg1m[1]**2 - geom.L1**2,
         X2**2 + leg2[0]**2 + leg2[1]**2 - geom.L2**2,
         X2**2 + leg3[0]**2 + leg3[1]**2 - geom.L3**2,
-    ], axis=1)
+    ]).T  # column-major: the row max-norm then reduces across four columns
 
 
 def _batch_residuals_jacobian(geom, v, rho):
@@ -154,6 +122,34 @@ def _batch_residuals_jacobian(geom, v, rho):
     return f, J
 
 
+# damped step lengths 2^-k, k = 0..29 (exact in binary), in three passes of
+# ten: few passes for small batches, little surplus residual work for large
+_STEP_LENGTHS = np.ldexp(1.0, -np.arange(30)).reshape(3, 10)
+
+
+def _damped_step(geom, v, step, norm, rho):
+    """Per row, the first v + lam * step with lam = 1, 1/2, ..., 2^-29 whose
+    residual max-norm is below `norm`; returns (trial, improved).
+
+    Each pass tries the next ten step lengths at once, as one (m, 10, 4)
+    batch over the m rows no earlier pass improved.  This picks the same
+    lam as halving from 1 until the norm drops.  Rows not `improved` keep v.
+    """
+    trial = v.copy()
+    improved = np.zeros(len(v), dtype=bool)
+    for lams in _STEP_LENGTHS:
+        rest = np.flatnonzero(~improved)
+        if rest.size == 0:
+            break
+        cand = v[rest, None] + lams[:, None] * step[rest, None]
+        cand_norm = np.max(np.abs(_batch_residuals(geom, cand.reshape(-1, 4), rho)), axis=1)
+        good = cand_norm.reshape(rest.size, -1) < norm[rest, None]
+        hit = good.any(axis=1)
+        trial[rest[hit]] = cand[hit, good[hit].argmax(axis=1)]
+        improved[rest[hit]] = True
+    return trial, improved
+
+
 def newton_fk(geom, joints, starts=100, seed=0, box=None,
               alpha_range=(-math.pi, math.pi), max_iter=NEWTON_MAX_ITER):
     """Multi-start damped Newton on the 4-residual system.
@@ -163,6 +159,13 @@ def newton_fk(geom, joints, starts=100, seed=0, box=None,
     non-convergent starts are dropped.  All starts iterate in lockstep, so
     the result is deterministic for a fixed seed and independent of any
     execution order.
+
+    Each outer iteration damps the Newton step of every active start by the
+    first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm: exactly
+    the step that halving from 1 would pick.  The step lengths are tried in
+    three batched passes of ten, each over the starts no earlier pass
+    improved, so the extra memory is O(10 x active starts).  A start that
+    no step improves stops.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -200,20 +203,7 @@ def newton_fk(geom, joints, starts=100, seed=0, box=None,
         if idx.size == 0:
             continue
         step = np.linalg.solve(J, -f[..., None])[..., 0]
-        lam = np.ones(idx.size)
-        improved = np.zeros(idx.size, dtype=bool)
-        trial = v[idx].copy()
-        for _ in range(30):
-            pending = ~improved
-            if not pending.any():
-                break
-            cand = v[idx[pending]] + lam[pending, None] * step[pending]
-            cand_norm = np.max(np.abs(_batch_residuals(geom, cand, rho)), axis=1)
-            good = cand_norm < norm[pending]
-            sub = np.flatnonzero(pending)
-            trial[sub[good]] = cand[good]
-            improved[sub[good]] = True
-            lam[sub[~good]] *= 0.5
+        trial, improved = _damped_step(geom, v[idx], step, norm, rho)
         v[idx[improved]] = trial[improved]
         active[idx[~improved]] = False  # stuck: no damped step improves
     final = _batch_residuals(geom, v, rho)

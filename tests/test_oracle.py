@@ -7,7 +7,9 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose,
                     enumerate_fk, enumerate_ik, newton_fk, residuals_machine,
                     residuals_parallel, select_working_solution,
                     tool_pose_from_platform)
-from pkmkin.oracle import _residual_array, residual_jacobian
+from pkmkin import oracle
+from pkmkin.oracle import (_batch_residuals, _batch_residuals_jacobian,
+                          _damped_step)
 
 from conftest import angle_delta, region_points
 
@@ -51,18 +53,72 @@ def test_jacobian_matches_finite_differences(geom):
     for _ in range(10):
         v = np.array([rng.uniform(-400, -100), rng.uniform(-150, 150),
                       rng.uniform(600, 1200), rng.uniform(-2.5, 2.5)])
-        J = residual_jacobian(geom, v, rho)
+        f, [J] = _batch_residuals_jacobian(geom, v[None], rho)
+        assert np.array_equal(f, _batch_residuals(geom, v[None], rho))
         h = 1e-6
-        f_mag = np.max(np.abs(_residual_array(geom, v, rho)))
+        f_mag = np.max(np.abs(f))
         for k in range(4):
             dv = np.zeros(4)
             dv[k] = h
-            fd = (_residual_array(geom, v + dv, rho)
-                  - _residual_array(geom, v - dv, rho)) / (2.0 * h)
+            [fd] = (_batch_residuals(geom, (v + dv)[None], rho)
+                    - _batch_residuals(geom, (v - dv)[None], rho)) / (2.0 * h)
             # cancellation noise in the difference is ~eps * |f| / h
             noise = 1e-15 * f_mag / h
             scale = max(1.0, np.max(np.abs(J[:, k])))
             assert np.all(np.abs(fd - J[:, k]) <= 1e-6 * scale + noise)
+
+
+def _halving_reference(geom, v, step, norm, rho):
+    """The sequential rule: halve lam from 1, up to 30 tries, until the norm drops."""
+    lam = np.ones(len(v))
+    improved = np.zeros(len(v), dtype=bool)
+    trial = v.copy()
+    for _ in range(30):
+        pending = np.flatnonzero(~improved)
+        cand = v[pending] + lam[pending, None] * step[pending]
+        good = np.max(np.abs(_batch_residuals(geom, cand, rho)), axis=1) < norm[pending]
+        trial[pending[good]] = cand[good]
+        improved[pending[good]] = True
+        lam[pending[~good]] *= 0.5
+    return trial, improved
+
+
+@pytest.mark.parametrize("ks", [[0], [5], [29], [None],
+                                [29, None, 0, 5, 9, 10, 19, 20, 5, None, 0, 29]])
+def test_damped_step_matches_halving(geom, ks):
+    # v sits 1 mm off an exact pose; step = -2^k (v - pose) lands on the pose
+    # at lam = 2^-k, the only lam within the norm bound of 1 mm^2.  k = None
+    # has a zero step and the norm at v: only a strict drop counts, so no lam
+    # improves and the row is stuck.
+    x, y, z = -250.0, 60.0, 900.0
+    sol = select_working_solution(enumerate_ik(geom, x, y, z), geom)
+    rho = sol.joints.as_tuple()
+    d = np.array([0.6, -0.5, 0.4, 1e-3])
+    v = np.tile(np.array([x, y, z, sol.alpha]) + d, (len(ks), 1))
+    stuck = np.array([k is None for k in ks])
+    step = np.array([0.0 * d if k is None else -2.0**k * d for k in ks])
+    norm = np.where(stuck, np.max(np.abs(_batch_residuals(geom, v, rho)), axis=1), 1.0)
+    ref_trial, ref_improved = _halving_reference(geom, v, step, norm, rho)
+    assert np.array_equal(ref_improved, ~stuck)
+    for i, k in enumerate(ks):
+        if k is not None:
+            assert np.array_equal(ref_trial[i], v[i] + 2.0**-k * step[i])
+    trial, improved = _damped_step(geom, v, step, norm, rho)
+    assert np.array_equal(improved, ref_improved)
+    assert np.array_equal(trial[improved], ref_trial[improved])
+
+
+@pytest.mark.parametrize("starts", [1, 100, 400])
+def test_newton_matches_halving_line_search(geom, monkeypatch, starts):
+    # the acceptance-5 mix: working-region joints and random slider triples
+    rng = np.random.default_rng(9)
+    joints = [select_working_solution(enumerate_ik(geom, *p), geom).joints
+              for p in region_points(rng, 3)]
+    joints += [ParallelJoints(*rng.uniform(-100.0, 1200.0, size=3)) for _ in range(2)]
+    got = [newton_fk(geom, j, starts=starts, seed=i) for i, j in enumerate(joints)]
+    monkeypatch.setattr(oracle, "_damped_step", _halving_reference)
+    assert [newton_fk(geom, j, starts=starts, seed=i) for i, j in enumerate(joints)] == got
+    assert starts == 1 or all(got[:3])
 
 
 def test_newton_finds_known_pose(geom):
