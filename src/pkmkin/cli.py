@@ -101,60 +101,23 @@ def emit_records(records, columns, fmt, deg, out=None):
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _ik_records(solutions):
-    records = []
-    for i, sol in enumerate(sorted(
-            solutions, key=lambda s: (s.alpha, s.indices.as_tuple()))):
-        records.append(SolutionRecord(
-            label=f"({MODE_LABELS[i]})",
-            values=dict(rho1=sol.joints.rho1, rho2=sol.joints.rho2,
-                        rho3=sol.joints.rho3, alpha=sol.alpha,
-                        s1=sol.indices.s1, s2=sol.indices.s2, s3=sol.indices.s3,
-                        residual_norm=sol.residual_norm,
-                        within_limits=sol.within_limits)))
-    return records
+def _emit_solutions(args, items, select, columns, values, order=None):
+    """Emit one labelled row (a), (b), ... per item; with --select only the
+    item `select` picks.  `order` sorts the rows, `values` fills one."""
+    if args.select:
+        chosen = select(items)
+        items = [chosen] if chosen is not None else []
+    if order is not None:
+        items = sorted(items, key=order)
+    records = [SolutionRecord(label=f"({MODE_LABELS[i]})", values=values(item))
+               for i, item in enumerate(items)]
+    emit_records(records, columns, args.format, args.deg)
+    return 0 if records else 2
 
 
-def _fk_records(modes):
-    records = []
-    for i, mode in enumerate(modes):
-        records.append(SolutionRecord(
-            label=f"({MODE_LABELS[i]})",
-            values=dict(alpha=mode.pose.alpha, x_p=mode.pose.x_p,
-                        y_p=mode.pose.y_p, z_p=mode.pose.z_p,
-                        s1=mode.indices.s1, s2=mode.indices.s2,
-                        s3=mode.indices.s3,
-                        residual_norm=mode.residual_norm,
-                        reachable=mode.reachable)))
-    return records
-
-
-def _tool_ik_records(solutions):
-    records = []
-    for i, sol in enumerate(sorted(
-            solutions, key=lambda s: (s.machine_joints.theta1, s.indices.as_tuple()))):
-        mj = sol.machine_joints
-        records.append(SolutionRecord(
-            label=f"({MODE_LABELS[i]})",
-            values=dict(rho1=mj.joints.rho1, rho2=mj.joints.rho2,
-                        rho3=mj.joints.rho3, theta1=mj.theta1, theta2=mj.theta2,
-                        s1=sol.indices.s1, s2=sol.indices.s2, s3=sol.indices.s3,
-                        residual_norm=sol.residual_norm,
-                        within_limits=sol.within_limits)))
-    return records
-
-
-def _tool_fk_records(geom, modes, theta1, theta2):
-    records = []
-    for i, mode in enumerate(modes):
-        tp = mk.tool_pose_from_platform(geom, mode.pose, theta1, theta2)
-        records.append(SolutionRecord(
-            label=f"({MODE_LABELS[i]})",
-            values=dict(phi1=tp.phi1, phi2=tp.phi2, x_u=tp.x_u, y_u=tp.y_u,
-                        z_u=tp.z_u, s1=mode.indices.s1, s2=mode.indices.s2,
-                        s3=mode.indices.s3, residual_norm=mode.residual_norm,
-                        reachable=mode.reachable)))
-    return records
+def _branch_fields(item):
+    return dict(s1=item.indices.s1, s2=item.indices.s2, s3=item.indices.s3,
+                residual_norm=item.residual_norm)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,48 +202,52 @@ def _angle_arg(value, deg):
 
 
 def cmd_ik(geom, args):
-    solutions = pik.enumerate_ik(geom, args.x_p, args.y_p, args.z_p)
-    if args.select:
-        selected = pik.select_working_solution(solutions, geom)
-        solutions = [selected] if selected is not None else []
-    records = _ik_records(solutions)
-    emit_records(records, IK_COLUMNS, args.format, args.deg)
-    return 0 if records else 2
+    return _emit_solutions(
+        args, pik.enumerate_ik(geom, args.x_p, args.y_p, args.z_p),
+        lambda sols: pik.select_working_solution(sols, geom), IK_COLUMNS,
+        lambda sol: dict(rho1=sol.joints.rho1, rho2=sol.joints.rho2,
+                         rho3=sol.joints.rho3, alpha=sol.alpha, **_branch_fields(sol),
+                         within_limits=sol.within_limits),
+        order=lambda sol: (sol.alpha, sol.indices.as_tuple()))
 
 
 def cmd_fk(geom, args):
-    modes = pfk.enumerate_fk(geom, pik.ParallelJoints(args.rho1, args.rho2, args.rho3))
-    if args.select:
-        selected = pfk.select_assembly_mode(modes)
-        modes = [selected] if selected is not None else []
-    records = _fk_records(modes)
-    emit_records(records, FK_COLUMNS, args.format, args.deg)
-    return 0 if records else 2
+    return _emit_solutions(
+        args, pfk.enumerate_fk(geom, pik.ParallelJoints(args.rho1, args.rho2, args.rho3)),
+        pfk.select_assembly_mode, FK_COLUMNS,
+        lambda mode: dict(alpha=mode.pose.alpha, x_p=mode.pose.x_p,
+                          y_p=mode.pose.y_p, z_p=mode.pose.z_p, **_branch_fields(mode),
+                          reachable=mode.reachable))
 
 
 def cmd_tool_ik(geom, args):
     tool = mk.ToolPose(args.x_u, args.y_u, args.z_u,
                        _angle_arg(args.phi1, args.deg),
                        _angle_arg(args.phi2, args.deg))
-    solutions = mk.tool_ik(geom, tool)
-    if args.select:
-        selected = mk.select_machine_solution(solutions, geom)
-        solutions = [selected] if selected is not None else []
-    records = _tool_ik_records(solutions)
-    emit_records(records, TOOL_IK_COLUMNS, args.format, args.deg)
-    return 0 if records else 2
+    return _emit_solutions(
+        args, mk.tool_ik(geom, tool),
+        lambda sols: mk.select_machine_solution(sols, geom), TOOL_IK_COLUMNS,
+        lambda sol: dict(rho1=sol.machine_joints.joints.rho1,
+                         rho2=sol.machine_joints.joints.rho2,
+                         rho3=sol.machine_joints.joints.rho3,
+                         theta1=sol.machine_joints.theta1,
+                         theta2=sol.machine_joints.theta2, **_branch_fields(sol),
+                         within_limits=sol.within_limits),
+        order=lambda sol: (sol.machine_joints.theta1, sol.indices.as_tuple()))
 
 
 def cmd_tool_fk(geom, args):
     theta1 = _angle_arg(args.theta1, args.deg)
     theta2 = _angle_arg(args.theta2, args.deg)
-    modes = pfk.enumerate_fk(geom, pik.ParallelJoints(args.rho1, args.rho2, args.rho3))
-    if args.select:
-        selected = pfk.select_assembly_mode(modes)
-        modes = [selected] if selected is not None else []
-    records = _tool_fk_records(geom, modes, theta1, theta2)
-    emit_records(records, TOOL_FK_COLUMNS, args.format, args.deg)
-    return 0 if records else 2
+
+    def values(mode):
+        tp = mk.tool_pose_from_platform(geom, mode.pose, theta1, theta2)
+        return dict(phi1=tp.phi1, phi2=tp.phi2, x_u=tp.x_u, y_u=tp.y_u,
+                    z_u=tp.z_u, **_branch_fields(mode), reachable=mode.reachable)
+
+    return _emit_solutions(
+        args, pfk.enumerate_fk(geom, pik.ParallelJoints(args.rho1, args.rho2, args.rho3)),
+        pfk.select_assembly_mode, TOOL_FK_COLUMNS, values)
 
 
 def cmd_ellipse(geom, args):
@@ -320,6 +287,9 @@ def cmd_ellipse(geom, args):
 def cmd_roundtrip(geom, args):
     if args.count < 0:
         print("pkmkin roundtrip: error: count must be >= 0", file=sys.stderr)
+        return 1
+    if args.starts < 1:
+        print("pkmkin roundtrip: error: starts must be >= 1", file=sys.stderr)
         return 1
     box = args.box if args.box is not None else [
         geo.SIXTEEN_BRANCH_REGION[0][0], geo.SIXTEEN_BRANCH_REGION[0][1],

@@ -14,13 +14,17 @@ legs II and III each contribute a quadratic sign branch.
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import AmbiguousSelectionError, InterpolationError
+from .errors import InterpolationError, NegativeRadicandError
 from .parallel_fk import enumerate_fk
-from .parallel_ik import ConfigurationIndices, ParallelJoints, wrap_angle
+from .parallel_ik import (ConfigurationIndices, ParallelJoints, _clamped_sqrt,
+                          _dedup, _on_working_branch, _unique,
+                          constraint_residuals, coupling_residual,
+                          leg_radicands, wrap_angle)
 from .rootfind import Polynomial, real_roots
 
 TILT_RESIDUAL_REL_TOL = 1e-9
@@ -112,11 +116,9 @@ def tool_pose_from_platform(geom, pose, theta1, theta2):
     )
 
 
-def platform_from_tool(geom, tool, theta1):
-    """Invert the table chain: platform (x_p, y_p, z_p, alpha) for one tilt.
-
-    Uses theta2 = -phi2; alpha = theta1 + phi1.
-    """
+def _platform_coordinates(geom, tool, theta1):
+    """Platform (x_p, y_p, z_p, alpha) for one tilt, with alpha = theta1 + phi1
+    unwrapped: the kinematic constraints are evaluated at exactly this alpha."""
     theta2 = -tool.phi2
     alpha = theta1 + tool.phi1
     c1, s1 = math.cos(theta1), math.sin(theta1)
@@ -126,6 +128,15 @@ def platform_from_tool(geom, tool, theta1):
     depth = geom.d_t - tool.z_u
     y_p = c1 * swing - s1 * depth + geom.Delta * math.sin(alpha)
     z_p = s1 * swing + c1 * depth + geom.d_a - geom.Delta * math.cos(alpha)
+    return x_p, y_p, z_p, alpha
+
+
+def platform_from_tool(geom, tool, theta1):
+    """Invert the table chain: platform (x_p, y_p, z_p, alpha) for one tilt.
+
+    Uses theta2 = -phi2; alpha = theta1 + phi1.
+    """
+    x_p, y_p, z_p, alpha = _platform_coordinates(geom, tool, theta1)
     return x_p, y_p, z_p, wrap_angle(alpha)
 
 
@@ -138,51 +149,14 @@ def tool_fk(geom, machine_joints):
 
 
 # ---------------------------------------------------------------------------
-# machine-level constraint equations (tool coordinates, theta2 = -phi2)
+# machine-level IK: the parallel-module constraints at the table-chain pose
 
-def _leg_frame_terms(geom, tool, theta1):
-    """Common brackets of the rod constraints in tool coordinates."""
-    cp2, sp2 = math.cos(tool.phi2), math.sin(tool.phi2)
-    c1, s1 = math.cos(theta1), math.sin(theta1)
-    alpha = theta1 + tool.phi1
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    lateral = sp2 * tool.x_u - cp2 * tool.y_u
-    across = cp2 * tool.x_u + sp2 * tool.y_u
-    spread = s1 * (tool.z_u - geom.d_t) + c1 * lateral + geom.Delta * sa
-    drop = (s1 * lateral - c1 * (tool.z_u - geom.d_t) + geom.d_a
-            - geom.Delta * ca)
-    return across, spread, drop, ca, sa
-
-
-def machine_constraint_residuals(geom, tool, rho, theta1):
-    """The four machine-level rod residuals (mm^2), leg I twice."""
-    across, spread, drop, ca, sa = _leg_frame_terms(geom, tool, theta1)
-    X1 = across + geom.D1 - geom.d1
-    X2 = across + geom.D2 - geom.d2
-    R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
-    return (
-        X1**2 + (spread + R1 * ca - r1)**2 + (drop + R1 * sa - rho[0])**2 - geom.L1**2,
-        X1**2 + (spread - R1 * ca + r1)**2 + (drop - R1 * sa - rho[0])**2 - geom.L1**2,
-        X2**2 + (spread - R2 * ca + r4)**2 + (drop - R2 * sa - rho[1])**2 - geom.L2**2,
-        X2**2 + (spread + R2 * ca - r4)**2 + (drop + R2 * sa - rho[2])**2 - geom.L3**2,
-    )
-
-
-def tilt_residual(geom, tool, theta1):
-    """Residual of the tilt relation (rho1 eliminated from leg I)."""
-    across, spread, _, ca, sa = _leg_frame_terms(geom, tool, theta1)
-    X1 = across + geom.D1 - geom.d1
-    return (geom.R1**2 * sa**2 * X1**2
-            + geom.leg1_span_sq(ca) * spread**2
-            - geom.R1**2 * sa**2 * geom.a_sq(ca))
-
-
-def _tilt_scale(geom, tool, theta1):
-    across, spread, _, ca, sa = _leg_frame_terms(geom, tool, theta1)
-    X1 = across + geom.D1 - geom.d1
-    return (geom.R1**2 * sa**2 * X1**2
-            + abs(geom.leg1_span_sq(ca)) * spread**2
-            + geom.R1**2 * abs(geom.a_sq(ca))
+def _tilt_scale(geom, x_p, y_p, alpha):
+    c, s = math.cos(alpha), math.sin(alpha)
+    X1 = x_p + geom.D1 - geom.d1
+    return (geom.R1**2 * s**2 * X1**2
+            + abs(geom.leg1_span_sq(c)) * y_p**2
+            + geom.R1**2 * abs(geom.a_sq(c))
             + geom.R1**2 * geom.L1**2)
 
 
@@ -194,7 +168,8 @@ def tilt_polynomial(geom, tool):
     (1 + u^2)^3 from the tilt relation leaves
     R1^2 X1^2 S^2 T + [(r1^2 + R1^2) T - 2 R1 r1 C] E^2
     - R1^2 S^2 [(L1^2 - R1^2 - r1^2) T + 2 R1 r1 C].
-    Verified against the sampled tilt residual at probe nodes.
+    Verified at probe nodes against the tilt relation, sampled as the
+    coupling residual at the platform pose each tilt implies.
     """
     R1, r1 = geom.R1, geom.r1
     cp1, sp1 = math.cos(tool.phi1), math.sin(tool.phi1)
@@ -219,21 +194,21 @@ def tilt_polynomial(geom, tool):
         -npoly.polymul(S2, npoly.polyadd(K * T, 2.0 * R1 * r1 * C)) * R1**2)
 
     scale = max(np.max(np.abs(coeffs)), 1.0)
-    checked = 0
     for u in (0.2183, -0.7341, 1.4127):
-        theta1 = 2.0 * math.atan(u)
-        sampled = tilt_residual(geom, tool, theta1) * (1.0 + u * u)**3
+        x_p, y_p, _, alpha = _platform_coordinates(geom, tool, 2.0 * math.atan(u))
+        sampled = coupling_residual(geom, x_p, y_p, alpha) * (1.0 + u * u)**3
         if abs(npoly.polyval(u, coeffs) - sampled) > 1e-9 * (scale * max(1.0, abs(u))**6 + abs(sampled)):
             raise InterpolationError(
                 f"assembled tilt polynomial disagrees with the sampled residual at u={u}")
-        checked += 1
-    if checked < 3:  # pragma: no cover
-        raise InterpolationError("too few usable tilt probe nodes")
     return Polynomial(coeffs)
 
 
 def tilt_candidates(geom, tool):
-    """Tilt angles solving the tilt relation, within the table tilt range."""
+    """Tilt angles solving the tilt relation, within the table tilt range.
+
+    The tilt relation is the parallel-module coupling relation at the
+    platform point and orientation the tilt implies.
+    """
     poly = tilt_polynomial(geom, tool)
     if poly.degree < 1:
         return []
@@ -242,30 +217,30 @@ def tilt_candidates(geom, tool):
         theta1 = 2.0 * math.atan(u)
         if not geom.theta1_min <= theta1 <= geom.theta1_max:
             continue
-        if abs(tilt_residual(geom, tool, theta1)) > TILT_RESIDUAL_REL_TOL * _tilt_scale(geom, tool, theta1):
+        x_p, y_p, _, alpha = _platform_coordinates(geom, tool, theta1)
+        if (abs(coupling_residual(geom, x_p, y_p, alpha))
+                > TILT_RESIDUAL_REL_TOL * _tilt_scale(geom, x_p, y_p, alpha)):
             continue
         out.append(theta1)
     out.sort()
     return out
 
 
-def _rho1_agreeing(geom, tool, theta1):
+def _rho1_agreeing(geom, x_p, y_p, z_p, alpha):
     """rho1 values on which both leg-I constraints agree (up to two)."""
-    across, spread, drop, ca, sa = _leg_frame_terms(geom, tool, theta1)
-    X1 = across + geom.D1 - geom.d1
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    X1 = x_p + geom.D1 - geom.d1
     R1, r1 = geom.R1, geom.r1
-    rad_a = geom.L1**2 - X1**2 - (spread + R1 * ca - r1)**2
-    rad_b = geom.L1**2 - X1**2 - (spread - R1 * ca + r1)**2
-    clamp = 1e-9 * geom.L1**2
-    if rad_a < -clamp or rad_b < -clamp:
+    try:
+        root_a = _clamped_sqrt(geom.L1**2 - X1**2 - (y_p + R1 * ca - r1)**2, geom.L1**2, "I")
+        root_b = _clamped_sqrt(geom.L1**2 - X1**2 - (y_p - R1 * ca + r1)**2, geom.L1**2, "I")
+    except NegativeRadicandError:
         return []
-    root_a = math.sqrt(max(rad_a, 0.0))
-    root_b = math.sqrt(max(rad_b, 0.0))
     tol = RHO1_AGREEMENT_REL_TOL * geom.L1
     values = []
     for sign_a, sign_b in product((-1.0, 1.0), repeat=2):
-        va = drop + R1 * sa + sign_a * root_a
-        vb = drop - R1 * sa + sign_b * root_b
+        va = z_p + R1 * sa + sign_a * root_a
+        vb = z_p - R1 * sa + sign_b * root_b
         if abs(va - vb) <= tol:
             v = 0.5 * (va + vb)
             if not any(abs(v - u) <= tol for u in values):
@@ -279,56 +254,40 @@ def tool_ik(geom, tool):
     theta2 = -phi2 exactly; theta1 runs over the in-range tilt candidates;
     rho1 must agree between the two leg-I constraints; legs II and III
     contribute one sign branch each.  Every branch is checked against all
-    four machine constraints.  within_limits covers the sliders and the
-    rotary range (the tilt range is enforced on theta1 directly, since the
-    table cannot leave it).
+    four rod constraints at the platform pose the tilt implies.
+    within_limits covers the sliders and the rotary range (the tilt range
+    is enforced on theta1 directly, since the table cannot leave it).
     """
     theta2 = -tool.phi2
     solutions = []
     for theta1 in tilt_candidates(geom, tool):
-        across, spread, drop, ca, sa = _leg_frame_terms(geom, tool, theta1)
-        X2 = across + geom.D2 - geom.d2
-        R2, r4 = geom.R2, geom.r4
-        rad2 = geom.L2**2 - X2**2 - (spread - R2 * ca + r4)**2
-        rad3 = geom.L3**2 - X2**2 - (spread + R2 * ca - r4)**2
-        clamp2 = 1e-9 * geom.L2**2
-        clamp3 = 1e-9 * geom.L3**2
-        if rad2 < -clamp2 or rad3 < -clamp3:
+        x_p, y_p, z_p, alpha = _platform_coordinates(geom, tool, theta1)
+        _, rad2, rad3 = leg_radicands(geom, x_p, y_p, alpha)
+        try:
+            root2 = _clamped_sqrt(rad2, geom.L2**2, "II")
+            root3 = _clamped_sqrt(rad3, geom.L3**2, "III")
+        except NegativeRadicandError:
             continue
-        root2 = math.sqrt(max(rad2, 0.0))
-        root3 = math.sqrt(max(rad3, 0.0))
-        for rho1 in _rho1_agreeing(geom, tool, theta1):
+        lift = geom.R2 * math.sin(alpha)
+        for rho1 in _rho1_agreeing(geom, x_p, y_p, z_p, alpha):
             for s2, s3 in product((-1, 1), repeat=2):
-                rho = (rho1,
-                       drop - R2 * sa + s2 * root2,
-                       drop + R2 * sa + s3 * root3)
-                residual = max(abs(r) for r in machine_constraint_residuals(
-                    geom, tool, rho, theta1))
+                rho = (rho1, z_p - lift + s2 * root2, z_p + lift + s3 * root3)
+                residual = max(abs(r) for r in constraint_residuals(
+                    geom, x_p, y_p, z_p, alpha, *rho))
                 if residual > MACHINE_RESIDUAL_REL_TOL * geom.residual_scale:
                     continue
                 indices = ConfigurationIndices(
-                    s1=-1 if rho1 - drop <= 0.0 else 1, s2=s2, s3=s3)
+                    s1=-1 if rho1 - z_p <= 0.0 else 1, s2=s2, s3=s3)
                 within = (geom.rho_within_limits(rho)
                           and geom.theta2_min <= theta2 <= geom.theta2_max)
                 solutions.append(MachineIkSolution(
                     machine_joints=MachineJoints(
                         joints=ParallelJoints(*rho), theta1=theta1, theta2=theta2),
-                    indices=indices, alpha=wrap_angle(theta1 + tool.phi1),
+                    indices=indices, alpha=wrap_angle(alpha),
                     residual_norm=residual, within_limits=within))
-    merged = []
-    for sol in solutions:
-        if any(_same_machine_branch(sol, kept) for kept in merged):
-            continue
-        merged.append(sol)
-    return merged
-
-
-def _same_machine_branch(a, b):
-    ja, jb = a.machine_joints, b.machine_joints
-    return (abs(ja.theta1 - jb.theta1) <= MACHINE_DEDUP_TOL
-            and abs(ja.joints.rho1 - jb.joints.rho1) <= MACHINE_DEDUP_TOL
-            and abs(ja.joints.rho2 - jb.joints.rho2) <= MACHINE_DEDUP_TOL
-            and abs(ja.joints.rho3 - jb.joints.rho3) <= MACHINE_DEDUP_TOL)
+    return _dedup(solutions, attrgetter("machine_joints.theta1", "machine_joints.joints.rho1",
+                                        "machine_joints.joints.rho2", "machine_joints.joints.rho3"),
+                  MACHINE_DEDUP_TOL)
 
 
 def select_machine_solution(solutions, geom):
@@ -337,12 +296,5 @@ def select_machine_solution(solutions, geom):
     Same filters as the parallel-module working solution, with the
     rod-crossing guard evaluated on alpha = theta1 + phi1.
     """
-    survivors = [sol for sol in solutions
-                 if sol.indices.as_tuple() == (-1, -1, -1)
-                 and geom.R1 * math.cos(sol.alpha) > geom.r1
-                 and sol.within_limits]
-    if not survivors:
-        return None
-    if len(survivors) > 1:
-        raise AmbiguousSelectionError(survivors)
-    return survivors[0]
+    return _unique([sol for sol in solutions
+                    if _on_working_branch(geom, sol.indices, sol.alpha) and sol.within_limits])

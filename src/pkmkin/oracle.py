@@ -35,18 +35,31 @@ class ResidualVector:
         return max(abs(v) for v in self.as_tuple())
 
 
+def _rods(geom, x, y, z, c, s, rho):
+    """The four rod vectors, leg I twice: (dx, dy, dz, squared rod length)
+    each, at platform position (x, y, z) with c, s = cos, sin(alpha).
+
+    Arithmetic only, so floats and equal-shape arrays give the same bits.
+    """
+    X1 = x + geom.D1 - geom.d1
+    X2 = x + geom.D2 - geom.d2
+    R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
+    return ((X1, y + R1 * c - r1, z + R1 * s - rho[0], geom.L1**2),
+            (X1, y - R1 * c + r1, z - R1 * s - rho[0], geom.L1**2),
+            (X2, y - R2 * c + r4, z - R2 * s - rho[1], geom.L2**2),
+            (X2, y + R2 * c - r4, z + R2 * s - rho[2], geom.L3**2))
+
+
+def _residuals(rods):
+    return [dx**2 + dy**2 + dz**2 - length_sq for dx, dy, dz, length_sq in rods]
+
+
 def residuals_parallel(geom, pose, joints):
     """Direct evaluation of the parallel-module constraint left-hand sides."""
-    c, s = math.cos(pose.alpha), math.sin(pose.alpha)
-    X1 = pose.x_p + geom.D1 - geom.d1
-    X2 = pose.x_p + geom.D2 - geom.d2
-    y, z = pose.y_p, pose.z_p
-    return ResidualVector(
-        r_3a=X1**2 + (y + geom.R1 * c - geom.r1)**2 + (z + geom.R1 * s - joints.rho1)**2 - geom.L1**2,
-        r_3b=X1**2 + (y - geom.R1 * c + geom.r1)**2 + (z - geom.R1 * s - joints.rho1)**2 - geom.L1**2,
-        r_4=X2**2 + (y - geom.R2 * c + geom.r4)**2 + (z - geom.R2 * s - joints.rho2)**2 - geom.L2**2,
-        r_5=X2**2 + (y + geom.R2 * c - geom.r4)**2 + (z + geom.R2 * s - joints.rho3)**2 - geom.L3**2,
-    )
+    rho = (joints.rho1, joints.rho2, joints.rho3)
+    return ResidualVector(*_residuals(_rods(
+        geom, pose.x_p, pose.y_p, pose.z_p,
+        math.cos(pose.alpha), math.sin(pose.alpha), rho)))
 
 
 def residuals_machine(geom, tool, machine_joints):
@@ -60,16 +73,9 @@ def residuals_machine(geom, tool, machine_joints):
     across = cp2 * tool.x_u + sp2 * tool.y_u
     spread = s1 * (tool.z_u - geom.d_t) + c1 * lateral + geom.Delta * sa
     drop = s1 * lateral - c1 * (tool.z_u - geom.d_t) + geom.d_a - geom.Delta * ca
-    X1 = across + geom.D1 - geom.d1
-    X2 = across + geom.D2 - geom.d2
     rho = machine_joints.joints
-    R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
-    return ResidualVector(
-        r_3a=X1**2 + (spread + R1 * ca - r1)**2 + (drop + R1 * sa - rho.rho1)**2 - geom.L1**2,
-        r_3b=X1**2 + (spread - R1 * ca + r1)**2 + (drop - R1 * sa - rho.rho1)**2 - geom.L1**2,
-        r_4=X2**2 + (spread - R2 * ca + r4)**2 + (drop - R2 * sa - rho.rho2)**2 - geom.L2**2,
-        r_5=X2**2 + (spread + R2 * ca - r4)**2 + (drop + R2 * sa - rho.rho3)**2 - geom.L3**2,
-    )
+    return ResidualVector(*_residuals(_rods(
+        geom, across, spread, drop, ca, sa, (rho.rho1, rho.rho2, rho.rho3))))
 
 
 def default_start_box(geom, rho):
@@ -81,45 +87,23 @@ def default_start_box(geom, rho):
             (-reach, reach), (lo, hi))
 
 
-def _batch_terms(geom, v, rho):
-    c, s = np.cos(v[:, 3]), np.sin(v[:, 3])
-    X1 = v[:, 0] + geom.D1 - geom.d1
-    X2 = v[:, 0] + geom.D2 - geom.d2
-    y, z = v[:, 1], v[:, 2]
-    y1p, z1p = y + geom.R1 * c - geom.r1, z + geom.R1 * s - rho[0]
-    y1m, z1m = y - geom.R1 * c + geom.r1, z - geom.R1 * s - rho[0]
-    y2, z2 = y - geom.R2 * c + geom.r4, z - geom.R2 * s - rho[1]
-    y3, z3 = y + geom.R2 * c - geom.r4, z + geom.R2 * s - rho[2]
-    return c, s, X1, X2, (y1p, z1p), (y1m, z1m), (y2, z2), (y3, z3)
-
-
 def _batch_residuals(geom, v, rho):
     """Residuals for a (n, 4) batch of pose vectors; returns (n, 4)."""
-    _, _, X1, X2, leg1p, leg1m, leg2, leg3 = _batch_terms(geom, v, rho)
-    return np.stack([
-        X1**2 + leg1p[0]**2 + leg1p[1]**2 - geom.L1**2,
-        X1**2 + leg1m[0]**2 + leg1m[1]**2 - geom.L1**2,
-        X2**2 + leg2[0]**2 + leg2[1]**2 - geom.L2**2,
-        X2**2 + leg3[0]**2 + leg3[1]**2 - geom.L3**2,
-    ]).T  # column-major: the row max-norm then reduces across four columns
+    rods = _rods(geom, v[:, 0], v[:, 1], v[:, 2], np.cos(v[:, 3]), np.sin(v[:, 3]), rho)
+    return np.stack(_residuals(rods)).T  # column-major: the row max-norm reduces across columns
 
 
 def _batch_residuals_jacobian(geom, v, rho):
     """Residuals and analytic Jacobian for a (n, 4) batch in one pass."""
-    c, s, X1, X2, (y1p, z1p), (y1m, z1m), (y2, z2), (y3, z3) = _batch_terms(geom, v, rho)
-    R1, R2 = geom.R1, geom.R2
-    f = np.stack([
-        X1**2 + y1p**2 + z1p**2 - geom.L1**2,
-        X1**2 + y1m**2 + z1m**2 - geom.L1**2,
-        X2**2 + y2**2 + z2**2 - geom.L2**2,
-        X2**2 + y3**2 + z3**2 - geom.L3**2,
-    ], axis=1)
+    c, s = np.cos(v[:, 3]), np.sin(v[:, 3])
+    rods = _rods(geom, v[:, 0], v[:, 1], v[:, 2], c, s, rho)
+    # each rod's platform end sits at sign * R * (cos, sin)(alpha) in (y, z)
+    arms = ((geom.R1, 1), (geom.R1, -1), (geom.R2, -1), (geom.R2, 1))
     J = np.empty((v.shape[0], 4, 4))
-    J[:, 0] = np.stack([2 * X1, 2 * y1p, 2 * z1p, 2 * (-y1p * R1 * s + z1p * R1 * c)], axis=1)
-    J[:, 1] = np.stack([2 * X1, 2 * y1m, 2 * z1m, 2 * (y1m * R1 * s - z1m * R1 * c)], axis=1)
-    J[:, 2] = np.stack([2 * X2, 2 * y2, 2 * z2, 2 * (y2 * R2 * s - z2 * R2 * c)], axis=1)
-    J[:, 3] = np.stack([2 * X2, 2 * y3, 2 * z3, 2 * (-y3 * R2 * s + z3 * R2 * c)], axis=1)
-    return f, J
+    for row, ((dx, dy, dz, _), (R, sign)) in enumerate(zip(rods, arms)):
+        J[:, row] = np.stack([2 * dx, 2 * dy, 2 * dz,
+                              sign * 2 * (dz * R * c - dy * R * s)], axis=1)
+    return np.stack(_residuals(rods), axis=1), J
 
 
 # damped step lengths 2^-k, k = 0..29 (exact in binary), in three passes of
@@ -187,19 +171,10 @@ def newton_fk(geom, joints, starts=100, seed=0, box=None,
         idx = np.flatnonzero(active)
         f, J = _batch_residuals_jacobian(geom, v[idx], rho)
         norm = np.max(np.abs(f), axis=1)
-        done = norm <= tol
-        active[idx[done]] = False
-        keep = ~done
-        idx = idx[keep]
-        if idx.size == 0:
-            continue
-        f = f[keep]
-        norm = norm[keep]
-        J = J[keep]
-        dets = np.abs(np.linalg.det(J))
-        ok = dets > 1e-300
-        active[idx[~ok]] = False
-        idx, f, norm, J = idx[ok], f[ok], norm[ok], J[ok]
+        # converged and singular starts (NaN rows fail both tests) stop
+        go = (norm > tol) & (np.abs(np.linalg.det(J)) > 1e-300)
+        active[idx[~go]] = False
+        idx, f, norm, J = idx[go], f[go], norm[go], J[go]
         if idx.size == 0:
             continue
         step = np.linalg.solve(J, -f[..., None])[..., 0]

@@ -21,15 +21,15 @@ yp_from / zp_from / xp_from.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from operator import attrgetter
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (AmbiguousSelectionError, CoincidentOffsetError,
-                     DegenerateDenominatorError, DegenerateOrientationError,
-                     InterpolationError)
+from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
+                     DegenerateOrientationError, InterpolationError)
 from .parallel_ik import (ConfigurationIndices, ParallelJoints, PlatformPose,
+                          _dedup, _on_working_branch, _unique,
                           constraint_residuals)
 from .rootfind import Polynomial, real_roots
 
@@ -405,31 +405,14 @@ def enumerate_fk(geom, joints):
             continue
         pose = PlatformPose(x, y, z, alpha)
         indices = back_derived_indices(geom, pose, joints)
-        reachable = (indices.as_tuple() == (-1, -1, -1)
-                     and geom.R1 * math.cos(pose.alpha) > geom.r1)
-        modes.append(AssemblyMode(pose=pose, indices=indices,
-                                  residual_norm=residual, reachable=reachable))
-    modes.sort(key=lambda m: (m.pose.alpha, m.pose.x_p, m.pose.y_p, m.pose.z_p))
-    merged = []
-    for mode in modes:
-        if any(_same_mode(mode, kept) for kept in merged):
-            continue
-        merged.append(mode)
-    return merged
-
-
-def _same_mode(a, b):
-    return (abs(a.pose.alpha - b.pose.alpha) <= FK_DEDUP_TOL
-            and abs(a.pose.x_p - b.pose.x_p) <= FK_DEDUP_TOL
-            and abs(a.pose.y_p - b.pose.y_p) <= FK_DEDUP_TOL
-            and abs(a.pose.z_p - b.pose.z_p) <= FK_DEDUP_TOL)
+        modes.append(AssemblyMode(
+            pose=pose, indices=indices, residual_norm=residual,
+            reachable=_on_working_branch(geom, indices, pose.alpha)))
+    pose_key = attrgetter("pose.alpha", "pose.x_p", "pose.y_p", "pose.z_p")
+    modes.sort(key=pose_key)
+    return _dedup(modes, pose_key, FK_DEDUP_TOL)
 
 
 def select_assembly_mode(modes):
     """The unique reachable mode, or None; ambiguity is always reported."""
-    survivors = [m for m in modes if m.reachable]
-    if not survivors:
-        return None
-    if len(survivors) > 1:
-        raise AmbiguousSelectionError(survivors)
-    return survivors[0]
+    return _unique([m for m in modes if m.reachable])

@@ -12,6 +12,7 @@ sign branches on the three sliders, for at most 16 branches in total.
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 
 from .errors import (AmbiguousSelectionError, DegenerateOrientationError,
                      InconsistentPoseError, NegativeRadicandError,
@@ -326,9 +327,9 @@ def enumerate_ik(geom, x_p, y_p, z_p):
     """
     solutions = []
     for alpha in orientation_candidates(geom, x_p, y_p):
-        allowed = allowed_s1(geom, PlatformPose(x_p, y_p, z_p, alpha))
-        s1_values = (-1, 1) if allowed is RHO1_PINNED else sorted(allowed)
         pose = PlatformPose(x_p, y_p, z_p, alpha)
+        allowed = allowed_s1(geom, pose)
+        s1_values = (-1, 1) if allowed is RHO1_PINNED else sorted(allowed)
         for s1, s2, s3 in product(s1_values, (-1, 1), (-1, 1)):
             indices = ConfigurationIndices(s1, s2, s3)
             try:
@@ -342,19 +343,37 @@ def enumerate_ik(geom, x_p, y_p, z_p):
                 joints=joints, alpha=alpha, indices=indices,
                 residual_norm=residual,
                 within_limits=geom.rho_within_limits(joints.as_tuple())))
-    merged = []
-    for sol in solutions:
-        if any(_same_branch(sol, kept) for kept in merged):
-            continue
-        merged.append(sol)
-    return merged
+    return _dedup(solutions, attrgetter("alpha", "joints.rho1", "joints.rho2", "joints.rho3"),
+                  DEDUP_TOL)
 
 
-def _same_branch(a, b):
-    return (abs(a.alpha - b.alpha) <= DEDUP_TOL
-            and abs(a.joints.rho1 - b.joints.rho1) <= DEDUP_TOL
-            and abs(a.joints.rho2 - b.joints.rho2) <= DEDUP_TOL
-            and abs(a.joints.rho3 - b.joints.rho3) <= DEDUP_TOL)
+def _dedup(items, key, tol):
+    """items without those whose four-float key lies within tol, component
+    by component, of an earlier kept item's key; order is preserved."""
+    kept, kept_keys = [], []
+    for item in items:
+        a, b, c, d = key(item)
+        for p, q, r, s in kept_keys:
+            if (abs(a - p) <= tol and abs(b - q) <= tol
+                    and abs(c - r) <= tol and abs(d - s) <= tol):
+                break
+        else:
+            kept.append(item)
+            kept_keys.append((a, b, c, d))
+    return kept
+
+
+def _on_working_branch(geom, indices, alpha):
+    """The leg disposition the physical machine uses: every slider above the
+    platform, s = (-1, -1, -1), and no rod crossing, R1 cos(alpha) > r1."""
+    return indices.as_tuple() == (-1, -1, -1) and geom.R1 * math.cos(alpha) > geom.r1
+
+
+def _unique(survivors):
+    """The single survivor, or None; several raise AmbiguousSelectionError."""
+    if len(survivors) > 1:
+        raise AmbiguousSelectionError(survivors)
+    return survivors[0] if survivors else None
 
 
 def select_working_solution(solutions, geom):
@@ -365,12 +384,5 @@ def select_working_solution(solutions, geom):
     slider limits.  Raises AmbiguousSelectionError when several branches
     survive; multiplicity is reported, never silently resolved.
     """
-    survivors = [s for s in solutions
-                 if s.indices.as_tuple() == (-1, -1, -1)
-                 and geom.R1 * math.cos(s.alpha) > geom.r1
-                 and s.within_limits]
-    if not survivors:
-        return None
-    if len(survivors) > 1:
-        raise AmbiguousSelectionError(survivors)
-    return survivors[0]
+    return _unique([s for s in solutions
+                    if _on_working_branch(geom, s.indices, s.alpha) and s.within_limits])

@@ -197,6 +197,14 @@ def test_roundtrip_zero_count(geom_file, capsys):
     assert "samples            0" in out
 
 
+def test_roundtrip_zero_starts_exit_1(geom_file, capsys):
+    code, out, err = run_cli(capsys, "roundtrip", geom_file, "--count", "2",
+                             "--timing", "--starts", "0")
+    assert code == 1
+    assert out == ""
+    assert "pkmkin roundtrip: error: starts must be >= 1" in err
+
+
 def test_roundtrip_deterministic_bytes(geom_file):
     cmd = [sys.executable, "-m", "pkmkin.cli", "roundtrip", geom_file,
            "--count", "20", "--seed", "11"]

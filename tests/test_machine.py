@@ -9,7 +9,8 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose, ToolPose,
                     select_machine_solution, select_working_solution,
                     table_transform, tilt_candidates, tilt_polynomial,
                     tool_fk, tool_ik, tool_pose_from_platform, wrap_angle)
-from pkmkin.machine import machine_constraint_residuals, tilt_residual
+from pkmkin.machine import _platform_coordinates
+from pkmkin.parallel_ik import constraint_residuals, coupling_residual
 from pkmkin.rootfind import real_roots
 
 from conftest import region_points
@@ -160,7 +161,9 @@ def test_tilt_residual_scaled_small_at_candidates(geom):
     rng = np.random.default_rng(9)
     pose, joints, th1, th2, tool = random_machine_state(geom, rng)
     for cand in tilt_candidates(geom, tool):
-        assert abs(tilt_residual(geom, tool, cand)) <= 1e-6 * geom.R1**2 * geom.L1**2
+        # the tilt relation is the coupling relation at the implied pose
+        x, y, _, alpha = _platform_coordinates(geom, tool, cand)
+        assert abs(coupling_residual(geom, x, y, alpha)) <= 1e-6 * geom.R1**2 * geom.L1**2
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +268,12 @@ def test_tool_fk_tool_ik_roundtrip(geom):
 
 
 def test_machine_constraint_matches_oracle_route(geom):
-    # the solver-internal equations and the oracle's restatement must agree
+    # tool_ik's route (the parallel-module constraints at the platform pose
+    # the tilt implies) and the oracle's machine-level restatement must agree
     rng = np.random.default_rng(16)
     pose, joints, th1, th2, tool = random_machine_state(geom, rng)
     mj = MachineJoints(joints=joints, theta1=th1, theta2=th2)
-    internal = machine_constraint_residuals(geom, tool, joints.as_tuple(), th1)
+    internal = constraint_residuals(geom, *_platform_coordinates(geom, tool, th1),
+                                    *joints.as_tuple())
     external = residuals_machine(geom, tool, mj)
     assert internal == pytest.approx(external.as_tuple(), abs=1e-12)
