@@ -17,7 +17,6 @@ from itertools import product
 from operator import attrgetter
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import InterpolationError, NegativeRadicandError
 from .parallel_fk import enumerate_fk
@@ -25,7 +24,7 @@ from .parallel_ik import (ConfigurationIndices, ParallelJoints, _clamped_sqrt,
                           _dedup, _on_working_branch, _unique,
                           constraint_residuals, coupling_residual,
                           leg_radicands, wrap_angle)
-from .rootfind import Polynomial, real_roots
+from .rootfind import Polynomial, _add, _horner, _mul, real_roots
 
 TILT_RESIDUAL_REL_TOL = 1e-9
 RHO1_AGREEMENT_REL_TOL = 1e-9
@@ -185,19 +184,17 @@ def tilt_polynomial(geom, tool):
                   2.0 * depth + 2.0 * geom.Delta * cp1,
                   -lateral - geom.Delta * sp1])
     K = geom.L1**2 - R1**2 - r1**2
-    S2 = npoly.polymul(S, S)
-    coeffs = npoly.polyadd(
-        npoly.polyadd(
-            R1**2 * X1c**2 * npoly.polymul(S2, T),
-            npoly.polymul(npoly.polysub((r1**2 + R1**2) * T, 2.0 * R1 * r1 * C),
-                          npoly.polymul(E, E))),
-        -npoly.polymul(S2, npoly.polyadd(K * T, 2.0 * R1 * r1 * C)) * R1**2)
+    S2 = _mul(S, S)
+    coeffs = _add(R1**2 * X1c**2 * _mul(S2, T),
+                  _mul(_add((r1**2 + R1**2) * T, -(2.0 * R1 * r1 * C)), _mul(E, E)),
+                  -_mul(S2, _add(K * T, 2.0 * R1 * r1 * C)) * R1**2)
 
     scale = max(np.max(np.abs(coeffs)), 1.0)
+    values = coeffs.tolist()
     for u in (0.2183, -0.7341, 1.4127):
         x_p, y_p, _, alpha = _platform_coordinates(geom, tool, 2.0 * math.atan(u))
         sampled = coupling_residual(geom, x_p, y_p, alpha) * (1.0 + u * u)**3
-        if abs(npoly.polyval(u, coeffs) - sampled) > 1e-9 * (scale * max(1.0, abs(u))**6 + abs(sampled)):
+        if abs(_horner(values, u) - sampled) > 1e-9 * (scale * max(1.0, abs(u))**6 + abs(sampled)):
             raise InterpolationError(
                 f"assembled tilt polynomial disagrees with the sampled residual at u={u}")
     return Polynomial(coeffs)

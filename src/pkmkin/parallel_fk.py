@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
                      DegenerateOrientationError, InterpolationError)
 from .parallel_ik import (ConfigurationIndices, ParallelJoints, PlatformPose,
                           _dedup, _on_working_branch, _unique,
                           constraint_residuals)
-from .rootfind import Polynomial, real_roots
+from .rootfind import Polynomial, _add, _divmod, _horner, _mul, real_roots
 
 FK_RESIDUAL_REL_TOL = 1e-7
 FK_PREFILTER_REL_TOL = 1e-3
@@ -96,16 +95,8 @@ def zp_from(geom, alpha, joints):
     return num / den
 
 
-def xp_from(geom, alpha, joints):
-    """x_p from the difference of the leg-I midpoint and leg-II spheres.
-
-    Requires the x-offset gap (D1 - d1) - (D2 - d2) to be nonzero; the
-    offsets make the squared x terms cancel, leaving x_p linear.
-    """
-    _require_distinct_offsets(geom)
+def _xp_at(geom, alpha, joints, z_p, y_p):
     c, s = math.cos(alpha), math.sin(alpha)
-    z_p = zp_from(geom, alpha, joints)
-    y_p = yp_from(geom, alpha, z_p, joints.rho1)
     w2 = geom.R2 * c - geom.r4
     gap = geom.offset_gap
     span = (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
@@ -115,23 +106,27 @@ def xp_from(geom, alpha, joints):
     return rhs / (2.0 * gap) - span / 2.0
 
 
+def xp_from(geom, alpha, joints):
+    """x_p from the difference of the leg-I midpoint and leg-II spheres.
+
+    Requires the x-offset gap (D1 - d1) - (D2 - d2) to be nonzero; the
+    offsets make the squared x terms cancel, leaving x_p linear.
+    """
+    _require_distinct_offsets(geom)
+    z_p = zp_from(geom, alpha, joints)
+    return _xp_at(geom, alpha, joints, z_p, yp_from(geom, alpha, z_p, joints.rho1))
+
+
 def pose_from_alpha(geom, alpha, joints):
     """Back-substitute one orientation into the elimination chain."""
     z_p = zp_from(geom, alpha, joints)
     y_p = yp_from(geom, alpha, z_p, joints.rho1)
-    x_p = xp_from(geom, alpha, joints)
-    return x_p, y_p, z_p
+    _require_distinct_offsets(geom)
+    return _xp_at(geom, alpha, joints, z_p, y_p), y_p, z_p
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial, assembled exactly in t = tan(alpha/2)
-
-def _padd(*polys):
-    acc = np.zeros(1)
-    for p in polys:
-        acc = npoly.polyadd(acc, p)
-    return acc
-
 
 def _cleared_numerator(geom, joints):
     """Coefficients (ascending) of N(t), the cleared leg-I midpoint residual.
@@ -148,34 +143,36 @@ def _cleared_numerator(geom, joints):
     T = np.array([1.0, 0.0, 1.0])
     P1 = np.array([R1 - r1, 0.0, -(R1 + r1)])
     W = np.array([R2 - r4, 0.0, -(R2 + r4)])
-    Q = _padd((p3_ - p2_) * P1, [0.0, 4.0 * geom.C1])
+    Q = _add((p3_ - p2_) * P1, np.array([0.0, 4.0 * geom.C1]))
     K = geom.L1**2 - R1**2 - r1**2
     Na = np.array([K + 2.0 * R1 * r1, 0.0, K - 2.0 * R1 * r1])
 
-    Nz = _padd(npoly.polymul(8.0 * R1 * p1_ * t, W),
-               npoly.polymul((p3_ - p2_) * (p2_ + p3_) * T, P1),
-               npoly.polymul(-4.0 * R2 * (p2_ + p3_) * t, P1),
-               (geom.L2**2 - geom.L3**2) * npoly.polymul(T, P1))
-    M = npoly.polysub(2.0 * p1_ * npoly.polymul(T, Q), Nz)
-    U = _padd((p2_ - p1_) * T, 2.0 * R2 * t)
-    V = _padd(Nz, -(p1_ + p2_) * npoly.polymul(T, Q), npoly.polymul(-2.0 * R2 * t, Q))
+    TP1 = _mul(T, P1)
+    Nz = _add(_mul(8.0 * R1 * p1_ * t, W),
+              _mul((p3_ - p2_) * (p2_ + p3_) * T, P1),
+              _mul(-4.0 * R2 * (p2_ + p3_) * t, P1),
+              (geom.L2**2 - geom.L3**2) * TP1)
+    TQ = _mul(T, Q)
+    M = _add(2.0 * p1_ * TQ, -Nz)
+    U = _add((p2_ - p1_) * T, 2.0 * R2 * t)
+    V = _add(Nz, -(p1_ + p2_) * TQ, _mul(-2.0 * R2 * t, Q))
 
-    TP1Q = npoly.polymul(npoly.polymul(T, P1), Q)
-    T2P1Q = npoly.polymul(T, TP1Q)
-    Nx = _padd(npoly.polymul(Na, TP1Q),
-               -geom.L2**2 * T2P1Q,
-               npoly.polymul(npoly.polymul(W, W), npoly.polymul(P1, Q)),
-               npoly.polymul(-2.0 * R1 * t, npoly.polymul(M, W)),
-               -npoly.polymul(npoly.polymul(U, V), P1))
-    NX1 = _padd(Nx, gap * (2.0 * (geom.D1 - geom.d1) - span) * T2P1Q)
+    TP1Q = _mul(TP1, Q)
+    T2P1Q = _mul(T, TP1Q)
+    Nx = _add(_mul(Na, TP1Q),
+              -geom.L2**2 * T2P1Q,
+              _mul(_mul(W, W), _mul(P1, Q)),
+              _mul(-2.0 * R1 * t, _mul(M, W)),
+              -_mul(_mul(U, V), P1))
+    NX1 = _add(Nx, gap * (2.0 * (geom.D1 - geom.d1) - span) * T2P1Q)
 
-    MT = npoly.polymul(M, T)
-    N = _padd(npoly.polymul(NX1, NX1),
-              4.0 * gap**2 * R1**2 * npoly.polymul(npoly.polymul(t, MT), npoly.polymul(t, MT)),
-              gap**2 * npoly.polymul(npoly.polymul(MT, MT), npoly.polymul(P1, P1)),
-              -4.0 * gap**2 * npoly.polymul(
-                  Na, npoly.polymul(npoly.polymul(P1, P1),
-                                    npoly.polymul(npoly.polypow(T, 3), npoly.polymul(Q, Q)))))
+    MT = _mul(M, T)
+    tMT = _mul(t, MT)
+    P1P1 = _mul(P1, P1)
+    N = _add(_mul(NX1, NX1),
+             4.0 * gap**2 * R1**2 * _mul(tMT, tMT),
+             gap**2 * _mul(_mul(MT, MT), P1P1),
+             -4.0 * gap**2 * _mul(Na, _mul(P1P1, _mul(_mul(_mul(T, T), T), _mul(Q, Q)))))
     return N, P1, Q, T
 
 
@@ -189,10 +186,11 @@ def _verify_cleared_numerator(geom, joints, N, P1, Q):
     """Probe N(t) against the directly sampled residual product."""
     gap = geom.offset_gap
     scale = max(np.max(np.abs(N)), 1.0)
+    N, P1, Q = N.tolist(), P1.tolist(), Q.tolist()
     checked = 0
     for t in (0.3317, -1.2113, 2.4091, -0.5729, 4.17, 0.071):
-        pv = npoly.polyval(t, P1)
-        qv = npoly.polyval(t, Q)
+        pv = _horner(P1, t)
+        qv = _horner(Q, t)
         tv = 1.0 + t * t
         if abs(pv) < 1e-3 or abs(qv) < 1e-3:
             continue
@@ -203,7 +201,7 @@ def _verify_cleared_numerator(geom, joints, N, P1, Q):
             continue
         sampled = (_midpoint_residual(geom, x_p, y_p, z_p, alpha, joints.rho1)
                    * (2.0 * gap * pv * tv**2 * qv)**2)
-        if abs(npoly.polyval(t, N) - sampled) > 1e-9 * (scale * max(1.0, abs(t))**16 + abs(sampled)):
+        if abs(_horner(N, t) - sampled) > 1e-9 * (scale * max(1.0, abs(t))**16 + abs(sampled)):
             raise InterpolationError(
                 f"assembled characteristic numerator disagrees with the sampled residual at t={t}")
         checked += 1
@@ -212,7 +210,7 @@ def _verify_cleared_numerator(geom, joints, N, P1, Q):
 
 
 def _deflate(N, factor, rel_tol=1e-9):
-    quot, rem = npoly.polydiv(N, factor)
+    quot, rem = _divmod(N, factor)
     scale = max(np.max(np.abs(N)), 1.0)
     if np.max(np.abs(rem)) > rel_tol * scale:
         raise InterpolationError(
@@ -231,8 +229,8 @@ def octic_from_joints(geom, joints):
     joints = _as_joints(joints)
     N, P1, Q, T = _cleared_numerator(geom, joints)
     _verify_cleared_numerator(geom, joints, N, P1, Q)
-    quot = _deflate(N, npoly.polymul(T, T))
-    quot = _deflate(quot, npoly.polymul(P1, P1), rel_tol=1e-8)
+    quot = _deflate(N, _mul(T, T))
+    quot = _deflate(quot, _mul(P1, P1), rel_tol=1e-8)
     scale = np.max(np.abs(quot))
     trimmed = np.array(quot)
     k = trimmed.size

@@ -38,6 +38,66 @@ def _trim(coeffs):
     return c[:k]
 
 
+# ---------------------------------------------------------------------------
+# coefficient kernel for the exactly assembled characteristic polynomials:
+# ascending float arrays, each operation done in the order of numpy's
+# polymul / polyadd / polydiv, exact trailing zeros trimmed from every
+# operand and result as they are, so the coefficients match theirs bit for bit
+
+def _trim_zeros(c):
+    """c without its exact trailing zeros, at least one coefficient kept."""
+    if c.item(-1) != 0.0:
+        return c
+    k = c.size - 1
+    while k > 1 and c.item(k - 1) == 0.0:
+        k -= 1
+    return c[:max(k, 1)]
+
+
+def _mul(a, b):
+    """Product of two coefficient arrays."""
+    return _trim_zeros(np.convolve(_trim_zeros(a), _trim_zeros(b)))
+
+
+def _add(*polys):
+    """Sum, left to right: overlapping coefficients added, the longer
+    operand's own beyond the overlap, exact trailing zeros dropped at
+    every step."""
+    acc = _trim_zeros(polys[0]).copy()
+    for p in polys[1:]:
+        p = _trim_zeros(p)
+        if p.size > acc.size:
+            acc, p = p.copy(), acc
+        acc[:p.size] += p
+        acc = _trim_zeros(acc)
+    return acc
+
+
+def _horner(coeffs, x):
+    """Value at x of an ascending coefficient sequence (of Python floats,
+    for speed)."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _divmod(num, den):
+    """Quotient and remainder of num / den by long division from the top,
+    in Python floats; den has degree >= 1."""
+    num, den = _trim_zeros(num).tolist(), _trim_zeros(den).tolist()
+    n = len(den) - 1
+    if len(num) <= n:
+        return np.array(num[:1]) * 0.0, np.array(num)
+    lead = den[-1]
+    low = [d / lead for d in den[:-1]]
+    for j in range(len(num) - 1, n - 1, -1):
+        q = num[j]
+        for k, d in enumerate(low, j - n):
+            num[k] -= d * q
+    return np.array(num[n:]) / lead, _trim_zeros(np.array(num[:n]))
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial, coefficients ascending by degree, degree <= 12."""
@@ -55,10 +115,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def derivative_at(self, x):
         acc = 0.0

@@ -9,10 +9,12 @@ genuine cross-check.
 """
 
 import math
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from pkmkin import DEFAULT_SYNTHETIC, SIXTEEN_BRANCH_REGION, wrap_angle
 
@@ -20,6 +22,18 @@ from pkmkin import DEFAULT_SYNTHETIC, SIXTEEN_BRANCH_REGION, wrap_angle
 @pytest.fixture(scope="session")
 def geom():
     return DEFAULT_SYNTHETIC
+
+
+def use_numpy_polynomial(monkeypatch, module):
+    """Swap the rootfind coefficient kernel that `module` imported for the
+    numpy.polynomial calls it reproduces."""
+    reference = {"_mul": npoly.polymul,
+                 "_add": lambda *polys: reduce(npoly.polyadd, polys),
+                 "_horner": lambda coeffs, x: npoly.polyval(x, coeffs),
+                 "_divmod": npoly.polydiv}
+    for name, func in reference.items():
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, func)
 
 
 def angle_delta(a, b):

@@ -9,11 +9,12 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose, ToolPose,
                     select_machine_solution, select_working_solution,
                     table_transform, tilt_candidates, tilt_polynomial,
                     tool_fk, tool_ik, tool_pose_from_platform, wrap_angle)
+from pkmkin import machine
 from pkmkin.machine import _platform_coordinates
 from pkmkin.parallel_ik import constraint_residuals, coupling_residual
 from pkmkin.rootfind import real_roots
 
-from conftest import region_points
+from conftest import region_points, use_numpy_polynomial
 
 
 def working_pose(geom, rng):
@@ -135,6 +136,26 @@ def test_tilt_polynomial_roundtrip_root(geom):
         assert any(abs(u - u_true) <= 1e-8 * (1.0 + abs(u_true))
                    for u in real_roots(poly))
         assert any(abs(t - th1) <= 1e-8 for t in tilt_candidates(geom, tool))
+
+
+def test_tilt_polynomial_matches_numpy_polynomial(geom, monkeypatch):
+    rng = np.random.default_rng(37)
+    tools = []
+    for k in range(48):
+        tool = random_machine_state(geom, rng)[-1]
+        phi1 = (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi, tool.phi1)[k % 5]
+        phi2 = 0.0 if k % 3 == 0 else tool.phi2
+        tools.append(ToolPose(tool.x_u, tool.y_u, tool.z_u, phi1, phi2))
+
+    def outputs():
+        return [(tilt_polynomial(geom, tool).coeffs, tool_ik(geom, tool)) for tool in tools]
+
+    ours = outputs()
+    use_numpy_polynomial(monkeypatch, machine)
+    reference = outputs()
+    assert reference == ours
+    # repr tells -0.0 from 0.0
+    assert repr(reference) == repr(ours)
 
 
 def test_tilt_candidates_at_most_four_in_range(geom):

@@ -9,10 +9,12 @@ from pkmkin import (CoincidentOffsetError, DegenerateDenominatorError,
                     ParallelJoints, enumerate_fk, enumerate_ik, newton_fk,
                     octic_from_joints, select_assembly_mode,
                     select_working_solution, xp_from, yp_from, zp_from)
+from pkmkin import parallel_fk
 from pkmkin.parallel_fk import AssemblyMode
 from pkmkin.parallel_ik import ConfigurationIndices, PlatformPose
 
-from conftest import angle_delta, raw_residuals, region_points
+from conftest import (angle_delta, raw_residuals, region_points,
+                      use_numpy_polynomial)
 
 
 def working_joints(geom, x, y, z):
@@ -189,6 +191,35 @@ def test_octic_accepts_plain_tuples(geom):
     a = octic_from_joints(geom, sol.joints)
     b = octic_from_joints(geom, sol.joints.as_tuple())
     assert a.coeffs == b.coeffs
+
+
+def test_octic_and_modes_match_numpy_polynomial(geom, monkeypatch):
+    rng = np.random.default_rng(31)
+    rho = rng.uniform(-200.0, 1500.0, size=(40, 3))
+    rho[::2, 2] = rho[::2, 1]
+    cases = [(geom, ParallelJoints(*map(float, r))) for r in rho]
+    cases += [(geom, working_joints(geom, x, y, z).joints) for x, y, z in region_points(rng, 10)]
+    cases += [(geom, symmetric_joints(geom, -250.0, 900.0)),
+              (replace(geom, R1=240.0, R2=240.0, r1=120.0, r4=120.0),
+               ParallelJoints(500.0, 400.0, 400.0))]
+
+    def outputs():
+        out = []
+        for g, joints in cases:
+            try:
+                octic = octic_from_joints(g, joints).coeffs
+            except InterpolationError as exc:
+                octic = repr(exc)
+            out.append((octic, enumerate_fk(g, joints)))
+        return out
+
+    ours = outputs()
+    assert any(isinstance(octic, str) for octic, _ in ours)
+    use_numpy_polynomial(monkeypatch, parallel_fk)
+    reference = outputs()
+    assert reference == ours
+    # repr tells -0.0 from 0.0
+    assert repr(reference) == repr(ours)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from pkmkin import Polynomial, real_roots, real_roots_in_unit_interval
+from pkmkin.rootfind import _add, _divmod, _horner, _mul
 
 
 def poly_from_roots(roots):
@@ -119,3 +122,83 @@ def test_scaling_invariance(roots, scale):
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-9 * (1.0 + abs(x))
+
+
+# ---------------------------------------------------------------------------
+# coefficient kernel: numpy.polynomial is the reference, bit for bit
+
+def same_bits(a, b):
+    """Equal length and equal float64 bits (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kernel_operands():
+    """Trailing exact zeros of both signs, -0.0 inside, length-1 arrays,
+    and seeded random arrays of 1-17 terms."""
+    fixed = [[0.0], [-0.0], [3.5], [0.0, 0.0], [2.0, -0.0], [1.0, 0.0, 0.0],
+             [-0.0, 1.5, -0.0], [0.0, 4.0, -0.0], [1.0, 0.0, 1.0],
+             [180.0, 0.0, -420.0], [1.0, 0.0, 2.0, 0.0, 1.0], [0.0, -2.5, 0.0, 7.0]]
+    rng = np.random.default_rng(23)
+    randoms = [rng.normal(size=n) * 10.0 ** rng.integers(-3, 6) for n in range(1, 18)]
+    for r in randoms[::3]:
+        r[-1] = 0.0
+    return [np.array(c, dtype=float) for c in fixed] + randoms
+
+
+def test_kernel_mul_matches_polymul():
+    ops = kernel_operands()
+    for a in ops:
+        for b in ops:
+            assert same_bits(_mul(a, b), npoly.polymul(a, b)), (a, b)
+
+
+def test_kernel_add_matches_chained_polyadd():
+    ops = kernel_operands()
+    for a in ops:
+        for b in ops:
+            assert same_bits(_add(a, b), npoly.polyadd(a, b)), (a, b)
+            assert same_bits(_add(a, -b), npoly.polysub(a, b)), (a, b)
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        picked = [ops[i] for i in rng.integers(len(ops), size=rng.integers(2, 6))]
+        assert same_bits(_add(*picked), reduce(npoly.polyadd, picked)), picked
+    # a sum that cancels to an exact zero on top is trimmed before the next
+    # operand comes in, so that operand's -0.0 below the top is kept
+    cancelling = [np.array([1.0, 2.0]), np.array([1.0, -2.0]), np.array([1.0, -0.0, 5.0])]
+    assert same_bits(_add(*cancelling), [3.0, -0.0, 5.0]) and same_bits(
+        _add(*cancelling), reduce(npoly.polyadd, cancelling))
+    # rho2 = rho3 makes the z_p denominator Q = 0 * P1 + [0, 4 C1]: the
+    # -0.0 on top must be dropped, not kept as a third coefficient
+    assert same_bits(_add(0.0 * np.array([180.0, 0.0, -420.0]), np.array([0.0, 4.0])),
+                     [0.0, 4.0])
+
+
+def test_kernel_add_leaves_operands_alone():
+    a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])
+    _add(a, b)
+    _add(b, a)
+    assert a.tolist() == [1.0, 2.0] and b.tolist() == [3.0, 4.0, 5.0]
+
+
+def test_kernel_horner_matches_polyval():
+    for c in kernel_operands():
+        for x in (0.0, -0.0, 0.3317, -1.2113, 4.17, -250.0):
+            assert same_bits(_horner(c.tolist(), x), npoly.polyval(x, c)), (c, x)
+
+
+def test_kernel_divmod_matches_polydiv():
+    ops = kernel_operands()
+    # the spurious factors deflated from the FK numerator: (1 + t^2)^2, P1^2
+    divisors = [npoly.polymul([1.0, 0.0, 1.0], [1.0, 0.0, 1.0]),
+                npoly.polymul([180.0, 0.0, -420.0], [180.0, 0.0, -420.0]),
+                np.array([1.0, -3.0]), np.array([0.5, 0.0, 2.0, 0.0])]
+    for num in ops:
+        for den in divisors:
+            quot, rem = _divmod(num, den)
+            ref_quot, ref_rem = npoly.polydiv(num, den)
+            assert same_bits(quot, ref_quot), (num, den)
+            assert same_bits(rem, ref_rem), (num, den)
+    num = ops[-1].copy()
+    _divmod(num, divisors[0])
+    assert same_bits(num, ops[-1])
