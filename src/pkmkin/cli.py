@@ -86,16 +86,9 @@ def emit_records(records, columns, fmt, deg, out=None):
             print(",".join(_fmt_cell(v, False) for v in rec.row(columns, deg)), file=out)
     elif fmt == "json-lines":
         for rec in records:
-            obj = {"label": rec.label}
-            for col in columns:
-                if col == "label":
-                    continue
-                v = rec.values.get(col)
-                if v is None:
-                    continue
-                if deg and col in ANGLE_FIELDS and isinstance(v, float):
-                    v = math.degrees(v)
-                obj[col] = v
+            obj = {col: v for col, v in zip(columns, rec.row(columns, deg))
+                   if col in rec.values}
+            obj["label"] = rec.label
             print(json.dumps(obj, sort_keys=True), file=out)
     else:  # pragma: no cover
         raise ValueError(f"unknown format {fmt!r}")

@@ -107,6 +107,10 @@ def validate(geom):
         violations.append("leg I must be a trapezium: R1 == r1")
     if geom.L1 <= abs(geom.R1 - geom.r1):
         violations.append("leg I can never close: L1 <= |R1 - r1|")
+    # +-inf is an unbounded axis; NaN would fail every range comparison
+    for name in OPTIONAL_KEYS:
+        if math.isnan(getattr(geom, name)):
+            violations.append(f"NaN table limit {name}")
     if geom.theta1_min >= geom.theta1_max:
         violations.append("table tilt limits reversed: theta1_min >= theta1_max")
     if geom.theta2_min >= geom.theta2_max:

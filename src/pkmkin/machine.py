@@ -6,30 +6,26 @@ table frame by its centre point (x_u, y_u, z_u) and two orientation angles
 (phi1, phi2).  Because the leg rod pairs stay parallel, theta2 = -phi2
 identically, and identifying the machine-level rod constraints with the
 parallel-module ones gives alpha = theta1 + phi1.  Tool IK therefore
-reduces to a degree-6 characteristic polynomial in tan(theta1/2); for each
-admissible tilt, rho1 must agree between the two leg-I constraints, while
-legs II and III each contribute a quadratic sign branch.
+reduces to a degree-6 characteristic polynomial in tan(theta1/2); each
+admissible tilt maps the tool to one platform pose, whose branches are the
+parallel-module ones: the leg-I sign rule, one quadratic sign branch each
+on legs II and III.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import InterpolationError, NegativeRadicandError
+from .errors import InterpolationError
 from .parallel_fk import enumerate_fk
-from .parallel_ik import (ConfigurationIndices, ParallelJoints, _clamped_sqrt,
-                          _dedup, _on_working_branch, _unique,
-                          constraint_residuals, coupling_residual,
-                          leg_radicands, wrap_angle)
+from .parallel_ik import (DEDUP_TOL, ConfigurationIndices, ParallelJoints,
+                          PlatformPose, _branches, _dedup, _on_working_branch,
+                          _unique, coupling_residual, wrap_angle)
 from .rootfind import Polynomial, _add, _horner, _mul, real_roots
 
 TILT_RESIDUAL_REL_TOL = 1e-9
-RHO1_AGREEMENT_REL_TOL = 1e-9
-MACHINE_RESIDUAL_REL_TOL = 1e-8
-MACHINE_DEDUP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ def tool_pose_from_platform(geom, pose, theta1, theta2):
 
 def _platform_coordinates(geom, tool, theta1):
     """Platform (x_p, y_p, z_p, alpha) for one tilt, with alpha = theta1 + phi1
-    unwrapped: the kinematic constraints are evaluated at exactly this alpha."""
+    left unwrapped (the tilt relation only takes its cosine and sine)."""
     theta2 = -tool.phi2
     alpha = theta1 + tool.phi1
     c1, s1 = math.cos(theta1), math.sin(theta1)
@@ -223,68 +219,28 @@ def tilt_candidates(geom, tool):
     return out
 
 
-def _rho1_agreeing(geom, x_p, y_p, z_p, alpha):
-    """rho1 values on which both leg-I constraints agree (up to two)."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    X1 = x_p + geom.D1 - geom.d1
-    R1, r1 = geom.R1, geom.r1
-    try:
-        root_a = _clamped_sqrt(geom.L1**2 - X1**2 - (y_p + R1 * ca - r1)**2, geom.L1**2, "I")
-        root_b = _clamped_sqrt(geom.L1**2 - X1**2 - (y_p - R1 * ca + r1)**2, geom.L1**2, "I")
-    except NegativeRadicandError:
-        return []
-    tol = RHO1_AGREEMENT_REL_TOL * geom.L1
-    values = []
-    for sign_a, sign_b in product((-1.0, 1.0), repeat=2):
-        va = z_p + R1 * sa + sign_a * root_a
-        vb = z_p - R1 * sa + sign_b * root_b
-        if abs(va - vb) <= tol:
-            v = 0.5 * (va + vb)
-            if not any(abs(v - u) <= tol for u in values):
-                values.append(v)
-    return values
-
-
 def tool_ik(geom, tool):
     """Machine-level inverse kinematics: at most 16 branches.
 
-    theta2 = -phi2 exactly; theta1 runs over the in-range tilt candidates;
-    rho1 must agree between the two leg-I constraints; legs II and III
-    contribute one sign branch each.  Every branch is checked against all
-    four rod constraints at the platform pose the tilt implies.
-    within_limits covers the sliders and the rotary range (the tilt range
-    is enforced on theta1 directly, since the table cannot leave it).
+    theta2 = -phi2 exactly; theta1 runs over the in-range tilt candidates.
+    Each tilt implies one platform pose, whose branches are the
+    parallel-module ones, built, sign-ruled and residual-checked against all
+    four rod constraints by the same code as enumerate_ik.  within_limits
+    covers the sliders and the rotary range (the tilt range is enforced on
+    theta1 directly, since the table cannot leave it).
     """
     theta2 = -tool.phi2
-    solutions = []
-    for theta1 in tilt_candidates(geom, tool):
-        x_p, y_p, z_p, alpha = _platform_coordinates(geom, tool, theta1)
-        _, rad2, rad3 = leg_radicands(geom, x_p, y_p, alpha)
-        try:
-            root2 = _clamped_sqrt(rad2, geom.L2**2, "II")
-            root3 = _clamped_sqrt(rad3, geom.L3**2, "III")
-        except NegativeRadicandError:
-            continue
-        lift = geom.R2 * math.sin(alpha)
-        for rho1 in _rho1_agreeing(geom, x_p, y_p, z_p, alpha):
-            for s2, s3 in product((-1, 1), repeat=2):
-                rho = (rho1, z_p - lift + s2 * root2, z_p + lift + s3 * root3)
-                residual = max(abs(r) for r in constraint_residuals(
-                    geom, x_p, y_p, z_p, alpha, *rho))
-                if residual > MACHINE_RESIDUAL_REL_TOL * geom.residual_scale:
-                    continue
-                indices = ConfigurationIndices(
-                    s1=-1 if rho1 - z_p <= 0.0 else 1, s2=s2, s3=s3)
-                within = (geom.rho_within_limits(rho)
-                          and geom.theta2_min <= theta2 <= geom.theta2_max)
-                solutions.append(MachineIkSolution(
-                    machine_joints=MachineJoints(
-                        joints=ParallelJoints(*rho), theta1=theta1, theta2=theta2),
-                    indices=indices, alpha=wrap_angle(alpha),
-                    residual_norm=residual, within_limits=within))
+    rotary_ok = geom.theta2_min <= theta2 <= geom.theta2_max
+    solutions = [
+        MachineIkSolution(
+            machine_joints=MachineJoints(joints=sol.joints, theta1=theta1, theta2=theta2),
+            indices=sol.indices, alpha=sol.alpha, residual_norm=sol.residual_norm,
+            within_limits=sol.within_limits and rotary_ok)
+        for theta1 in tilt_candidates(geom, tool)
+        for sol in _branches(geom, PlatformPose(*_platform_coordinates(geom, tool, theta1)))]
     return _dedup(solutions, attrgetter("machine_joints.theta1", "machine_joints.joints.rho1",
                                         "machine_joints.joints.rho2", "machine_joints.joints.rho3"),
-                  MACHINE_DEDUP_TOL)
+                  DEDUP_TOL)
 
 
 def select_machine_solution(solutions, geom):

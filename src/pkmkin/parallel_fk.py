@@ -68,17 +68,6 @@ def yp_from(geom, alpha, z_p, rho1):
     return geom.R1 * math.sin(alpha) * (rho1 - z_p) / den
 
 
-def _zp_parts(geom, alpha, joints):
-    c, s = math.cos(alpha), math.sin(alpha)
-    r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
-    lead = geom.R1 * c - geom.r1
-    den = 2.0 * (2.0 * geom.C1 * s + lead * (r3_ - r2_))
-    num = (lead * ((r2_ + r3_) * (r3_ - r2_) - 2.0 * geom.R2 * (r3_ + r2_ - 2.0 * r1_) * s)
-           + 4.0 * geom.C1 * r1_ * s
-           + (geom.L2**2 - geom.L3**2) * lead)
-    return num, den
-
-
 def zp_from(geom, alpha, joints):
     """z_p from the difference of the leg-II and leg-III constraints.
 
@@ -86,9 +75,15 @@ def zp_from(geom, alpha, joints):
     denominator vanishes when rho2 = rho3 meets sin(alpha) = 0; that case
     is covered by the axis-aligned branch of enumerate_fk.
     """
-    num, den = _zp_parts(geom, alpha, joints)
+    c, s = math.cos(alpha), math.sin(alpha)
+    r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
+    lead = geom.R1 * c - geom.r1
+    den = 2.0 * (2.0 * geom.C1 * s + lead * (r3_ - r2_))
+    num = (lead * ((r2_ + r3_) * (r3_ - r2_) - 2.0 * geom.R2 * (r3_ + r2_ - 2.0 * r1_) * s)
+           + 4.0 * geom.C1 * r1_ * s
+           + (geom.L2**2 - geom.L3**2) * lead)
     den_scale = (4.0 * abs(geom.C1) + 2.0 * (geom.R1 + geom.r1)
-                 * (abs(joints.rho3 - joints.rho2) + 1.0))
+                 * (abs(r3_ - r2_) + 1.0))
     if abs(den) < 1e-12 * den_scale:
         raise DegenerateDenominatorError(
             f"z_p denominator vanishes at alpha={alpha!r} for rho2~rho3")

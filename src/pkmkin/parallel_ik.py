@@ -279,19 +279,38 @@ def allowed_s1(geom, pose):
     c, s = math.cos(pose.alpha), math.sin(pose.alpha)
     if abs(s) < DEGENERATE_SIN_TOL:
         return frozenset((-1, 1))
-    if pose.y_p == 0.0:
-        # sin(alpha) != 0 with y_p = 0 pins rho1 = z_p regardless of
-        # R1 cos(alpha) - r1 (the radicand vanishes on the coupling locus)
+    # the sign rule solved for the slider offset rho1 - z_p; it vanishes at
+    # y_p = 0 or R1 cos(alpha) = r1, where the radicand does too.  Poses
+    # mapped through the table chain only reach those loci to round-off, so
+    # an offset within DEDUP_TOL (or NaN) pins rho1 = z_p rather than taking
+    # the square root of a radicand that is round-off noise
+    offset = pose.y_p * (geom.R1 * c - geom.r1) / (geom.R1 * s)
+    if not abs(offset) > DEDUP_TOL:
         return RHO1_PINNED
-    sign = _sgn(pose.y_p) * _sgn(geom.R1 * c - geom.r1) * _sgn(s)
-    if sign == 0:
-        return RHO1_PINNED
-    return frozenset((sign,))
+    return frozenset((_sgn(offset),))
 
 
 def _sgn(v):
     # int() casts keep numpy scalar inputs from producing np.bool_ arithmetic
     return int(v > 0) - int(v < 0)
+
+
+def _leg_roots(geom, pose):
+    """The clamped square roots of the three leg radicands; a leg that cannot
+    close raises NegativeRadicandError, leg I checked first, then II, III."""
+    rad1, rad2, rad3 = leg_radicands(geom, pose.x_p, pose.y_p, pose.alpha)
+    return (_clamped_sqrt(rad1, geom.L1**2, "I"),
+            _clamped_sqrt(rad2, geom.L2**2, "II"),
+            _clamped_sqrt(rad3, geom.L3**2, "III"))
+
+
+def _joints(geom, pose, allowed, roots, indices):
+    # on the pinned locus the leg-I radicand vanishes identically; taking the
+    # limit value avoids sqrt amplification of orientation round-off
+    rho1 = pose.z_p if allowed is RHO1_PINNED else pose.z_p + indices.s1 * roots[0]
+    lift = geom.R2 * math.sin(pose.alpha)
+    return ParallelJoints(rho1, pose.z_p - lift + indices.s2 * roots[1],
+                          pose.z_p + lift + indices.s3 * roots[2])
 
 
 def joints_from_pose(geom, pose, indices):
@@ -304,18 +323,29 @@ def joints_from_pose(geom, pose, indices):
     if allowed is not RHO1_PINNED and indices.s1 not in allowed:
         raise SignRuleViolation(
             f"s1={indices.s1:+d} contradicts the leg-I sign rule at alpha={pose.alpha:.9f}")
-    s = math.sin(pose.alpha)
-    rad1, rad2, rad3 = leg_radicands(geom, pose.x_p, pose.y_p, pose.alpha)
-    if allowed is RHO1_PINNED:
-        # the leg-I radicand vanishes identically on this locus; taking the
-        # limit value avoids sqrt amplification of orientation round-off
-        _clamped_sqrt(rad1, geom.L1**2, "I")
-        rho1 = pose.z_p
-    else:
-        rho1 = pose.z_p + indices.s1 * _clamped_sqrt(rad1, geom.L1**2, "I")
-    rho2 = pose.z_p - geom.R2 * s + indices.s2 * _clamped_sqrt(rad2, geom.L2**2, "II")
-    rho3 = pose.z_p + geom.R2 * s + indices.s3 * _clamped_sqrt(rad3, geom.L3**2, "III")
-    return ParallelJoints(rho1, rho2, rho3)
+    return _joints(geom, pose, allowed, _leg_roots(geom, pose), indices)
+
+
+def _branches(geom, pose):
+    """Every sign branch of a solved pose that closes all four rod constraints
+    (4 or 8 before the residual filter, not deduplicated).  The sign rule and
+    the three leg roots are computed once for all of them."""
+    allowed = allowed_s1(geom, pose)
+    try:
+        roots = _leg_roots(geom, pose)
+    except NegativeRadicandError:
+        return []
+    out = []
+    s1_values = (-1, 1) if allowed is RHO1_PINNED else sorted(allowed)
+    for s1, s2, s3 in product(s1_values, (-1, 1), (-1, 1)):
+        indices = ConfigurationIndices(s1, s2, s3)
+        joints = _joints(geom, pose, allowed, roots, indices)
+        residual = solution_residual_norm(geom, pose, joints)
+        if residual <= SOLUTION_REL_TOL * geom.residual_scale:
+            out.append(IkSolution(joints=joints, alpha=pose.alpha, indices=indices,
+                                  residual_norm=residual,
+                                  within_limits=geom.rho_within_limits(joints.as_tuple())))
+    return out
 
 
 def enumerate_ik(geom, x_p, y_p, z_p):
@@ -325,24 +355,8 @@ def enumerate_ik(geom, x_p, y_p, z_p):
     (within 1e-9 mm / 1e-9 rad) are merged.  Empty when the position lies
     outside every coupling ellipse.
     """
-    solutions = []
-    for alpha in orientation_candidates(geom, x_p, y_p):
-        pose = PlatformPose(x_p, y_p, z_p, alpha)
-        allowed = allowed_s1(geom, pose)
-        s1_values = (-1, 1) if allowed is RHO1_PINNED else sorted(allowed)
-        for s1, s2, s3 in product(s1_values, (-1, 1), (-1, 1)):
-            indices = ConfigurationIndices(s1, s2, s3)
-            try:
-                joints = joints_from_pose(geom, pose, indices)
-            except NegativeRadicandError:
-                continue
-            residual = solution_residual_norm(geom, pose, joints)
-            if residual > SOLUTION_REL_TOL * geom.residual_scale:
-                continue
-            solutions.append(IkSolution(
-                joints=joints, alpha=alpha, indices=indices,
-                residual_norm=residual,
-                within_limits=geom.rho_within_limits(joints.as_tuple())))
+    solutions = [sol for alpha in orientation_candidates(geom, x_p, y_p)
+                 for sol in _branches(geom, PlatformPose(x_p, y_p, z_p, alpha))]
     return _dedup(solutions, attrgetter("alpha", "joints.rho1", "joints.rho2", "joints.rho3"),
                   DEDUP_TOL)
 

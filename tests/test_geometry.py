@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pkmkin import (DEFAULT_SYNTHETIC, GeometryError, MachineGeometry,
                     load_geometry, serialize_geometry, validate)
+from pkmkin.geometry import OPTIONAL_KEYS
 
 VALID_DOC = serialize_geometry(DEFAULT_SYNTHETIC)
 
@@ -68,6 +69,25 @@ def test_short_leg1_violation_names_l1():
     fields["L1"] = abs(fields["R1"] - fields["r1"]) / 2.0
     violations = validate(MachineGeometry(**fields))
     assert any("L1" in v for v in violations)
+
+
+def _set_key(doc, key, value):
+    return "\n".join(f"{key} = {value}" if line.startswith(f"{key} ") else line
+                     for line in doc.splitlines())
+
+
+@pytest.mark.parametrize("key", OPTIONAL_KEYS)
+def test_nan_table_limit_rejected_by_name(key):
+    # NaN fails every range comparison, so it would pass the reversed-limit
+    # checks and then turn every tilt or rotary angle out of range
+    with pytest.raises(GeometryError, match=f"NaN table limit {key}"):
+        load_geometry(_set_key(VALID_DOC, key, "nan"))
+
+
+def test_infinite_table_limits_mean_unbounded():
+    doc = _set_key(_set_key(VALID_DOC, "theta1_min", "-inf"), "theta2_max", "inf")
+    geom = load_geometry(doc)
+    assert (geom.theta1_min, geom.theta2_max) == (-math.inf, math.inf)
 
 
 def test_comments_and_blank_lines_ignored():

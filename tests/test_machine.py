@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pkmkin import (MachineJoints, ParallelJoints, PlatformPose, ToolPose,
-                    enumerate_fk, enumerate_ik, orientation_candidates,
-                    platform_from_tool, residuals_machine, residuals_parallel,
+                    enumerate_fk, enumerate_ik, iso_ellipse, joints_from_pose,
+                    orientation_candidates, platform_from_tool,
+                    residuals_machine, residuals_parallel,
                     select_machine_solution, select_working_solution,
                     table_transform, tilt_candidates, tilt_polynomial,
                     tool_fk, tool_ik, tool_pose_from_platform, wrap_angle)
@@ -14,7 +15,7 @@ from pkmkin.machine import _platform_coordinates
 from pkmkin.parallel_ik import constraint_residuals, coupling_residual
 from pkmkin.rootfind import real_roots
 
-from conftest import region_points, use_numpy_polynomial
+from conftest import angle_delta, region_points, use_numpy_polynomial
 
 
 def working_pose(geom, rng):
@@ -247,6 +248,60 @@ def test_tool_ik_branches_mirror_parallel_module(geom):
                        and abs(m.machine_joints.joints.rho2 - p.joints.rho2) <= 1e-6
                        and abs(m.machine_joints.joints.rho3 - p.joints.rho3) <= 1e-6
                        for m in zero_tilt)
+
+
+@pytest.mark.parametrize("phi1", [0.0, math.pi / 2, -math.pi / 2, math.pi],
+                         ids=["0", "pi/2", "-pi/2", "pi"])
+def test_tool_ik_branch_is_parallel_branch_bitwise(geom, phi1):
+    # each machine branch is, float for float, the parallel-module branch
+    # with the same signs at the platform pose its tilt implies
+    rng = np.random.default_rng(31)
+    branches = 0
+    for _ in range(10):
+        tool = ToolPose(rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0),
+                        rng.uniform(-400.0, 200.0), phi1, rng.uniform(-math.pi, math.pi))
+        for m in tool_ik(geom, tool):
+            pose = PlatformPose(*_platform_coordinates(geom, tool, m.machine_joints.theta1))
+            assert m.machine_joints.joints == joints_from_pose(geom, pose, m.indices)
+            assert m.alpha == pose.alpha
+            branches += 1
+    assert branches >= 30
+
+
+def test_tool_ik_degenerate_loci_match_parallel_module(geom):
+    # loci where the leg-I radicand vanishes and rho1 = z_p is pinned:
+    # y_p = 0 with sin(alpha) != 0 (x on the edge of the iso-ellipse) and
+    # R1 cos(alpha) = r1 with y_p != 0; plus y_p = 0 at alpha in {0, pi} on a
+    # zero table.  The table chain reaches these loci only to round-off, yet
+    # tool_ik must find the branches enumerate_ik finds at the same
+    # orientation.  (alpha in {0, pi} under a nonzero tilt is left out: there
+    # the tilt sextic has a double root that real_roots resolves to ~1e-9.)
+    rng = np.random.default_rng(41)
+    crossing = math.acos(geom.r1 / geom.R1)
+    cases = []
+    for _ in range(12):
+        alpha = rng.uniform(0.2, 2.9) * rng.choice([-1.0, 1.0])
+        x = geom.center_x + math.sqrt(geom.a_sq(math.cos(alpha))) * rng.choice([-1.0, 1.0])
+        z = rng.uniform(700.0, 1100.0)
+        cases += [((x, 0.0, z, alpha), 0.0), ((x, 0.0, z, alpha), rng.uniform(-1.2, 1.2))]
+        alpha = crossing * rng.choice([-1.0, 1.0])
+        x, y = iso_ellipse(geom, alpha).point(rng.uniform(0.0, 2.0 * math.pi))
+        cases += [((x, y, z, alpha), 0.0), ((x, y, z, alpha), rng.uniform(-1.2, 1.2))]
+        [(x, _, z)] = region_points(rng, 1)
+        cases += [((x, 0.0, z, 0.0), 0.0), ((x, 0.0, z, math.pi), 0.0)]
+    matched = 0
+    for (x, y, z, alpha), theta1 in cases:
+        tool = tool_pose_from_platform(geom, PlatformPose(x, y, z, alpha), theta1,
+                                       rng.uniform(-math.pi, math.pi))
+        machine = tool_ik(geom, tool)
+        for m in machine:
+            assert residuals_machine(geom, tool, m.machine_joints).max_abs \
+                <= 1e-8 * geom.residual_scale
+        at_tilt = [m for m in machine if abs(m.machine_joints.theta1 - theta1) <= 1e-7]
+        peers = [p for p in enumerate_ik(geom, x, y, z) if angle_delta(p.alpha, alpha) <= 1e-9]
+        assert len(at_tilt) == len(peers), (x, y, z, alpha, theta1)
+        matched += len(peers)
+    assert matched >= 200
 
 
 def test_select_machine_solution_roundtrip(geom):

@@ -155,14 +155,22 @@ def test_rho1_closed_form_axis(geom):
 
 
 def test_rho1_pinned_when_leg_perpendicular(geom):
-    # R1 cos(alpha) = r1 with y = 0 forces the slider to the platform height
+    # R1 cos(alpha) = r1 forces the slider to the platform height: at y = 0
+    # and all round that orientation's ellipse, where alpha and so
+    # R1 cos(alpha) - r1 are known only to round-off
     alpha = math.acos(geom.r1 / geom.R1)
-    x = geom.center_x + math.sqrt(geom.a_sq(geom.r1 / geom.R1))
+    ell = iso_ellipse(geom, alpha)
     z = 900.0
-    pose = PlatformPose.solved(geom, x, 0.0, z, alpha)
-    assert allowed_s1(geom, pose) is RHO1_PINNED
-    joints = joints_from_pose(geom, pose, ConfigurationIndices(-1, -1, -1))
-    assert joints.rho1 == pytest.approx(z, abs=1e-6)
+    points = [(geom.center_x + math.sqrt(geom.a_sq(geom.r1 / geom.R1)), 0.0)]
+    points += [ell.point(phi) for phi in (0.4, 1.9, 3.5, 5.1)]
+    for x, y in points:
+        pose = PlatformPose.solved(geom, x, y, z, alpha)
+        assert allowed_s1(geom, pose) is RHO1_PINNED
+        joints = joints_from_pose(geom, pose, ConfigurationIndices(-1, -1, -1))
+        assert joints.rho1 == pytest.approx(z, abs=1e-6)
+        branches = [s for s in enumerate_ik(geom, x, y, z) if abs(s.alpha - alpha) <= 1e-9]
+        assert len(branches) == 4
+        assert all(s.joints.rho1 == z for s in branches)
 
 
 def test_joints_residuals_random(geom):
