@@ -121,6 +121,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def finite(text):
+    """argparse type of every float argument: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="pkmkin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -134,45 +142,45 @@ def build_parser():
 
     p_ik = sub.add_parser("ik", help="inverse kinematics of the parallel module")
     common(p_ik)
-    p_ik.add_argument("x_p", type=float)
-    p_ik.add_argument("y_p", type=float)
-    p_ik.add_argument("z_p", type=float)
+    p_ik.add_argument("x_p", type=finite)
+    p_ik.add_argument("y_p", type=finite)
+    p_ik.add_argument("z_p", type=finite)
     p_ik.add_argument("--select", action="store_true",
                       help="print only the working solution")
 
     p_fk = sub.add_parser("fk", help="forward kinematics of the parallel module")
     common(p_fk)
-    p_fk.add_argument("rho1", type=float)
-    p_fk.add_argument("rho2", type=float)
-    p_fk.add_argument("rho3", type=float)
+    p_fk.add_argument("rho1", type=finite)
+    p_fk.add_argument("rho2", type=finite)
+    p_fk.add_argument("rho3", type=finite)
     p_fk.add_argument("--select", action="store_true",
                       help="print only the reachable assembly mode")
 
     p_tik = sub.add_parser("tool-ik", help="inverse kinematics of the full machine")
     common(p_tik)
-    p_tik.add_argument("x_u", type=float)
-    p_tik.add_argument("y_u", type=float)
-    p_tik.add_argument("z_u", type=float)
-    p_tik.add_argument("phi1", type=float)
-    p_tik.add_argument("phi2", type=float)
+    p_tik.add_argument("x_u", type=finite)
+    p_tik.add_argument("y_u", type=finite)
+    p_tik.add_argument("z_u", type=finite)
+    p_tik.add_argument("phi1", type=finite)
+    p_tik.add_argument("phi2", type=finite)
     p_tik.add_argument("--select", action="store_true",
                        help="print only the working solution")
 
     p_tfk = sub.add_parser("tool-fk", help="forward kinematics of the full machine")
     common(p_tfk)
-    p_tfk.add_argument("rho1", type=float)
-    p_tfk.add_argument("rho2", type=float)
-    p_tfk.add_argument("rho3", type=float)
-    p_tfk.add_argument("theta1", type=float)
-    p_tfk.add_argument("theta2", type=float)
+    p_tfk.add_argument("rho1", type=finite)
+    p_tfk.add_argument("rho2", type=finite)
+    p_tfk.add_argument("rho3", type=finite)
+    p_tfk.add_argument("theta1", type=finite)
+    p_tfk.add_argument("theta2", type=finite)
     p_tfk.add_argument("--select", action="store_true",
                        help="print only the reachable assembly mode")
 
     p_ell = sub.add_parser("ellipse", help="iso-orientation ellipse plot data")
     common(p_ell)
-    p_ell.add_argument("--alpha-min", type=float, default=-math.pi)
-    p_ell.add_argument("--alpha-max", type=float, default=math.pi)
-    p_ell.add_argument("--step", type=float, default=2.0 * math.pi / 45.0)
+    p_ell.add_argument("--alpha-min", type=finite, default=-math.pi)
+    p_ell.add_argument("--alpha-max", type=finite, default=math.pi)
+    p_ell.add_argument("--step", type=finite, default=2.0 * math.pi / 45.0)
     p_ell.add_argument("--points", type=int, default=16,
                        help="sample points per ellipse")
 
@@ -182,7 +190,7 @@ def build_parser():
     p_rt.add_argument("--seed", type=int, default=0)
     p_rt.add_argument("--starts", type=int, default=20,
                       help="newton starts per sample in the timing section")
-    p_rt.add_argument("--box", type=float, nargs=6, metavar=("X0", "X1", "Y0", "Y1", "Z0", "Z1"),
+    p_rt.add_argument("--box", type=finite, nargs=6, metavar=("X0", "X1", "Y0", "Y1", "Z0", "Z1"),
                       default=None,
                       help="sampling box; |y| sampled in (Y0, Y1), either sign")
     p_rt.add_argument("--timing", action="store_true",

@@ -18,14 +18,12 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import InterpolationError
 from .parallel_fk import enumerate_fk
-from .parallel_ik import (DEDUP_TOL, ConfigurationIndices, ParallelJoints,
-                          PlatformPose, _branches, _dedup, _on_working_branch,
-                          _unique, coupling_residual, wrap_angle)
-from .rootfind import Polynomial, _add, _horner, _mul, real_roots
-
-TILT_RESIDUAL_REL_TOL = 1e-9
+from .parallel_ik import (COUPLING_REL_TOL, DEDUP_TOL, ConfigurationIndices,
+                          ParallelJoints, PlatformPose, _branches, _dedup,
+                          _on_working_branch, _unique, coupling_residual,
+                          coupling_scale, wrap_angle)
+from .rootfind import CLUSTER_REL_TOL, Polynomial, _add, _certify, _mul, real_roots
 
 
 @dataclass(frozen=True)
@@ -146,15 +144,6 @@ def tool_fk(geom, machine_joints):
 # ---------------------------------------------------------------------------
 # machine-level IK: the parallel-module constraints at the table-chain pose
 
-def _tilt_scale(geom, x_p, y_p, alpha):
-    c, s = math.cos(alpha), math.sin(alpha)
-    X1 = x_p + geom.D1 - geom.d1
-    return (geom.R1**2 * s**2 * X1**2
-            + abs(geom.leg1_span_sq(c)) * y_p**2
-            + geom.R1**2 * abs(geom.a_sq(c))
-            + geom.R1**2 * geom.L1**2)
-
-
 def tilt_polynomial(geom, tool):
     """Degree-<=6 characteristic polynomial in u = tan(theta1/2).
 
@@ -185,14 +174,11 @@ def tilt_polynomial(geom, tool):
                   _mul(_add((r1**2 + R1**2) * T, -(2.0 * R1 * r1 * C)), _mul(E, E)),
                   -_mul(S2, _add(K * T, 2.0 * R1 * r1 * C)) * R1**2)
 
-    scale = max(np.max(np.abs(coeffs)), 1.0)
-    values = coeffs.tolist()
+    samples = []
     for u in (0.2183, -0.7341, 1.4127):
         x_p, y_p, _, alpha = _platform_coordinates(geom, tool, 2.0 * math.atan(u))
-        sampled = coupling_residual(geom, x_p, y_p, alpha) * (1.0 + u * u)**3
-        if abs(_horner(values, u) - sampled) > 1e-9 * (scale * max(1.0, abs(u))**6 + abs(sampled)):
-            raise InterpolationError(
-                f"assembled tilt polynomial disagrees with the sampled residual at u={u}")
+        samples.append((u, coupling_residual(geom, x_p, y_p, alpha) * (1.0 + u * u)**3))
+    _certify(coeffs, samples, 6, "tilt polynomial")
     return Polynomial(coeffs)
 
 
@@ -200,22 +186,28 @@ def tilt_candidates(geom, tool):
     """Tilt angles solving the tilt relation, within the table tilt range.
 
     The tilt relation is the parallel-module coupling relation at the
-    platform point and orientation the tilt implies.
+    platform pose the tilt implies; every candidate takes the coupling test
+    of orientation_candidates.  Candidates are the tilt-polynomial roots and
+    the axis tilts -phi1 and pi - phi1 (alpha = 0, pi), where the polynomial
+    has a double root that the root finder splits or drops: a root within
+    the root-cluster width of an axis tilt is taken as that tilt.
     """
+    axis = (wrap_angle(-tool.phi1), wrap_angle(math.pi - tool.phi1))
     poly = tilt_polynomial(geom, tool)
-    if poly.degree < 1:
-        return []
-    out = []
-    for u in real_roots(poly):
+    tilts = set(axis)
+    for u in real_roots(poly) if poly.degree >= 1 else []:
         theta1 = 2.0 * math.atan(u)
+        # tilts are angles of order one, so the width serves in radians
+        tilts.add(next((a for a in axis if abs(wrap_angle(theta1 - a)) <= CLUSTER_REL_TOL),
+                       theta1))
+    out = []
+    for theta1 in sorted(tilts):
         if not geom.theta1_min <= theta1 <= geom.theta1_max:
             continue
         x_p, y_p, _, alpha = _platform_coordinates(geom, tool, theta1)
         if (abs(coupling_residual(geom, x_p, y_p, alpha))
-                > TILT_RESIDUAL_REL_TOL * _tilt_scale(geom, x_p, y_p, alpha)):
-            continue
-        out.append(theta1)
-    out.sort()
+                <= COUPLING_REL_TOL * coupling_scale(geom, x_p, y_p, alpha)):
+            out.append(theta1)
     return out
 
 

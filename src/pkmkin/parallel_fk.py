@@ -30,7 +30,8 @@ from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
 from .parallel_ik import (ConfigurationIndices, ParallelJoints, PlatformPose,
                           _dedup, _on_working_branch, _unique,
                           constraint_residuals)
-from .rootfind import Polynomial, _add, _divmod, _horner, _mul, real_roots
+from .rootfind import (Polynomial, _add, _certify, _divmod, _horner, _mul,
+                       real_roots)
 
 FK_RESIDUAL_REL_TOL = 1e-7
 FK_PREFILTER_REL_TOL = 1e-3
@@ -177,16 +178,13 @@ def _midpoint_residual(geom, x_p, y_p, z_p, alpha, rho1):
     return X1**2 + y_p**2 + (z_p - rho1)**2 - geom.a_sq(c)
 
 
-def _verify_cleared_numerator(geom, joints, N, P1, Q):
-    """Probe N(t) against the directly sampled residual product."""
-    gap = geom.offset_gap
-    scale = max(np.max(np.abs(N)), 1.0)
-    N, P1, Q = N.tolist(), P1.tolist(), Q.tolist()
-    checked = 0
+def _probe_samples(geom, joints, P1, Q):
+    """(t, directly sampled residual product) at the probe nodes where the
+    elimination chain is well defined, for the certificate of N(t)."""
+    P1, Q = P1.tolist(), Q.tolist()
     for t in (0.3317, -1.2113, 2.4091, -0.5729, 4.17, 0.071):
         pv = _horner(P1, t)
         qv = _horner(Q, t)
-        tv = 1.0 + t * t
         if abs(pv) < 1e-3 or abs(qv) < 1e-3:
             continue
         alpha = 2.0 * math.atan(t)
@@ -194,14 +192,8 @@ def _verify_cleared_numerator(geom, joints, N, P1, Q):
             x_p, y_p, z_p = pose_from_alpha(geom, alpha, joints)
         except (DegenerateDenominatorError, DegenerateOrientationError):
             continue
-        sampled = (_midpoint_residual(geom, x_p, y_p, z_p, alpha, joints.rho1)
-                   * (2.0 * gap * pv * tv**2 * qv)**2)
-        if abs(_horner(N, t) - sampled) > 1e-9 * (scale * max(1.0, abs(t))**16 + abs(sampled)):
-            raise InterpolationError(
-                f"assembled characteristic numerator disagrees with the sampled residual at t={t}")
-        checked += 1
-    if checked < 3:
-        raise InterpolationError("too few usable probe nodes (degenerate joint input)")
+        yield t, (_midpoint_residual(geom, x_p, y_p, z_p, alpha, joints.rho1)
+                  * (2.0 * geom.offset_gap * pv * (1.0 + t * t)**2 * qv)**2)
 
 
 def _deflate(N, factor, rel_tol=1e-9):
@@ -223,7 +215,7 @@ def octic_from_joints(geom, joints):
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
     N, P1, Q, T = _cleared_numerator(geom, joints)
-    _verify_cleared_numerator(geom, joints, N, P1, Q)
+    _certify(N, _probe_samples(geom, joints, P1, Q), 16, "characteristic numerator")
     quot = _deflate(N, _mul(T, T))
     quot = _deflate(quot, _mul(P1, P1), rel_tol=1e-8)
     scale = np.max(np.abs(quot))
@@ -322,30 +314,33 @@ def _jacobian(geom, x, y, z, a, joints):
     ])
 
 
-def _polish_pose(geom, joints, x, y, z, a, iterations=4):
-    """A few damped Newton steps on the full constraint system."""
-    v = np.array([x, y, z, a])
+def _polish_pose(geom, joints, v):
+    """The candidate stage: a candidate within the 1e-3 * max(L^2) prefilter
+    takes damped Newton steps on the full constraint system until its
+    residual reaches 1e-14 * max(L^2) or no step lowers it.  Returns the
+    pose, as Python floats, and the last residual computed."""
     rho = joints.as_tuple()
-    for _ in range(iterations):
-        f = np.array(constraint_residuals(geom, v[0], v[1], v[2], v[3], *rho))
-        norm = np.max(np.abs(f))
-        if norm <= 1e-14 * geom.residual_scale:
-            break
+    f = constraint_residuals(geom, *v, *rho)
+    norm = max(abs(r) for r in f)
+    if norm > FK_PREFILTER_REL_TOL * geom.residual_scale:
+        return v, norm
+    while norm > 1e-14 * geom.residual_scale:
         try:
-            step = np.linalg.solve(_jacobian(geom, v[0], v[1], v[2], v[3], joints), -f)
+            step = np.linalg.solve(_jacobian(geom, *v, joints), -np.array(f))
         except np.linalg.LinAlgError:
             break
         lam = 1.0
         for _ in range(20):
-            vn = v + lam * step
-            fn = np.array(constraint_residuals(geom, vn[0], vn[1], vn[2], vn[3], *rho))
-            if np.max(np.abs(fn)) < norm:
-                v = vn
+            vn = tuple(float(c + lam * d) for c, d in zip(v, step))
+            fn = constraint_residuals(geom, *vn, *rho)
+            norm_n = max(abs(r) for r in fn)
+            if norm_n < norm:
+                v, f, norm = vn, fn, norm_n
                 break
             lam *= 0.5
         else:
             break
-    return v
+    return v, norm
 
 
 def back_derived_indices(geom, pose, joints):
@@ -369,32 +364,20 @@ def enumerate_fk(geom, joints):
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
-    candidates = []
     try:
         octic = octic_from_joints(geom, joints)
         roots = real_roots(octic) if octic.degree >= 1 else []
     except InterpolationError:
         roots = []
-    for t in roots:
-        candidates.extend(_sphere_candidates(geom, joints, 2.0 * math.atan(t)))
     # alpha = pi is invisible to t = tan(alpha/2); alpha = 0 drops out of
     # the characteristic polynomial when rho2 = rho3 (its equation becomes
     # the vanishing denominator there)
-    candidates.extend(_sphere_candidates(geom, joints, math.pi))
-    candidates.extend(_sphere_candidates(geom, joints, 0.0))
-
+    alphas = [2.0 * math.atan(t) for t in roots] + [math.pi, 0.0]
     modes = []
-    for x, y, z, alpha in candidates:
-        if not all(map(math.isfinite, (x, y, z, alpha))):
-            continue
-        residual = max(abs(r) for r in constraint_residuals(
-            geom, x, y, z, alpha, *joints.as_tuple()))
-        if residual > FK_PREFILTER_REL_TOL * geom.residual_scale:
-            continue
-        x, y, z, alpha = _polish_pose(geom, joints, x, y, z, alpha)
-        residual = max(abs(r) for r in constraint_residuals(
-            geom, x, y, z, alpha, *joints.as_tuple()))
-        if residual > FK_RESIDUAL_REL_TOL * geom.residual_scale:
+    for candidate in (c for a in alphas for c in _sphere_candidates(geom, joints, a)):
+        (x, y, z, alpha), residual = _polish_pose(geom, joints, candidate)
+        # a NaN residual fails this test too
+        if not residual <= FK_RESIDUAL_REL_TOL * geom.residual_scale:
             continue
         pose = PlatformPose(x, y, z, alpha)
         indices = back_derived_indices(geom, pose, joints)

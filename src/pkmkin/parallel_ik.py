@@ -23,7 +23,6 @@ from .rootfind import Polynomial, real_roots_in_unit_interval
 RADICAND_CLAMP_REL = 1e-9
 COUPLING_REL_TOL = 1e-9
 POSE_COUPLING_REL_TOL = 1e-8
-RESIDUAL_REL_TOL = 1e-9
 SOLUTION_REL_TOL = 1e-8
 DEDUP_TOL = 1e-9
 # float sin at multiples of pi is ~1e-16, never exactly zero

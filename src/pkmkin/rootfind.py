@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InterpolationError
+
 TRIM_REL_TOL = 1e-12
 DEFAULT_TOL = 1e-10
 MERGE_REL_TOL = 1e-9
@@ -98,6 +100,21 @@ def _divmod(num, den):
     return np.array(num[n:]) / lead, _trim_zeros(np.array(num[:n]))
 
 
+def _certify(coeffs, samples, degree, name):
+    """Probe certificate of an exactly assembled polynomial: at 3 or more
+    (node, sampled value) pairs its value must match the sampled relation it
+    clears, to 1e-9 relative; raises InterpolationError otherwise."""
+    scale = max(np.max(np.abs(coeffs)), 1.0)
+    values = coeffs.tolist()
+    checked = 0
+    for x, sampled in samples:
+        if abs(_horner(values, x) - sampled) > 1e-9 * (scale * max(1.0, abs(x))**degree + abs(sampled)):
+            raise InterpolationError(f"assembled {name} disagrees with the sampled residual at {x}")
+        checked += 1
+    if checked < 3:
+        raise InterpolationError(f"too few usable probe nodes for the {name}")
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial, coefficients ascending by degree, degree <= 12."""
@@ -148,7 +165,7 @@ def real_roots(p, tol=DEFAULT_TOL):
         comp[1:, :-1] = np.eye(n - 1)
         comp[:, -1] = -monic[:-1]
         eig = np.linalg.eigvals(comp)
-        candidates = [z.real for z in eig
+        candidates = [float(z.real) for z in eig
                       if abs(z.imag) <= IMAG_REL_TOL * (1.0 + abs(z.real))]
     accepted = []
     for r in candidates:

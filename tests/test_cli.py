@@ -37,11 +37,24 @@ def test_ik_sixteen_rows(geom_file, capsys):
     assert len(rows) == 16
     assert set(rows[0]) == {"label", "rho1", "rho2", "rho3", "alpha",
                             "s1", "s2", "s3", "residual_norm", "within_limits"}
-    # csv floats survive a parse round trip losslessly (repr encoding)
-    for row in rows:
-        for field in ("rho1", "rho2", "rho3", "alpha", "residual_norm"):
-            assert repr(float(row[field])) == row[field]
-        assert row["within_limits"] in ("true", "false")
+    # csv floats survive a parse round trip losslessly (repr encoding), on
+    # every command that prints solution rows
+    for command, numbers, fields in (
+            ("ik", ("-250", "60", "900"), ("rho1", "rho2", "rho3", "alpha")),
+            ("fk", ("450", "400", "380"), ("alpha", "x_p", "y_p", "z_p")),
+            ("tool-fk", ("450", "400", "380", "0.3", "0.7"),
+             ("phi1", "phi2", "x_u", "y_u", "z_u")),
+            ("tool-ik", ("-169.5", "157.4", "566.4", "-0.4", "-0.7"),
+             ("rho1", "rho2", "rho3", "theta1", "theta2"))):
+        code, out, _ = run_cli(capsys, command, geom_file, "--format", "csv", "--", *numbers)
+        assert code == 0
+        rows = csv_rows(out)
+        assert rows, command
+        for row in rows:
+            for field in fields + ("residual_norm",):
+                assert repr(float(row[field])) == row[field], (command, field)
+            flag = "within_limits" if command.endswith("ik") else "reachable"
+            assert row[flag] in ("true", "false")
 
 
 def test_ik_select_single_working_row(geom_file, capsys):
@@ -174,6 +187,26 @@ def test_ellipse_unreachable_alpha_warned(tmp_path, capsys):
     assert records and all(r["record"] == "warning" for r in records)
     assert all(r["reason"] == "UnreachableOrientationError" for r in records)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("ik", "nan", "60", "900"),
+    ("ik", "--", "-250", "60", "inf"),
+    ("fk", "--", "450", "-inf", "380"),
+    ("tool-ik", "160", "-120", "-240", "0.2", "nan"),
+    ("tool-fk", "450", "400", "380", "nan", "0"),
+    ("ellipse", "--step", "nan"),
+    ("ellipse", "--alpha-min=-inf"),
+    ("ellipse", "--alpha-max", "nan"),
+    ("roundtrip", "--box", "-330", "-170", "30", "150", "700", "inf"),
+], ids=["ik-x", "ik-z", "fk", "tool-ik", "tool-fk", "ellipse-step",
+        "ellipse-alpha-min", "ellipse-alpha-max", "roundtrip-box"])
+def test_non_finite_number_exit_1(geom_file, capsys, argv):
+    command, *numbers = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, geom_file, *numbers])
+    assert exc.value.code == 1
+    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_ellipse_bad_step_exit_1(geom_file, capsys):

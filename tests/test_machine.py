@@ -271,11 +271,11 @@ def test_tool_ik_branch_is_parallel_branch_bitwise(geom, phi1):
 def test_tool_ik_degenerate_loci_match_parallel_module(geom):
     # loci where the leg-I radicand vanishes and rho1 = z_p is pinned:
     # y_p = 0 with sin(alpha) != 0 (x on the edge of the iso-ellipse) and
-    # R1 cos(alpha) = r1 with y_p != 0; plus y_p = 0 at alpha in {0, pi} on a
-    # zero table.  The table chain reaches these loci only to round-off, yet
-    # tool_ik must find the branches enumerate_ik finds at the same
-    # orientation.  (alpha in {0, pi} under a nonzero tilt is left out: there
-    # the tilt sextic has a double root that real_roots resolves to ~1e-9.)
+    # R1 cos(alpha) = r1 with y_p != 0; plus y_p = 0 at alpha in {0, pi}, on
+    # a zero table and under a tilt, where the tilt sextic has a double root.
+    # The table chain reaches these loci only to round-off, yet tool_ik must
+    # find the branches enumerate_ik finds at the same orientation, and no
+    # tilt may come out split off the true one.
     rng = np.random.default_rng(41)
     crossing = math.acos(geom.r1 / geom.R1)
     cases = []
@@ -289,10 +289,14 @@ def test_tool_ik_degenerate_loci_match_parallel_module(geom):
         cases += [((x, y, z, alpha), 0.0), ((x, y, z, alpha), rng.uniform(-1.2, 1.2))]
         [(x, _, z)] = region_points(rng, 1)
         cases += [((x, 0.0, z, 0.0), 0.0), ((x, 0.0, z, math.pi), 0.0)]
+    for x, _, z in region_points(rng, 40):
+        theta1 = rng.uniform(-1.2, 1.2)
+        cases += [((x, 0.0, z, 0.0), theta1), ((x, 0.0, z, math.pi), theta1)]
     matched = 0
     for (x, y, z, alpha), theta1 in cases:
         tool = tool_pose_from_platform(geom, PlatformPose(x, y, z, alpha), theta1,
                                        rng.uniform(-math.pi, math.pi))
+        assert not any(1e-9 < abs(t - theta1) < 1e-3 for t in tilt_candidates(geom, tool))
         machine = tool_ik(geom, tool)
         for m in machine:
             assert residuals_machine(geom, tool, m.machine_joints).max_abs \

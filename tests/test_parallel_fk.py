@@ -276,6 +276,16 @@ def test_fk_unassemblable_joints_empty(geom):
     assert enumerate_fk(geom, ParallelJoints(2000.0, -1900.0, 200.0)) == []
 
 
+def test_fk_polish_runs_to_convergence(geom):
+    # one candidate here starts 6.7e-5 mm from a mode; a polish capped at 4
+    # Newton steps left it at a residual of 1.09e-3 mm^2 and kept it as a
+    # third mode instead of merging it
+    modes = enumerate_fk(geom, ParallelJoints(-16.098796712600205, 531.0703031762652,
+                                              784.7286911922657))
+    assert len(modes) == 2
+    assert all(m.residual_norm <= 1e-9 * geom.residual_scale for m in modes)
+
+
 def test_fk_mode_counts_bounded(geom):
     rng = np.random.default_rng(10)
     seen = set()

@@ -34,6 +34,7 @@ def test_degree_eight_sevenths_grid():
     found = real_roots(Polynomial(poly_from_roots(roots)))
     assert len(found) == 8
     assert found == pytest.approx(roots, abs=1e-8)
+    assert all(type(r) is float for r in found)
 
 
 def test_unit_interval_filter():
