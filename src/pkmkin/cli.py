@@ -258,30 +258,32 @@ def cmd_ellipse(geom, args):
     step = _angle_arg(args.step, args.deg)
     lo = _angle_arg(args.alpha_min, args.deg)
     hi = _angle_arg(args.alpha_max, args.deg)
-    records = []
     n = int(round((hi - lo) / step))
-    grid = [lo + k * step for k in range(n + 1) if lo + k * step <= hi + 1e-12]
     emitted = 0
-    for alpha in grid:
-        try:
-            ell = pik.iso_ellipse(geom, alpha)
-        except KinematicsError as exc:
-            records.append(SolutionRecord(
-                label="", values=dict(record="warning", alpha=alpha,
-                                      reason=type(exc).__name__)))
-            continue
-        emitted += 1
-        records.append(SolutionRecord(
-            label="", values=dict(record="ellipse", alpha=ell.alpha,
-                                  center_x=ell.center_x, a=ell.semi_major_a,
-                                  b=ell.semi_minor_b)))
-        for k in range(args.points):
-            phi = 2.0 * math.pi * k / args.points
-            x, y = ell.point(phi)
-            records.append(SolutionRecord(
-                label="", values=dict(record="point", alpha=ell.alpha,
-                                      phi=phi, x=x, y=y)))
-    emit_records(records, ELLIPSE_COLUMNS, args.format, args.deg)
+
+    def records():
+        nonlocal emitted
+        for k in range(n + 1):
+            alpha = lo + k * step
+            if alpha > hi + 1e-12:
+                break
+            try:
+                ell = pik.iso_ellipse(geom, alpha)
+            except KinematicsError as exc:
+                yield SolutionRecord(label="", values=dict(
+                    record="warning", alpha=alpha, reason=type(exc).__name__))
+                continue
+            emitted += 1
+            yield SolutionRecord(label="", values=dict(
+                record="ellipse", alpha=ell.alpha, center_x=ell.center_x,
+                a=ell.semi_major_a, b=ell.semi_minor_b))
+            for k in range(args.points):
+                phi = 2.0 * math.pi * k / args.points
+                x, y = ell.point(phi)
+                yield SolutionRecord(label="", values=dict(
+                    record="point", alpha=ell.alpha, phi=phi, x=x, y=y))
+
+    emit_records(records(), ELLIPSE_COLUMNS, args.format, args.deg)
     return 0 if emitted else 2
 
 
@@ -383,6 +385,9 @@ def main(argv=None):
         return 1
     except KinematicsError as exc:
         print(f"pkmkin: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"pkmkin: numeric overflow: {exc}", file=sys.stderr)
         return 1
 
 

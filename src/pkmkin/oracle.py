@@ -35,31 +35,40 @@ class ResidualVector:
         return max(abs(v) for v in self.as_tuple())
 
 
-def _rods(geom, x, y, z, c, s, rho):
-    """The four rod vectors, leg I twice: (dx, dy, dz, squared rod length)
-    each, at platform position (x, y, z) with c, s = cos, sin(alpha).
-
-    Arithmetic only, so floats and equal-shape arrays give the same bits.
-    """
-    X1 = x + geom.D1 - geom.d1
-    X2 = x + geom.D2 - geom.d2
+def _legs(geom, rho):
+    """Per-leg constants of the rod statement, one row each, legs I+, I-, II,
+    III on the trailing axis: base offset D, platform offset d, signed arm,
+    lateral offset, slider coordinate and squared rod length."""
+    D1, D2, d1, d2 = geom.D1, geom.D2, geom.d1, geom.d2
     R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
-    return ((X1, y + R1 * c - r1, z + R1 * s - rho[0], geom.L1**2),
-            (X1, y - R1 * c + r1, z - R1 * s - rho[0], geom.L1**2),
-            (X2, y - R2 * c + r4, z - R2 * s - rho[1], geom.L2**2),
-            (X2, y + R2 * c - r4, z + R2 * s - rho[2], geom.L3**2))
+    return np.array([[D1, D1, D2, D2], [d1, d1, d2, d2],
+                     [R1, -R1, -R2, R2], [-r1, r1, r4, -r4],
+                     [rho[0], rho[0], rho[1], rho[2]],
+                     [geom.L1**2, geom.L1**2, geom.L2**2, geom.L3**2]])
 
 
-def _residuals(rods):
-    return [dx**2 + dy**2 + dz**2 - length_sq for dx, dy, dz, length_sq in rods]
+def _rods(legs, x, y, z, c, s):
+    """The four rod vectors (dx, dy, dz), legs on the trailing axis, at
+    platform position (x, y, z) with c, s = cos, sin(alpha).
+
+    Floats give shape (4,); (n, 1) columns give (n, 4) with the same bits
+    row by row, since each leg's arithmetic is elementwise.
+    """
+    D, d, arm, off, rho, _ = legs
+    return (x + D) - d, (y + arm * c) + off, (z + arm * s) - rho
+
+
+def _residuals(legs, rods):
+    dx, dy, dz = rods
+    return dx**2 + dy**2 + dz**2 - legs[5]
 
 
 def residuals_parallel(geom, pose, joints):
     """Direct evaluation of the parallel-module constraint left-hand sides."""
-    rho = (joints.rho1, joints.rho2, joints.rho3)
-    return ResidualVector(*_residuals(_rods(
-        geom, pose.x_p, pose.y_p, pose.z_p,
-        math.cos(pose.alpha), math.sin(pose.alpha), rho)))
+    legs = _legs(geom, joints.as_tuple())
+    return ResidualVector(*_residuals(legs, _rods(
+        legs, pose.x_p, pose.y_p, pose.z_p,
+        math.cos(pose.alpha), math.sin(pose.alpha))).tolist())
 
 
 def residuals_machine(geom, tool, machine_joints):
@@ -73,9 +82,9 @@ def residuals_machine(geom, tool, machine_joints):
     across = cp2 * tool.x_u + sp2 * tool.y_u
     spread = s1 * (tool.z_u - geom.d_t) + c1 * lateral + geom.Delta * sa
     drop = s1 * lateral - c1 * (tool.z_u - geom.d_t) + geom.d_a - geom.Delta * ca
-    rho = machine_joints.joints
-    return ResidualVector(*_residuals(_rods(
-        geom, across, spread, drop, ca, sa, (rho.rho1, rho.rho2, rho.rho3))))
+    legs = _legs(geom, machine_joints.joints.as_tuple())
+    return ResidualVector(*_residuals(legs, _rods(
+        legs, across, spread, drop, ca, sa)).tolist())
 
 
 def default_start_box(geom, rho):
@@ -87,46 +96,46 @@ def default_start_box(geom, rho):
             (-reach, reach), (lo, hi))
 
 
-def _batch_residuals(geom, v, rho):
+def _batch_residuals(legs, v):
     """Residuals for a (n, 4) batch of pose vectors; returns (n, 4)."""
-    rods = _rods(geom, v[:, 0], v[:, 1], v[:, 2], np.cos(v[:, 3]), np.sin(v[:, 3]), rho)
-    return np.stack(_residuals(rods)).T  # column-major: the row max-norm reduces across columns
+    x, y, z, alpha = v.T[..., None]
+    return _residuals(legs, _rods(legs, x, y, z, np.cos(alpha), np.sin(alpha)))
 
 
-def _batch_residuals_jacobian(geom, v, rho):
+def _batch_residuals_jacobian(legs, v):
     """Residuals and analytic Jacobian for a (n, 4) batch in one pass."""
-    c, s = np.cos(v[:, 3]), np.sin(v[:, 3])
-    rods = _rods(geom, v[:, 0], v[:, 1], v[:, 2], c, s, rho)
-    # each rod's platform end sits at sign * R * (cos, sin)(alpha) in (y, z)
-    arms = ((geom.R1, 1), (geom.R1, -1), (geom.R2, -1), (geom.R2, 1))
+    x, y, z, alpha = v.T[..., None]
+    c, s = np.cos(alpha), np.sin(alpha)
+    rods = dx, dy, dz = _rods(legs, x, y, z, c, s)
+    arm = legs[2]
     J = np.empty((v.shape[0], 4, 4))
-    for row, ((dx, dy, dz, _), (R, sign)) in enumerate(zip(rods, arms)):
-        J[:, row] = np.stack([2 * dx, 2 * dy, 2 * dz,
-                              sign * 2 * (dz * R * c - dy * R * s)], axis=1)
-    return np.stack(_residuals(rods), axis=1), J
+    J[:, :, 0] = 2 * dx
+    J[:, :, 1] = 2 * dy
+    J[:, :, 2] = 2 * dz
+    # each rod's platform end sits at arm * (cos, sin)(alpha) in (y, z)
+    J[:, :, 3] = 2 * (dz * arm * c - dy * arm * s)
+    return _residuals(legs, rods), J
 
 
-# damped step lengths 2^-k, k = 0..29 (exact in binary), in three passes of
-# ten: few passes for small batches, little surplus residual work for large
-_STEP_LENGTHS = np.ldexp(1.0, -np.arange(30)).reshape(3, 10)
+# the damped step lengths after the full step, 2^-k for k = 1..29 (exact in binary)
+_HALVED_STEP_LENGTHS = np.ldexp(1.0, -np.arange(1, 30))
 
 
-def _damped_step(geom, v, step, norm, rho):
+def _damped_step(legs, v, step, norm):
     """Per row, the first v + lam * step with lam = 1, 1/2, ..., 2^-29 whose
     residual max-norm is below `norm`; returns (trial, improved).
 
-    Each pass tries the next ten step lengths at once, as one (m, 10, 4)
-    batch over the m rows no earlier pass improved.  This picks the same
-    lam as halving from 1 until the norm drops.  Rows not `improved` keep v.
+    Every row tries the full step first.  The rows it does not improve then
+    try all 29 shorter lengths at once, as one (m, 29, 4) batch.  This picks
+    the same lam as halving from 1 until the norm drops.  Only the `improved`
+    rows of `trial` hold a step.
     """
-    trial = v.copy()
-    improved = np.zeros(len(v), dtype=bool)
-    for lams in _STEP_LENGTHS:
-        rest = np.flatnonzero(~improved)
-        if rest.size == 0:
-            break
-        cand = v[rest, None] + lams[:, None] * step[rest, None]
-        cand_norm = np.max(np.abs(_batch_residuals(geom, cand.reshape(-1, 4), rho)), axis=1)
+    trial = v + step
+    improved = np.max(np.abs(_batch_residuals(legs, trial)), axis=1) < norm
+    rest = np.flatnonzero(~improved)
+    if rest.size:
+        cand = v[rest, None] + _HALVED_STEP_LENGTHS[:, None] * step[rest, None]
+        cand_norm = np.max(np.abs(_batch_residuals(legs, cand.reshape(-1, 4))), axis=1)
         good = cand_norm.reshape(rest.size, -1) < norm[rest, None]
         hit = good.any(axis=1)
         trial[rest[hit]] = cand[hit, good[hit].argmax(axis=1)]
@@ -146,14 +155,15 @@ def newton_fk(geom, joints, starts=100, seed=0, box=None,
 
     Each outer iteration damps the Newton step of every active start by the
     first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm: exactly
-    the step that halving from 1 would pick.  The step lengths are tried in
-    three batched passes of ten, each over the starts no earlier pass
-    improved, so the extra memory is O(10 x active starts).  A start that
-    no step improves stops.
+    the step that halving from 1 would pick.  Every start tries the full
+    step; the starts it does not improve try the 29 shorter lengths in one
+    batched pass, so the extra memory is O(29 x starts the full step did not
+    improve).  A start that no step improves stops.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    rho = (joints.rho1, joints.rho2, joints.rho3)
+    rho = joints.as_tuple()
+    legs = _legs(geom, rho)
     if box is None:
         box = default_start_box(geom, rho)
     rng = np.random.default_rng(seed)
@@ -169,7 +179,7 @@ def newton_fk(geom, joints, starts=100, seed=0, box=None,
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        f, J = _batch_residuals_jacobian(geom, v[idx], rho)
+        f, J = _batch_residuals_jacobian(legs, v[idx])
         norm = np.max(np.abs(f), axis=1)
         # converged and singular starts (NaN rows fail both tests) stop
         go = (norm > tol) & (np.abs(np.linalg.det(J)) > 1e-300)
@@ -178,10 +188,10 @@ def newton_fk(geom, joints, starts=100, seed=0, box=None,
         if idx.size == 0:
             continue
         step = np.linalg.solve(J, -f[..., None])[..., 0]
-        trial, improved = _damped_step(geom, v[idx], step, norm, rho)
+        trial, improved = _damped_step(legs, v[idx], step, norm)
         v[idx[improved]] = trial[improved]
         active[idx[~improved]] = False  # stuck: no damped step improves
-    final = _batch_residuals(geom, v, rho)
+    final = _batch_residuals(legs, v)
     converged = np.max(np.abs(final), axis=1) <= tol
     found = []
     for row in v[converged]:

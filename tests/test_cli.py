@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from pkmkin import DEFAULT_SYNTHETIC, serialize_geometry
+from pkmkin import parallel_ik as pik
 from pkmkin.cli import main
 from pkmkin.parallel_ik import coupling_residual, coupling_scale
 
@@ -207,6 +208,47 @@ def test_non_finite_number_exit_1(geom_file, capsys, argv):
         main([command, geom_file, *numbers])
     assert exc.value.code == 1
     assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ik", "1e200", "60", "900"),
+    ("fk", "1e200", "400", "380"),
+    ("tool-ik", "1e200", "0", "0", "0", "0"),
+], ids=["ik", "fk", "tool-ik"])
+def test_numeric_overflow_exit_1(geom_file, capsys, argv):
+    command, *numbers = argv
+    code, out, err = run_cli(capsys, command, geom_file, *numbers)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pkmkin: numeric overflow: ")
+
+
+def test_ellipse_streams_rows(geom_file, monkeypatch):
+    # the first data row is written after one iso_ellipse call, not after
+    # the whole grid of 6284 alphas has been solved
+    calls = []
+    iso_ellipse = pik.iso_ellipse
+
+    def counted(geom, alpha):
+        calls.append(alpha)
+        return iso_ellipse(geom, alpha)
+
+    calls_at_first_row = []
+
+    class Probe(io.StringIO):
+        def write(self, text):
+            if not calls_at_first_row and text.startswith(("ellipse,", "warning,")):
+                calls_at_first_row.append(len(calls))
+            return super().write(text)
+
+    out = Probe()
+    monkeypatch.setattr(pik, "iso_ellipse", counted)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["ellipse", geom_file, "--step", "1e-3", "--points", "0",
+                 "--format", "csv"]) == 0
+    assert calls_at_first_row == [1]
+    assert len(calls) == 6284
+    assert len(out.getvalue().splitlines()) == 1 + 6284
 
 
 def test_ellipse_bad_step_exit_1(geom_file, capsys):

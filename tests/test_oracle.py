@@ -9,7 +9,7 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose,
                     tool_pose_from_platform)
 from pkmkin import oracle
 from pkmkin.oracle import (_batch_residuals, _batch_residuals_jacobian,
-                          _damped_step)
+                          _damped_step, _legs, _residuals, _rods)
 
 from conftest import angle_delta, region_points
 
@@ -49,26 +49,51 @@ def test_first_order_growth_in_z(geom):
 
 def test_jacobian_matches_finite_differences(geom):
     rng = np.random.default_rng(3)
-    rho = (400.0, 380.0, 390.0)
+    legs = _legs(geom, (400.0, 380.0, 390.0))
     for _ in range(10):
         v = np.array([rng.uniform(-400, -100), rng.uniform(-150, 150),
                       rng.uniform(600, 1200), rng.uniform(-2.5, 2.5)])
-        f, [J] = _batch_residuals_jacobian(geom, v[None], rho)
-        assert np.array_equal(f, _batch_residuals(geom, v[None], rho))
+        f, [J] = _batch_residuals_jacobian(legs, v[None])
+        assert np.array_equal(f, _batch_residuals(legs, v[None]))
         h = 1e-6
         f_mag = np.max(np.abs(f))
         for k in range(4):
             dv = np.zeros(4)
             dv[k] = h
-            [fd] = (_batch_residuals(geom, (v + dv)[None], rho)
-                    - _batch_residuals(geom, (v - dv)[None], rho)) / (2.0 * h)
+            [fd] = (_batch_residuals(legs, (v + dv)[None])
+                    - _batch_residuals(legs, (v - dv)[None])) / (2.0 * h)
             # cancellation noise in the difference is ~eps * |f| / h
             noise = 1e-15 * f_mag / h
             scale = max(1.0, np.max(np.abs(J[:, k])))
             assert np.all(np.abs(fd - J[:, k]) <= 1e-6 * scale + noise)
 
 
-def _halving_reference(geom, v, step, norm, rho):
+def test_rod_statement_same_bits_on_floats_and_rows(geom):
+    # the scalar residual functions and the Newton batch share one statement:
+    # Python floats give the bits of the matching row of the (n, 4) evaluation
+    rng = np.random.default_rng(10)
+    legs = _legs(geom, (400.0, 380.0, 390.0))
+    v = rng.uniform(-1.0, 1.0, size=(50, 4)) * np.array([400, 200, 1200, 3.3])
+    x, y, z, alpha = v.T[..., None]
+    c, s = np.cos(alpha), np.sin(alpha)
+    rods = _rods(legs, x, y, z, c, s)
+    rows = _residuals(legs, rods)
+    assert np.array_equal(rows, _batch_residuals(legs, v))
+    for i, (xi, yi, zi, _) in enumerate(v.tolist()):
+        one = _rods(legs, xi, yi, zi, float(c[i, 0]), float(s[i, 0]))
+        for scalar, batch in zip(one, rods):
+            assert scalar.tobytes() == batch[i].tobytes()
+        assert _residuals(legs, one).tobytes() == rows[i].tobytes()
+    pose = PlatformPose(*v[0].tolist())
+    tool = tool_pose_from_platform(geom, pose, 0.35, -0.8)
+    joints = ParallelJoints(400.0, 380.0, 390.0)
+    for r in (residuals_parallel(geom, pose, joints),
+              residuals_machine(geom, tool, MachineJoints(joints=joints, theta1=0.35,
+                                                          theta2=-0.8))):
+        assert [type(f) for f in r.as_tuple()] == [float] * 4
+
+
+def _halving_reference(legs, v, step, norm):
     """The sequential rule: halve lam from 1, up to 30 tries, until the norm drops."""
     lam = np.ones(len(v))
     improved = np.zeros(len(v), dtype=bool)
@@ -76,7 +101,7 @@ def _halving_reference(geom, v, step, norm, rho):
     for _ in range(30):
         pending = np.flatnonzero(~improved)
         cand = v[pending] + lam[pending, None] * step[pending]
-        good = np.max(np.abs(_batch_residuals(geom, cand, rho)), axis=1) < norm[pending]
+        good = np.max(np.abs(_batch_residuals(legs, cand)), axis=1) < norm[pending]
         trial[pending[good]] = cand[good]
         improved[pending[good]] = True
         lam[pending[~good]] *= 0.5
@@ -84,7 +109,8 @@ def _halving_reference(geom, v, step, norm, rho):
 
 
 @pytest.mark.parametrize("ks", [[0], [5], [29], [None],
-                                [29, None, 0, 5, 9, 10, 19, 20, 5, None, 0, 29]])
+                                [29, None, 0, 5, 9, 10, 19, 20, 5, None, 0, 29],
+                                [1], [0, 0, 0], [0, 1, None, 29]])
 def test_damped_step_matches_halving(geom, ks):
     # v sits 1 mm off an exact pose; step = -2^k (v - pose) lands on the pose
     # at lam = 2^-k, the only lam within the norm bound of 1 mm^2.  k = None
@@ -92,18 +118,18 @@ def test_damped_step_matches_halving(geom, ks):
     # improves and the row is stuck.
     x, y, z = -250.0, 60.0, 900.0
     sol = select_working_solution(enumerate_ik(geom, x, y, z), geom)
-    rho = sol.joints.as_tuple()
+    legs = _legs(geom, sol.joints.as_tuple())
     d = np.array([0.6, -0.5, 0.4, 1e-3])
     v = np.tile(np.array([x, y, z, sol.alpha]) + d, (len(ks), 1))
     stuck = np.array([k is None for k in ks])
     step = np.array([0.0 * d if k is None else -2.0**k * d for k in ks])
-    norm = np.where(stuck, np.max(np.abs(_batch_residuals(geom, v, rho)), axis=1), 1.0)
-    ref_trial, ref_improved = _halving_reference(geom, v, step, norm, rho)
+    norm = np.where(stuck, np.max(np.abs(_batch_residuals(legs, v)), axis=1), 1.0)
+    ref_trial, ref_improved = _halving_reference(legs, v, step, norm)
     assert np.array_equal(ref_improved, ~stuck)
     for i, k in enumerate(ks):
         if k is not None:
             assert np.array_equal(ref_trial[i], v[i] + 2.0**-k * step[i])
-    trial, improved = _damped_step(geom, v, step, norm, rho)
+    trial, improved = _damped_step(legs, v, step, norm)
     assert np.array_equal(improved, ref_improved)
     assert np.array_equal(trial[improved], ref_trial[improved])
 
