@@ -6,12 +6,14 @@ arguments and angle output columns).  Output is deterministic for fixed
 arguments and seed; machine-readable modes use '.' decimals via repr.
 
 Exit codes: 0 solutions found (or report produced), 1 usage/input error,
-2 no solution.
+2 no solution.  A reader that closes stdout early ends the output quietly,
+with the command's exit code if it had finished and 0 otherwise.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -378,8 +380,14 @@ def main(argv=None):
         "tool-fk": cmd_tool_fk, "ellipse": cmd_ellipse,
         "roundtrip": cmd_roundtrip,
     }[args.command]
+    code = 0
     try:
-        return handler(geom, args)
+        code = handler(geom, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): stop without a message,
+        # and point stdout at devnull so the shutdown flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except AmbiguousSelectionError as exc:
         print(f"pkmkin: ambiguous selection: {exc}", file=sys.stderr)
         return 1
@@ -389,6 +397,7 @@ def main(argv=None):
     except OverflowError as exc:
         print(f"pkmkin: numeric overflow: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

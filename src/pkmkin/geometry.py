@@ -9,6 +9,7 @@ a comment.
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .errors import GeometryError
 
@@ -87,6 +88,14 @@ class MachineGeometry:
 
     def rho_within_limits(self, rho):
         return all(self.rho_min <= v <= self.rho_max for v in rho)
+
+    @cached_property
+    def compiled_octic(self):
+        """The forward-kinematics octic compiled for these dimensions (see
+        parallel_fk.compile_octic).  Computed on first use and kept in the
+        instance __dict__, so fields, ==, hash and replace() ignore it."""
+        from .parallel_fk import compile_octic
+        return compile_octic(self)
 
 
 def validate(geom):

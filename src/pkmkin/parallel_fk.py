@@ -11,7 +11,10 @@ coefficient by coefficient (every ingredient is itself a polynomial in t).
 N has degree <= 16 and always contains the spurious factor
 (1 + t^2)^2 * P1(t)^2, where P1(t) is the half-angle form of
 R1 cos(alpha) - r1; deflating it leaves the degree-8 polynomial whose real
-roots enumerate the assembly modes.  Each root's platform position is then
+roots enumerate the assembly modes.  Its coefficients are polynomials of
+degree <= 6 in the sliders, so the assembly and the deflation run once per
+geometry, on polynomial-valued sliders, and each slider triple then costs
+one matrix-vector product plus a probe certificate.  Each root's platform position is then
 recovered by intersecting the three constraint spheres directly (division
 free, so exact even next to the degenerate orientations), with the axis
 orientations the half-angle map cannot represent injected as extra
@@ -122,36 +125,63 @@ def pose_from_alpha(geom, alpha, joints):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial, assembled exactly in t = tan(alpha/2)
+# characteristic polynomial, compiled once per geometry in t = tan(alpha/2)
+#
+# Each coefficient of the octic is a polynomial of degree <= 6 in the scaled
+# slider variables v = (rho1, rho2 + rho3, rho3 - rho2) / h, so one (9, 84)
+# matrix over the monomials of degree <= 6 maps v to the octic.  The matrix
+# is compiled by running the exact assembly once on polynomial-valued
+# sliders.  A polynomial in (t, v1, v2, v3) is a 1-D array under Kronecker
+# substitution, index k*7^3 + e1*7^2 + e2*7 + e3: no v-degree exceeds 6, so
+# no product carries and the coefficient kernel works on it unchanged.
 
-def _cleared_numerator(geom, joints):
-    """Coefficients (ascending) of N(t), the cleared leg-I midpoint residual.
+_STRIDE = 7                 # one slider variable: powers 0..6
+_BLOCK = _STRIDE**3         # one power of t
+_MONOMIALS = np.array([(e1, e2, e3) for e1 in range(_STRIDE) for e2 in range(_STRIDE - e1)
+                       for e3 in range(_STRIDE - e1 - e2)]).T
+# where each monomial's three factors sit in the flat table of powers
+# (v1^0..v1^6, v2^0..v2^6, v3^0..v3^6), and its column in a Kronecker block
+_POWER_INDEX = _MONOMIALS + np.arange(0, 3 * _STRIDE, _STRIDE)[:, None]
+_COLUMNS = (_STRIDE**2, _STRIDE, 1) @ _MONOMIALS
 
-    N(t) = residual(x_p(t), y_p(t), z_p(t)) * (2 gap P1 T^2 Q)^2 with
+
+def _in_t(coeffs):
+    """An ascending polynomial in t alone as a Kronecker array."""
+    c = np.zeros((len(coeffs) - 1) * _BLOCK + 1)
+    c[::_BLOCK] = coeffs
+    return c
+
+
+def _cleared_numerator(geom, h):
+    """N(t, v), the cleared leg-I midpoint residual, as a Kronecker array.
+
+    N = residual(x_p(t), y_p(t), z_p(t)) * (2 gap P1 T^2 Q)^2 with
     T = 1 + t^2, P1 the half-angle form of R1 cos(alpha) - r1 and Q that of
-    the z_p denominator.  Returns (N, P1, Q, T).
+    the z_p denominator.  Degree <= 16 in t and <= 6 in v.
     """
     R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
     gap = geom.offset_gap
     span = (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
-    p1_, p2_, p3_ = joints.rho1, joints.rho2, joints.rho3
-    t = np.array([0.0, 1.0])
-    T = np.array([1.0, 0.0, 1.0])
-    P1 = np.array([R1 - r1, 0.0, -(R1 + r1)])
-    W = np.array([R2 - r4, 0.0, -(R2 + r4)])
-    Q = _add((p3_ - p2_) * P1, np.array([0.0, 4.0 * geom.C1]))
+    # rho1 = h v1, rho2 + rho3 = h v2 and rho3 - rho2 = h v3
+    p1_, s23, d32 = h * np.eye(_STRIDE**2 + 1)[[_STRIDE**2, _STRIDE, 1]]
+    p2_ = _add(0.5 * s23, -0.5 * d32)
+    t = _in_t([0.0, 1.0])
+    T = _in_t([1.0, 0.0, 1.0])
+    P1 = _in_t([R1 - r1, 0.0, -(R1 + r1)])
+    W = _in_t([R2 - r4, 0.0, -(R2 + r4)])
+    Q = _add(_mul(d32, P1), 4.0 * geom.C1 * t)
     K = geom.L1**2 - R1**2 - r1**2
-    Na = np.array([K + 2.0 * R1 * r1, 0.0, K - 2.0 * R1 * r1])
+    Na = _in_t([K + 2.0 * R1 * r1, 0.0, K - 2.0 * R1 * r1])
 
     TP1 = _mul(T, P1)
-    Nz = _add(_mul(8.0 * R1 * p1_ * t, W),
-              _mul((p3_ - p2_) * (p2_ + p3_) * T, P1),
-              _mul(-4.0 * R2 * (p2_ + p3_) * t, P1),
+    Nz = _add(_mul(8.0 * R1 * _mul(p1_, t), W),
+              _mul(_mul(_mul(d32, s23), T), P1),
+              _mul(-4.0 * R2 * _mul(s23, t), P1),
               (geom.L2**2 - geom.L3**2) * TP1)
     TQ = _mul(T, Q)
-    M = _add(2.0 * p1_ * TQ, -Nz)
-    U = _add((p2_ - p1_) * T, 2.0 * R2 * t)
-    V = _add(Nz, -(p1_ + p2_) * TQ, _mul(-2.0 * R2 * t, Q))
+    M = _add(2.0 * _mul(p1_, TQ), -Nz)
+    U = _add(_mul(_add(p2_, -p1_), T), 2.0 * R2 * t)
+    V = _add(Nz, -_mul(_add(p1_, p2_), TQ), _mul(-2.0 * R2 * t, Q))
 
     TP1Q = _mul(TP1, Q)
     T2P1Q = _mul(T, TP1Q)
@@ -165,11 +195,56 @@ def _cleared_numerator(geom, joints):
     MT = _mul(M, T)
     tMT = _mul(t, MT)
     P1P1 = _mul(P1, P1)
-    N = _add(_mul(NX1, NX1),
-             4.0 * gap**2 * R1**2 * _mul(tMT, tMT),
-             gap**2 * _mul(_mul(MT, MT), P1P1),
-             -4.0 * gap**2 * _mul(Na, _mul(P1P1, _mul(_mul(_mul(T, T), T), _mul(Q, Q)))))
-    return N, P1, Q, T
+    return _add(_mul(NX1, NX1),
+                4.0 * gap**2 * R1**2 * _mul(tMT, tMT),
+                gap**2 * _mul(_mul(MT, MT), P1P1),
+                -4.0 * gap**2 * _mul(Na, _mul(P1P1, _mul(_mul(_mul(T, T), T), _mul(Q, Q)))))
+
+
+def _deflate(columns, factor, rel_tol):
+    """Each column (ascending in t) divided by the t-only factor; raises
+    InterpolationError when a remainder is non-negligible against the
+    largest coefficient of all columns."""
+    out = np.zeros((columns.shape[0], columns.shape[1] - factor.size + 1))
+    remainder = 0.0
+    for row, col in zip(out, columns):
+        quot, rem = _divmod(col, factor)
+        row[:quot.size] = quot
+        remainder = max(remainder, *np.abs(rem).tolist())
+    if remainder > rel_tol * max(np.max(np.abs(columns)), 1.0):
+        raise InterpolationError(
+            "spurious-factor deflation left a non-negligible remainder")
+    return out
+
+
+def compile_octic(geom):
+    """(h, (9, 84) matrix, deflation factor) of the geometry's octic.
+
+    Row k of the matrix holds the coefficients of t^k over the monomials
+    v1^e1 v2^e2 v3^e3 of degree <= 6, in the column order of _MONOMIALS.  The
+    cleared numerator is deflated by the geometry-only spurious factor
+    (1 + t^2)^2 P1(t)^2, which is returned for the per-call certificate.
+    Raises InterpolationError when that factor does not divide out.
+    Computed once per geometry instance, as MachineGeometry.compiled_octic.
+    """
+    _require_distinct_offsets(geom)
+    # the largest power of two within the slider half-stroke (1024 on the
+    # synthetic geometry): v = rho / h is then exact, and rho2 = rho3 gives
+    # v3 = 0 exactly; frexp never raises, whatever the limits
+    h = math.ldexp(1.0, math.frexp(0.5 * (geom.rho_max - geom.rho_min))[1] - 1)
+    N = _cleared_numerator(geom, h)
+    degree = (N.size - 1) // _BLOCK
+    if degree > 16:
+        raise InterpolationError(
+            f"characteristic polynomial has degree {degree - 8} > 8 after deflation")
+    blocks = np.zeros(17 * _BLOCK)
+    blocks[:N.size] = N
+    columns = blocks.reshape(17, _BLOCK)[:, _COLUMNS].T
+    T2 = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
+    P1 = np.array([geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)])
+    P1P1 = _mul(P1, P1)
+    quot = _deflate(_deflate(columns, T2, 1e-9), P1P1, 1e-8)
+    return h, np.ascontiguousarray(quot.T), _mul(T2, P1P1)
 
 
 def _midpoint_residual(geom, x_p, y_p, z_p, alpha, rho1):
@@ -196,37 +271,34 @@ def _probe_samples(geom, joints, P1, Q):
                   * (2.0 * geom.offset_gap * pv * (1.0 + t * t)**2 * qv)**2)
 
 
-def _deflate(N, factor, rel_tol=1e-9):
-    quot, rem = _divmod(N, factor)
-    scale = max(np.max(np.abs(N)), 1.0)
-    if np.max(np.abs(rem)) > rel_tol * scale:
-        raise InterpolationError(
-            "spurious-factor deflation left a non-negligible remainder")
-    return quot
-
-
 def octic_from_joints(geom, joints):
     """Degree-<=8 characteristic polynomial in t = tan(alpha/2).
 
-    Raises InterpolationError when the assembled numerator fails its probe
-    verification or does not contain the spurious factor (degenerate
-    input needing a special branch).
+    The geometry's compiled matrix applied to the monomials of the scaled
+    sliders.  Raises InterpolationError when the numerator it implies,
+    octic * (1 + t^2)^2 P1(t)^2, fails its probe certificate against the
+    elimination chain, or when the geometry's numerator does not contain
+    that spurious factor; OverflowError when the sliders are too large for
+    floats.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
-    N, P1, Q, T = _cleared_numerator(geom, joints)
-    _certify(N, _probe_samples(geom, joints, P1, Q), 16, "characteristic numerator")
-    quot = _deflate(N, _mul(T, T))
-    quot = _deflate(quot, _mul(P1, P1), rel_tol=1e-8)
-    scale = np.max(np.abs(quot))
-    trimmed = np.array(quot)
-    k = trimmed.size
-    while k > 9 and abs(trimmed[k - 1]) <= 1e-9 * scale:
-        k -= 1
-    if k > 9:
-        raise InterpolationError(
-            f"characteristic polynomial has degree {k - 1} > 8 after deflation")
-    return Polynomial(trimmed[:k])
+    h, matrix, factor = geom.compiled_octic
+    r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
+    # Python-float powers raise OverflowError where numpy's would warn
+    powers = np.array([v**k for v in (r1_ / h, (r2_ + r3_) / h, (r3_ - r2_) / h)
+                       for k in range(_STRIDE)])
+    try:
+        with np.errstate(over="raise"):
+            f1, f2, f3 = powers[_POWER_INDEX]
+            octic = matrix @ (f1 * f2 * f3)
+    except FloatingPointError as exc:
+        raise OverflowError(f"characteristic polynomial: {exc}") from None
+    P1 = np.array([geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)])
+    Q = _add((r3_ - r2_) * P1, np.array([0.0, 4.0 * geom.C1]))
+    _certify(_mul(octic, factor), _probe_samples(geom, joints, P1, Q), 16,
+             "characteristic numerator")
+    return Polynomial(octic)
 
 
 # ---------------------------------------------------------------------------

@@ -275,18 +275,24 @@ def allowed_s1(geom, pose):
     geometry forces rho1 = z_p (zero radicand).  At alpha in {0, pi} both
     signs are admissible; otherwise the sign rule fixes s1 uniquely.
     """
+    return _sign_rule(geom, pose)[0]
+
+
+def _sign_rule(geom, pose):
+    """(allowed_s1, rho1 - z_p), the offset None where s1 is free."""
     c, s = math.cos(pose.alpha), math.sin(pose.alpha)
     if abs(s) < DEGENERATE_SIN_TOL:
-        return frozenset((-1, 1))
+        return frozenset((-1, 1)), None
     # the sign rule solved for the slider offset rho1 - z_p; it vanishes at
     # y_p = 0 or R1 cos(alpha) = r1, where the radicand does too.  Poses
     # mapped through the table chain only reach those loci to round-off, so
     # an offset within DEDUP_TOL (or NaN) pins rho1 = z_p rather than taking
-    # the square root of a radicand that is round-off noise
+    # the square root of a radicand that is round-off noise; -0.0 is the
+    # offset that leaves z_p unchanged bit for bit
     offset = pose.y_p * (geom.R1 * c - geom.r1) / (geom.R1 * s)
     if not abs(offset) > DEDUP_TOL:
-        return RHO1_PINNED
-    return frozenset((_sgn(offset),))
+        return RHO1_PINNED, -0.0
+    return frozenset((_sgn(offset),)), offset
 
 
 def _sgn(v):
@@ -303,10 +309,11 @@ def _leg_roots(geom, pose):
             _clamped_sqrt(rad3, geom.L3**2, "III"))
 
 
-def _joints(geom, pose, allowed, roots, indices):
-    # on the pinned locus the leg-I radicand vanishes identically; taking the
-    # limit value avoids sqrt amplification of orientation round-off
-    rho1 = pose.z_p if allowed is RHO1_PINNED else pose.z_p + indices.s1 * roots[0]
+def _joints(geom, pose, offset, roots, indices):
+    # off the axis the sign rule gives rho1 - z_p without a square root: the
+    # leg-I radicand is round-off next to the y_p = 0 edge of an ellipse,
+    # and there its root would put rho1 off by up to ~1e-5 mm
+    rho1 = pose.z_p + (indices.s1 * roots[0] if offset is None else offset)
     lift = geom.R2 * math.sin(pose.alpha)
     return ParallelJoints(rho1, pose.z_p - lift + indices.s2 * roots[1],
                           pose.z_p + lift + indices.s3 * roots[2])
@@ -318,18 +325,18 @@ def joints_from_pose(geom, pose, indices):
     Raises NegativeRadicandError when a leg cannot close and
     SignRuleViolation when indices.s1 contradicts the leg-I sign rule.
     """
-    allowed = allowed_s1(geom, pose)
+    allowed, offset = _sign_rule(geom, pose)
     if allowed is not RHO1_PINNED and indices.s1 not in allowed:
         raise SignRuleViolation(
             f"s1={indices.s1:+d} contradicts the leg-I sign rule at alpha={pose.alpha:.9f}")
-    return _joints(geom, pose, allowed, _leg_roots(geom, pose), indices)
+    return _joints(geom, pose, offset, _leg_roots(geom, pose), indices)
 
 
 def _branches(geom, pose):
     """Every sign branch of a solved pose that closes all four rod constraints
     (4 or 8 before the residual filter, not deduplicated).  The sign rule and
     the three leg roots are computed once for all of them."""
-    allowed = allowed_s1(geom, pose)
+    allowed, offset = _sign_rule(geom, pose)
     try:
         roots = _leg_roots(geom, pose)
     except NegativeRadicandError:
@@ -338,7 +345,7 @@ def _branches(geom, pose):
     s1_values = (-1, 1) if allowed is RHO1_PINNED else sorted(allowed)
     for s1, s2, s3 in product(s1_values, (-1, 1), (-1, 1)):
         indices = ConfigurationIndices(s1, s2, s3)
-        joints = _joints(geom, pose, allowed, roots, indices)
+        joints = _joints(geom, pose, offset, roots, indices)
         residual = solution_residual_norm(geom, pose, joints)
         if residual <= SOLUTION_REL_TOL * geom.residual_scale:
             out.append(IkSolution(joints=joints, alpha=pose.alpha, indices=indices,

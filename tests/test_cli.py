@@ -223,6 +223,35 @@ def test_numeric_overflow_exit_1(geom_file, capsys, argv):
     assert err.startswith("pkmkin: numeric overflow: ")
 
 
+@pytest.mark.parametrize("rho", [("1e200", "400", "380"), ("1e53", "-1e53", "1e53")],
+                         ids=["slider-powers", "octic-coefficients"])
+def test_numeric_overflow_is_one_stderr_line(geom_file, rho):
+    # no numpy RuntimeWarning and no traceback next to the message
+    run = subprocess.run([sys.executable, "-m", "pkmkin.cli", "fk", geom_file, "--", *rho],
+                         capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("pkmkin: numeric overflow: ")
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+
+
+def test_closed_stdout_is_a_quiet_exit(geom_file):
+    proc = subprocess.Popen([sys.executable, "-m", "pkmkin.cli", "ellipse", geom_file,
+                             "--step", "1e-6", "--points", "0", "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        rows = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert rows[0].startswith(b"record,alpha,") and all(r.endswith(b"\n") for r in rows)
+    assert code == 0
+    assert err == b""
+
+
 def test_ellipse_streams_rows(geom_file, monkeypatch):
     # the first data row is written after one iso_ellipse call, not after
     # the whole grid of 6284 alphas has been solved

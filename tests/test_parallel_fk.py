@@ -204,13 +204,15 @@ def test_octic_and_modes_match_numpy_polynomial(geom, monkeypatch):
                ParallelJoints(500.0, 400.0, 400.0))]
 
     def outputs():
+        # fresh instances, so that each run compiles its own octic matrix
+        fresh = {g: replace(g) for g, _ in cases}
         out = []
         for g, joints in cases:
             try:
-                octic = octic_from_joints(g, joints).coeffs
+                octic = octic_from_joints(fresh[g], joints).coeffs
             except InterpolationError as exc:
                 octic = repr(exc)
-            out.append((octic, enumerate_fk(g, joints)))
+            out.append((octic, enumerate_fk(fresh[g], joints)))
         return out
 
     ours = outputs()
@@ -220,6 +222,99 @@ def test_octic_and_modes_match_numpy_polynomial(geom, monkeypatch):
     assert reference == ours
     # repr tells -0.0 from 0.0
     assert repr(reference) == repr(ours)
+
+
+def exact_octic(geom, h):
+    """The deflated octic in (t, v1, v2, v3) in exact rational arithmetic,
+    straight from the elimination chain: {(k, e1, e2, e3): coefficient}."""
+    sp = pytest.importorskip("sympy")
+    K, t, v1, v2, v3 = sp.field("t,v1,v2,v3", sp.QQ)
+    R1, r1, R2, r4, L1, L2, L3, D1, d1, D2, d2, h = (
+        K(sp.Rational(value)) for value in (geom.R1, geom.r1, geom.R2, geom.r4, geom.L1, geom.L2,
+                                            geom.L3, geom.D1, geom.d1, geom.D2, geom.d2, h))
+    rho1, rho2, rho3 = h * v1, h * (v2 - v3) / 2, h * (v2 + v3) / 2
+    T = 1 + t**2
+    c, s = (1 - t**2) / T, 2 * t / T
+    C1 = r1 * R2 - r4 * R1
+    lead = R1 * c - r1
+    gap = (D1 - d1) - (D2 - d2)
+    a2 = L1**2 - (R1**2 + r1**2 - 2 * R1 * r1 * c)
+    Q = ((R1 - r1) - (R1 + r1) * t**2) * (rho3 - rho2) + 4 * C1 * t
+    z = ((lead * ((rho2 + rho3) * (rho3 - rho2) - 2 * R2 * (rho3 + rho2 - 2 * rho1) * s)
+          + 4 * C1 * rho1 * s + (L2**2 - L3**2) * lead)
+         / (2 * (2 * C1 * s + lead * (rho3 - rho2))))
+    y = R1 * s * (rho1 - z) / lead
+    w2 = R2 * c - r4
+    x = ((a2 - L2**2 + w2**2 - 2 * y * w2 - (R2 * s + rho2 - rho1) * (2 * z - rho1 - R2 * s - rho2))
+         / (2 * gap) - ((D1 - d1) + (D2 - d2)) / 2)
+    residual = (x + D1 - d1)**2 + y**2 + (z - rho1)**2 - a2
+    # the cleared numerator is residual * (2 gap P1 T^2 Q)^2; without its
+    # spurious factor T^2 P1^2 it is this, a polynomial
+    octic = residual * (2 * gap * Q)**2 * T**2
+    assert octic.denom == 1
+    return {e: float(c) for e, c in octic.numer.terms()}
+
+
+@pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])
+def test_compiled_octic_matches_exact_compile(geom, dims):
+    g = replace(geom, **dims)
+    h, matrix, _ = g.compiled_octic
+    exact = np.zeros_like(matrix)
+    column = {tuple(e): j for j, e in enumerate(parallel_fk._MONOMIALS.T.tolist())}
+    for (k, *e), value in exact_octic(g, h).items():
+        exact[k, column[tuple(e)]] = value
+    assert h == 1024.0
+    for k in range(9):
+        assert np.max(np.abs(matrix[k] - exact[k])) <= 1e-13 * np.max(np.abs(exact[k])), k
+
+
+def test_octic_compiled_once_per_geometry(geom, monkeypatch):
+    calls = []
+    compile_octic = parallel_fk.compile_octic
+
+    def counting(g):
+        calls.append(g)
+        return compile_octic(g)
+
+    monkeypatch.setattr(parallel_fk, "compile_octic", counting)
+    g = replace(geom)
+    sol = working_joints(g, -250.0, 60.0, 900.0)
+    for _ in range(3):
+        octic_from_joints(g, sol.joints)
+        enumerate_fk(g, sol.joints)
+    assert len(calls) == 1
+    other = replace(g)
+    assert other == g and hash(other) == hash(g)
+    enumerate_fk(other, sol.joints)
+    assert len(calls) == 2
+
+
+def test_octic_degree_drops_exactly_for_equal_legs_II_III(geom):
+    # with rho2 = rho3, v3 = 0 exactly, so every coefficient that is a
+    # multiple of rho3 - rho2 vanishes exactly, as in the exact polynomial
+    h = geom.compiled_octic[0]
+    exact = exact_octic(geom, h)
+    rng = np.random.default_rng(12)
+    cases = [symmetric_joints(geom, -250.0, 900.0)]
+    cases += [ParallelJoints(r1, r2, r2) for r1, r2 in rng.uniform(-200.0, 1500.0, size=(20, 2))]
+    for joints in cases:
+        v1, v2 = joints.rho1 / h, (joints.rho2 + joints.rho3) / h
+        degree = max(k for (k, e1, e2, e3), c in exact.items()
+                     if e3 == 0 and c * v1**e1 * v2**e2 != 0.0)
+        assert octic_from_joints(geom, joints).degree == degree == 6
+
+
+def test_octic_certificate_catches_a_perturbed_matrix(geom, monkeypatch):
+    g = replace(geom)
+    sol = working_joints(g, -250.0, 60.0, 900.0)
+    octic_from_joints(g, sol.joints)
+    h, matrix, factor = g.compiled_octic
+    perturbed = matrix.copy()
+    k, j = np.unravel_index(np.argmax(np.abs(matrix)), matrix.shape)
+    perturbed[k, j] *= 1.0 + 1e-6
+    monkeypatch.setitem(g.__dict__, "compiled_octic", (h, perturbed, factor))
+    with pytest.raises(InterpolationError):
+        octic_from_joints(g, sol.joints)
 
 
 # ---------------------------------------------------------------------------

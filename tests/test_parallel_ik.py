@@ -11,8 +11,9 @@ from pkmkin import (AmbiguousSelectionError, ConfigurationIndices,
                     NegativeRadicandError, PlatformPose, SignRuleViolation,
                     UnreachableOrientationError, allowed_s1, coupling_cubic,
                     enumerate_ik, iso_ellipse, joints_from_pose,
-                    orientation_candidates, select_working_solution,
-                    wrap_angle)
+                    orientation_candidates, residuals_parallel,
+                    select_working_solution, wrap_angle)
+from pkmkin import parallel_ik
 from pkmkin.parallel_ik import (RHO1_PINNED, coupling_residual,
                                 coupling_scale, constraint_residuals)
 
@@ -171,6 +172,26 @@ def test_rho1_pinned_when_leg_perpendicular(geom):
         branches = [s for s in enumerate_ik(geom, x, y, z) if abs(s.alpha - alpha) <= 1e-9]
         assert len(branches) == 4
         assert all(s.joints.rho1 == z for s in branches)
+
+
+@pytest.mark.parametrize("y_abs", [1e-7, 1e-6, 1e-5])
+def test_rho1_exact_next_to_the_y_zero_edge(geom, monkeypatch, y_abs):
+    # x just inside the edge of an ellipse: the leg-I radicand is round-off
+    # there, so rho1 must come from the sign rule, not from its square root
+    rng = np.random.default_rng(17)
+    points = []
+    for _ in range(200):
+        alpha = rng.uniform(0.1, 1.2) * rng.choice([-1.0, 1.0])
+        a = math.sqrt(geom.a_sq(math.cos(alpha)))
+        points.append((geom.center_x + 0.999999 * a * rng.choice([-1.0, 1.0]),
+                       y_abs * rng.choice([-1.0, 1.0]), rng.uniform(700.0, 1100.0)))
+    kept = [enumerate_ik(geom, *p) for p in points]
+    worst = max(residuals_parallel(geom, PlatformPose(*p, sol.alpha), sol.joints).max_abs
+                for p, sols in zip(points, kept) for sol in sols)
+    assert worst <= 1e-9 * geom.residual_scale
+    # no branch was dropped by the residual filter
+    monkeypatch.setattr(parallel_ik, "SOLUTION_REL_TOL", math.inf)
+    assert [enumerate_ik(geom, *p) for p in points] == kept
 
 
 def test_joints_residuals_random(geom):
