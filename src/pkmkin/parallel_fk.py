@@ -12,13 +12,13 @@ N has degree <= 16 and always contains the spurious factor
 (1 + t^2)^2 * P1(t)^2, where P1(t) is the half-angle form of
 R1 cos(alpha) - r1; deflating it leaves the degree-8 polynomial whose real
 roots enumerate the assembly modes.  Its coefficients are polynomials of
-degree <= 6 in the sliders, so the assembly and the deflation run once per
-geometry, on polynomial-valued sliders, and each slider triple then costs
-one matrix-vector product plus a probe certificate.  Each root's platform position is then
-recovered by intersecting the three constraint spheres directly (division
-free, so exact even next to the degenerate orientations), with the axis
-orientations the half-angle map cannot represent injected as extra
-candidates.  The elimination-chain formulas themselves are exposed as
+degree <= 6 in the slider differences, so the assembly and the deflation
+run once per geometry, on polynomial-valued differences, and each slider
+triple then costs one matrix-vector product plus a probe certificate.  Each
+root's platform position is then recovered by intersecting the three
+constraint spheres directly (division free, so exact even next to the
+degenerate orientations), with the axis orientations the half-angle map
+cannot represent injected as extra candidates.  The elimination-chain formulas themselves are exposed as
 yp_from / zp_from / xp_from.
 """
 
@@ -127,22 +127,24 @@ def pose_from_alpha(geom, alpha, joints):
 # ---------------------------------------------------------------------------
 # characteristic polynomial, compiled once per geometry in t = tan(alpha/2)
 #
-# Each coefficient of the octic is a polynomial of degree <= 6 in the scaled
-# slider variables v = (rho1, rho2 + rho3, rho3 - rho2) / h, so one (9, 84)
-# matrix over the monomials of degree <= 6 maps v to the octic.  The matrix
-# is compiled by running the exact assembly once on polynomial-valued
-# sliders.  A polynomial in (t, v1, v2, v3) is a 1-D array under Kronecker
-# substitution, index k*7^3 + e1*7^2 + e2*7 + e3: no v-degree exceeds 6, so
-# no product carries and the coefficient kernel works on it unchanged.
+# A common offset of the three sliders moves the platform along z and leaves
+# the octic unchanged, so each of its coefficients is a polynomial of degree
+# <= 6 in the slider differences alone, scaled as
+# v = (rho1 - (rho2 + rho3) / 2, rho3 - rho2) / h.  One (9, 28) matrix over
+# the monomials of degree <= 6 in v then maps a slider triple to its octic.
+# The matrix is compiled by running the exact assembly once, at the triple
+# (h v1, -h v2 / 2, h v2 / 2), on polynomial-valued v.  A polynomial in
+# (t, v1, v2) is a 1-D array under Kronecker substitution, index
+# k*7^2 + e1*7 + e2: no v-degree exceeds 6, so no product carries and the
+# coefficient kernel works on it unchanged.
 
 _STRIDE = 7                 # one slider variable: powers 0..6
-_BLOCK = _STRIDE**3         # one power of t
-_MONOMIALS = np.array([(e1, e2, e3) for e1 in range(_STRIDE) for e2 in range(_STRIDE - e1)
-                       for e3 in range(_STRIDE - e1 - e2)]).T
-# where each monomial's three factors sit in the flat table of powers
-# (v1^0..v1^6, v2^0..v2^6, v3^0..v3^6), and its column in a Kronecker block
-_POWER_INDEX = _MONOMIALS + np.arange(0, 3 * _STRIDE, _STRIDE)[:, None]
-_COLUMNS = (_STRIDE**2, _STRIDE, 1) @ _MONOMIALS
+_BLOCK = _STRIDE**2         # one power of t
+_MONOMIALS = np.array([(e1, e2) for e1 in range(_STRIDE) for e2 in range(_STRIDE - e1)]).T
+# where each monomial's two factors sit in the flat table of powers
+# (v1^0..v1^6, v2^0..v2^6), and its column in a Kronecker block
+_POWER_INDEX = _MONOMIALS + np.array([[0], [_STRIDE]])
+_COLUMNS = (_STRIDE, 1) @ _MONOMIALS
 
 
 def _in_t(coeffs):
@@ -157,14 +159,15 @@ def _cleared_numerator(geom, h):
 
     N = residual(x_p(t), y_p(t), z_p(t)) * (2 gap P1 T^2 Q)^2 with
     T = 1 + t^2, P1 the half-angle form of R1 cos(alpha) - r1 and Q that of
-    the z_p denominator.  Degree <= 16 in t and <= 6 in v.
+    the z_p denominator, at rho2 + rho3 = 0.  Degree <= 16 in t and <= 6
+    in v.
     """
     R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
     gap = geom.offset_gap
     span = (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
-    # rho1 = h v1, rho2 + rho3 = h v2 and rho3 - rho2 = h v3
-    p1_, s23, d32 = h * np.eye(_STRIDE**2 + 1)[[_STRIDE**2, _STRIDE, 1]]
-    p2_ = _add(0.5 * s23, -0.5 * d32)
+    # rho1 = h v1, rho3 - rho2 = h v2 and rho2 + rho3 = 0
+    p1_, d32 = h * np.eye(_STRIDE + 1)[[_STRIDE, 1]]
+    p2_ = -0.5 * d32
     t = _in_t([0.0, 1.0])
     T = _in_t([1.0, 0.0, 1.0])
     P1 = _in_t([R1 - r1, 0.0, -(R1 + r1)])
@@ -174,10 +177,7 @@ def _cleared_numerator(geom, h):
     Na = _in_t([K + 2.0 * R1 * r1, 0.0, K - 2.0 * R1 * r1])
 
     TP1 = _mul(T, P1)
-    Nz = _add(_mul(8.0 * R1 * _mul(p1_, t), W),
-              _mul(_mul(_mul(d32, s23), T), P1),
-              _mul(-4.0 * R2 * _mul(s23, t), P1),
-              (geom.L2**2 - geom.L3**2) * TP1)
+    Nz = _add(_mul(8.0 * R1 * _mul(p1_, t), W), (geom.L2**2 - geom.L3**2) * TP1)
     TQ = _mul(T, Q)
     M = _add(2.0 * _mul(p1_, TQ), -Nz)
     U = _add(_mul(_add(p2_, -p1_), T), 2.0 * R2 * t)
@@ -218,28 +218,23 @@ def _deflate(columns, factor, rel_tol):
 
 
 def compile_octic(geom):
-    """(h, (9, 84) matrix, deflation factor) of the geometry's octic.
+    """(h, (9, 28) matrix, deflation factor) of the geometry's octic.
 
     Row k of the matrix holds the coefficients of t^k over the monomials
-    v1^e1 v2^e2 v3^e3 of degree <= 6, in the column order of _MONOMIALS.  The
+    v1^e1 v2^e2 of degree <= 6, in the column order of _MONOMIALS.  The
     cleared numerator is deflated by the geometry-only spurious factor
     (1 + t^2)^2 P1(t)^2, which is returned for the per-call certificate.
     Raises InterpolationError when that factor does not divide out.
-    Computed once per geometry instance, as MachineGeometry.compiled_octic.
+    Computed once per geometry instance, as MachineGeometry.compiled_octic;
+    the geometry must have distinct offsets (octic_from_joints checks).
     """
-    _require_distinct_offsets(geom)
     # the largest power of two within the slider half-stroke (1024 on the
-    # synthetic geometry): v = rho / h is then exact, and rho2 = rho3 gives
-    # v3 = 0 exactly; frexp never raises, whatever the limits
+    # synthetic geometry): scaling by h is then exact, and rho2 = rho3 gives
+    # v2 = 0 exactly; frexp never raises, whatever the limits
     h = math.ldexp(1.0, math.frexp(0.5 * (geom.rho_max - geom.rho_min))[1] - 1)
     N = _cleared_numerator(geom, h)
-    degree = (N.size - 1) // _BLOCK
-    if degree > 16:
-        raise InterpolationError(
-            f"characteristic polynomial has degree {degree - 8} > 8 after deflation")
-    blocks = np.zeros(17 * _BLOCK)
-    blocks[:N.size] = N
-    columns = blocks.reshape(17, _BLOCK)[:, _COLUMNS].T
+    # one row per power of t (at most 16), one column per monomial
+    columns = np.pad(N, (0, -N.size % _BLOCK)).reshape(-1, _BLOCK)[:, _COLUMNS].T
     T2 = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
     P1 = np.array([geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)])
     P1P1 = _mul(P1, P1)
@@ -275,7 +270,7 @@ def octic_from_joints(geom, joints):
     """Degree-<=8 characteristic polynomial in t = tan(alpha/2).
 
     The geometry's compiled matrix applied to the monomials of the scaled
-    sliders.  Raises InterpolationError when the numerator it implies,
+    slider differences.  Raises InterpolationError when the numerator it implies,
     octic * (1 + t^2)^2 P1(t)^2, fails its probe certificate against the
     elimination chain, or when the geometry's numerator does not contain
     that spurious factor; OverflowError when the sliders are too large for
@@ -285,13 +280,15 @@ def octic_from_joints(geom, joints):
     joints = _as_joints(joints)
     h, matrix, factor = geom.compiled_octic
     r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
+    v = ((r1_ - 0.5 * (r2_ + r3_)) / h, (r3_ - r2_) / h)
+    if not all(map(math.isfinite, v)):
+        raise OverflowError("characteristic polynomial: sliders out of float range")
     # Python-float powers raise OverflowError where numpy's would warn
-    powers = np.array([v**k for v in (r1_ / h, (r2_ + r3_) / h, (r3_ - r2_) / h)
-                       for k in range(_STRIDE)])
+    powers = np.array([vi**k for vi in v for k in range(_STRIDE)])
     try:
         with np.errstate(over="raise"):
-            f1, f2, f3 = powers[_POWER_INDEX]
-            octic = matrix @ (f1 * f2 * f3)
+            f1, f2 = powers[_POWER_INDEX]
+            octic = matrix @ (f1 * f2)
     except FloatingPointError as exc:
         raise OverflowError(f"characteristic polynomial: {exc}") from None
     P1 = np.array([geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)])

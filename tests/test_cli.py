@@ -223,8 +223,9 @@ def test_numeric_overflow_exit_1(geom_file, capsys, argv):
     assert err.startswith("pkmkin: numeric overflow: ")
 
 
-@pytest.mark.parametrize("rho", [("1e200", "400", "380"), ("1e53", "-1e53", "1e53")],
-                         ids=["slider-powers", "octic-coefficients"])
+@pytest.mark.parametrize("rho", [("1e200", "400", "380"), ("1e53", "-1e53", "1e53"),
+                                 ("1e308", "1e308", "1e308")],
+                         ids=["slider-powers", "octic-coefficients", "slider-sum"])
 def test_numeric_overflow_is_one_stderr_line(geom_file, rho):
     # no numpy RuntimeWarning and no traceback next to the message
     run = subprocess.run([sys.executable, "-m", "pkmkin.cli", "fk", geom_file, "--", *rho],

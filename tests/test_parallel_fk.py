@@ -225,34 +225,37 @@ def test_octic_and_modes_match_numpy_polynomial(geom, monkeypatch):
 
 
 def exact_octic(geom, h):
-    """The deflated octic in (t, v1, v2, v3) in exact rational arithmetic,
-    straight from the elimination chain: {(k, e1, e2, e3): coefficient}."""
+    """The deflated octic in (t, v1, v2) in exact rational arithmetic,
+    straight from the elimination chain: {(k, e1, e2): coefficient}."""
     sp = pytest.importorskip("sympy")
-    K, t, v1, v2, v3 = sp.field("t,v1,v2,v3", sp.QQ)
+    K, t, v1, v2, c = sp.field("t,v1,v2,c", sp.QQ)
     R1, r1, R2, r4, L1, L2, L3, D1, d1, D2, d2, h = (
         K(sp.Rational(value)) for value in (geom.R1, geom.r1, geom.R2, geom.r4, geom.L1, geom.L2,
                                             geom.L3, geom.D1, geom.d1, geom.D2, geom.d2, h))
-    rho1, rho2, rho3 = h * v1, h * (v2 - v3) / 2, h * (v2 + v3) / 2
+    # c is a common slider offset, which the octic must not depend on
+    rho1, rho2, rho3 = h * (v1 + c), h * (c - v2 / 2), h * (c + v2 / 2)
     T = 1 + t**2
-    c, s = (1 - t**2) / T, 2 * t / T
+    cos, sin = (1 - t**2) / T, 2 * t / T
     C1 = r1 * R2 - r4 * R1
-    lead = R1 * c - r1
+    lead = R1 * cos - r1
     gap = (D1 - d1) - (D2 - d2)
-    a2 = L1**2 - (R1**2 + r1**2 - 2 * R1 * r1 * c)
+    a2 = L1**2 - (R1**2 + r1**2 - 2 * R1 * r1 * cos)
     Q = ((R1 - r1) - (R1 + r1) * t**2) * (rho3 - rho2) + 4 * C1 * t
-    z = ((lead * ((rho2 + rho3) * (rho3 - rho2) - 2 * R2 * (rho3 + rho2 - 2 * rho1) * s)
-          + 4 * C1 * rho1 * s + (L2**2 - L3**2) * lead)
-         / (2 * (2 * C1 * s + lead * (rho3 - rho2))))
-    y = R1 * s * (rho1 - z) / lead
-    w2 = R2 * c - r4
-    x = ((a2 - L2**2 + w2**2 - 2 * y * w2 - (R2 * s + rho2 - rho1) * (2 * z - rho1 - R2 * s - rho2))
+    z = ((lead * ((rho2 + rho3) * (rho3 - rho2) - 2 * R2 * (rho3 + rho2 - 2 * rho1) * sin)
+          + 4 * C1 * rho1 * sin + (L2**2 - L3**2) * lead)
+         / (2 * (2 * C1 * sin + lead * (rho3 - rho2))))
+    y = R1 * sin * (rho1 - z) / lead
+    w2 = R2 * cos - r4
+    x = ((a2 - L2**2 + w2**2 - 2 * y * w2 - (R2 * sin + rho2 - rho1) * (2 * z - rho1 - R2 * sin - rho2))
          / (2 * gap) - ((D1 - d1) + (D2 - d2)) / 2)
     residual = (x + D1 - d1)**2 + y**2 + (z - rho1)**2 - a2
     # the cleared numerator is residual * (2 gap P1 T^2 Q)^2; without its
     # spurious factor T^2 P1^2 it is this, a polynomial
     octic = residual * (2 * gap * Q)**2 * T**2
     assert octic.denom == 1
-    return {e: float(c) for e, c in octic.numer.terms()}
+    terms = octic.numer.terms()
+    assert all(e[3] == 0 for e, _ in terms)
+    return {e[:3]: float(coeff) for e, coeff in terms}
 
 
 @pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])
@@ -263,7 +266,7 @@ def test_compiled_octic_matches_exact_compile(geom, dims):
     column = {tuple(e): j for j, e in enumerate(parallel_fk._MONOMIALS.T.tolist())}
     for (k, *e), value in exact_octic(g, h).items():
         exact[k, column[tuple(e)]] = value
-    assert h == 1024.0
+    assert h == 1024.0 and matrix.shape == (9, 28)
     for k in range(9):
         assert np.max(np.abs(matrix[k] - exact[k])) <= 1e-13 * np.max(np.abs(exact[k])), k
 
@@ -290,7 +293,7 @@ def test_octic_compiled_once_per_geometry(geom, monkeypatch):
 
 
 def test_octic_degree_drops_exactly_for_equal_legs_II_III(geom):
-    # with rho2 = rho3, v3 = 0 exactly, so every coefficient that is a
+    # with rho2 = rho3, v2 = 0 exactly, so every coefficient that is a
     # multiple of rho3 - rho2 vanishes exactly, as in the exact polynomial
     h = geom.compiled_octic[0]
     exact = exact_octic(geom, h)
@@ -298,10 +301,28 @@ def test_octic_degree_drops_exactly_for_equal_legs_II_III(geom):
     cases = [symmetric_joints(geom, -250.0, 900.0)]
     cases += [ParallelJoints(r1, r2, r2) for r1, r2 in rng.uniform(-200.0, 1500.0, size=(20, 2))]
     for joints in cases:
-        v1, v2 = joints.rho1 / h, (joints.rho2 + joints.rho3) / h
-        degree = max(k for (k, e1, e2, e3), c in exact.items()
-                     if e3 == 0 and c * v1**e1 * v2**e2 != 0.0)
+        v1 = (joints.rho1 - joints.rho2) / h
+        degree = max(k for (k, e1, e2), c in exact.items() if e2 == 0 and c * v1**e1 != 0.0)
         assert octic_from_joints(geom, joints).degree == degree == 6
+
+
+@pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])
+def test_octic_certified_for_any_common_slider_offset(geom, dims):
+    # the compiled octic depends on the slider differences only, so a common
+    # offset costs no accuracy: with |rho1 - rho2|, |rho3 - rho2| up to 32 h
+    # and any common offset up to 1e6 mm, every triple passes the probe
+    # certificate; sliders on a 2^-20 mm grid shift exactly, and then give
+    # the same octic bit for bit
+    g = replace(geom, **dims)
+    h = g.compiled_octic[0]
+    rng = np.random.default_rng(31)
+    for i in range(300):
+        rho = np.round(rng.uniform(-16.0 * h, 16.0 * h, 3) * 2.0**20) / 2.0**20
+        if i % 4 == 3:
+            rho[2] = rho[1]
+        offset = float(rng.integers(-10**6, 10**6))
+        here = octic_from_joints(g, ParallelJoints(*map(float, rho)))
+        assert octic_from_joints(g, ParallelJoints(*map(float, rho + offset))) == here
 
 
 def test_octic_certificate_catches_a_perturbed_matrix(geom, monkeypatch):
