@@ -19,10 +19,10 @@ from operator import attrgetter
 import numpy as np
 
 from .parallel_fk import enumerate_fk
-from .parallel_ik import (COUPLING_REL_TOL, DEDUP_TOL, ConfigurationIndices,
-                          ParallelJoints, PlatformPose, _branches, _dedup,
+from .parallel_ik import (DEDUP_TOL, ConfigurationIndices, ParallelJoints,
+                          PlatformPose, _branches, _coupling_holds, _dedup,
                           _on_working_branch, _unique, coupling_residual,
-                          coupling_scale, wrap_angle)
+                          wrap_angle)
 from .rootfind import CLUSTER_REL_TOL, Polynomial, _add, _certify, _mul, real_roots
 
 
@@ -205,8 +205,7 @@ def tilt_candidates(geom, tool):
         if not geom.theta1_min <= theta1 <= geom.theta1_max:
             continue
         x_p, y_p, _, alpha = _platform_coordinates(geom, tool, theta1)
-        if (abs(coupling_residual(geom, x_p, y_p, alpha))
-                <= COUPLING_REL_TOL * coupling_scale(geom, x_p, y_p, alpha)):
+        if _coupling_holds(geom, x_p, y_p, alpha):
             out.append(theta1)
     return out
 

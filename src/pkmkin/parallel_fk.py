@@ -429,15 +429,17 @@ def enumerate_fk(geom, joints):
     sphere intersection; the axis orientations the half-angle substitution
     cannot reach are tried the same way; every candidate is Newton-polished
     and kept only if all four constraints hold to 1e-7 * max(L^2).  Empty
-    when the sliders admit no assembly.
+    when the sliders admit no assembly; InterpolationError when the octic
+    fails its probe certificate.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
-    try:
+    # C1 = 0 with rho2 = rho3 voids the elimination (Q = 0): axis modes only
+    if geom.C1 == 0.0 and joints.rho2 == joints.rho3:
+        roots = []
+    else:
         octic = octic_from_joints(geom, joints)
         roots = real_roots(octic) if octic.degree >= 1 else []
-    except InterpolationError:
-        roots = []
     # alpha = pi is invisible to t = tan(alpha/2); alpha = 0 drops out of
     # the characteristic polynomial when rho2 = rho3 (its equation becomes
     # the vanishing denominator there)

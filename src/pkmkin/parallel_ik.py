@@ -132,19 +132,20 @@ def constraint_residuals(geom, x_p, y_p, z_p, alpha, rho1, rho2, rho3):
     )
 
 
-def solution_residual_norm(geom, pose, joints):
-    return max(abs(r) for r in constraint_residuals(
-        geom, pose.x_p, pose.y_p, pose.z_p, pose.alpha,
-        joints.rho1, joints.rho2, joints.rho3))
+def _coupling_terms(geom, x_p, y_p, alpha):
+    """The three terms the coupling relation sums, in its order:
+    R1^2 s^2 X1^2 + leg1_span_sq(c) y_p^2 - R1^2 s^2 a_sq(c)."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    X1 = x_p + geom.D1 - geom.d1
+    return (geom.R1**2 * s**2 * X1**2,
+            geom.leg1_span_sq(c) * y_p**2,
+            geom.R1**2 * s**2 * geom.a_sq(c))
 
 
 def coupling_residual(geom, x_p, y_p, alpha):
     """Residual of the position/orientation coupling relation."""
-    c, s = math.cos(alpha), math.sin(alpha)
-    X1 = x_p + geom.D1 - geom.d1
-    return (geom.R1**2 * s**2 * X1**2
-            + geom.leg1_span_sq(c) * y_p**2
-            - geom.R1**2 * s**2 * geom.a_sq(c))
+    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, alpha)
+    return t1 + t2 - t3
 
 
 def coupling_scale(geom, x_p, y_p, alpha):
@@ -155,12 +156,14 @@ def coupling_scale(geom, x_p, y_p, alpha):
     boundary-clamped cosine roots from just outside [-1, 1] cannot sneak in
     as candidates on the strength of an unrelated global scale.
     """
-    c, s = math.cos(alpha), math.sin(alpha)
-    X1 = x_p + geom.D1 - geom.d1
-    return max(1.0,
-               geom.R1**2 * s**2 * X1**2,
-               abs(geom.leg1_span_sq(c)) * y_p**2,
-               geom.R1**2 * s**2 * abs(geom.a_sq(c)))
+    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, alpha)
+    return max(1.0, t1, abs(t2), abs(t3))
+
+
+def _coupling_holds(geom, x_p, y_p, alpha):
+    """The coupling test of every orientation candidate, from one evaluation."""
+    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, alpha)
+    return abs(t1 + t2 - t3) <= COUPLING_REL_TOL * max(1.0, t1, abs(t2), abs(t3))
 
 
 def coupling_cubic(geom, x_p, y_p):
@@ -217,8 +220,7 @@ def orientation_candidates(geom, x_p, y_p):
         for alpha in {wrap_angle(base), wrap_angle(-base)}:
             if not snapped:
                 alpha = wrap_angle(_polish_alpha(geom, x_p, y_p, alpha))
-            res = coupling_residual(geom, x_p, y_p, alpha)
-            if abs(res) <= COUPLING_REL_TOL * coupling_scale(geom, x_p, y_p, alpha):
+            if _coupling_holds(geom, x_p, y_p, alpha):
                 out.append(alpha)
     out.sort()
     merged = []
@@ -309,14 +311,13 @@ def _leg_roots(geom, pose):
             _clamped_sqrt(rad3, geom.L3**2, "III"))
 
 
-def _joints(geom, pose, offset, roots, indices):
+def _sliders(geom, pose, offset, roots, s1, s2, s3):
     # off the axis the sign rule gives rho1 - z_p without a square root: the
     # leg-I radicand is round-off next to the y_p = 0 edge of an ellipse,
     # and there its root would put rho1 off by up to ~1e-5 mm
-    rho1 = pose.z_p + (indices.s1 * roots[0] if offset is None else offset)
+    rho1 = pose.z_p + (s1 * roots[0] if offset is None else offset)
     lift = geom.R2 * math.sin(pose.alpha)
-    return ParallelJoints(rho1, pose.z_p - lift + indices.s2 * roots[1],
-                          pose.z_p + lift + indices.s3 * roots[2])
+    return rho1, pose.z_p - lift + s2 * roots[1], pose.z_p + lift + s3 * roots[2]
 
 
 def joints_from_pose(geom, pose, indices):
@@ -329,28 +330,42 @@ def joints_from_pose(geom, pose, indices):
     if allowed is not RHO1_PINNED and indices.s1 not in allowed:
         raise SignRuleViolation(
             f"s1={indices.s1:+d} contradicts the leg-I sign rule at alpha={pose.alpha:.9f}")
-    return _joints(geom, pose, offset, _leg_roots(geom, pose), indices)
+    return ParallelJoints(*_sliders(geom, pose, offset, _leg_roots(geom, pose),
+                                   *indices.as_tuple()))
+
+
+# the eight sign branches, built once (ConfigurationIndices is frozen)
+_INDICES = {signs: ConfigurationIndices(*signs) for signs in product((-1, 1), repeat=3)}
 
 
 def _branches(geom, pose):
     """Every sign branch of a solved pose that closes all four rod constraints
-    (4 or 8 before the residual filter, not deduplicated).  The sign rule and
-    the three leg roots are computed once for all of them."""
+    (4 or 8 before the residual filter, not deduplicated).  Each constraint
+    involves one slider, so they are evaluated with every slider on sign -1,
+    then +1, and a branch's residual is the worst of its three legs'."""
     allowed, offset = _sign_rule(geom, pose)
     try:
         roots = _leg_roots(geom, pose)
     except NegativeRadicandError:
         return []
+    legs = {}
+    for sign in (-1, 1):
+        rho = _sliders(geom, pose, offset, roots, sign, sign, sign)
+        r1a, r1b, r2, r3 = constraint_residuals(geom, pose.x_p, pose.y_p, pose.z_p,
+                                                pose.alpha, *rho)
+        # per leg: (rho, |residual|, within limits), leg I the worse of two
+        legs[sign] = [(v, e, geom.rho_min <= v <= geom.rho_max)
+                      for v, e in zip(rho, (max(abs(r1a), abs(r1b)), abs(r2), abs(r3)))]
     out = []
+    tol = SOLUTION_REL_TOL * geom.residual_scale
     s1_values = (-1, 1) if allowed is RHO1_PINNED else sorted(allowed)
     for s1, s2, s3 in product(s1_values, (-1, 1), (-1, 1)):
-        indices = ConfigurationIndices(s1, s2, s3)
-        joints = _joints(geom, pose, offset, roots, indices)
-        residual = solution_residual_norm(geom, pose, joints)
-        if residual <= SOLUTION_REL_TOL * geom.residual_scale:
-            out.append(IkSolution(joints=joints, alpha=pose.alpha, indices=indices,
-                                  residual_norm=residual,
-                                  within_limits=geom.rho_within_limits(joints.as_tuple())))
+        (rho1, e1, ok1), (rho2, e2, ok2), (rho3, e3, ok3) = legs[s1][0], legs[s2][1], legs[s3][2]
+        residual = max(e1, e2, e3)
+        if residual <= tol:
+            out.append(IkSolution(joints=ParallelJoints(rho1, rho2, rho3), alpha=pose.alpha,
+                                  indices=_INDICES[s1, s2, s3], residual_norm=residual,
+                                  within_limits=ok1 and ok2 and ok3))
     return out
 
 

@@ -29,12 +29,13 @@ def _trim(coeffs):
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(c)):
+    c = c.tolist()
+    if not all(map(math.isfinite, c)):
         raise ValueError("non-finite coefficient")
-    scale = np.max(np.abs(c))
+    scale = max(map(abs, c))
     if scale == 0.0:
         return c[:1]
-    k = c.size
+    k = len(c)
     while k > 1 and abs(c[k - 1]) <= TRIM_REL_TOL * scale:
         k -= 1
     return c[:k]
@@ -123,9 +124,9 @@ class Polynomial:
 
     def __init__(self, coeffs):
         c = _trim(coeffs)
-        if c.size - 1 > MAX_DEGREE:
-            raise ValueError(f"degree {c.size - 1} exceeds {MAX_DEGREE}")
-        object.__setattr__(self, "coeffs", tuple(float(v) for v in c))
+        if len(c) - 1 > MAX_DEGREE:
+            raise ValueError(f"degree {len(c) - 1} exceeds {MAX_DEGREE}")
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @property
     def degree(self):
@@ -141,12 +142,6 @@ class Polynomial:
         return acc
 
 
-def residual_bound(p, root, tol):
-    """Acceptance bound: tol * max|coeff| * max(1, |root|)^degree."""
-    cmax = max(abs(c) for c in p.coeffs)
-    return tol * cmax * max(1.0, abs(root)) ** p.degree
-
-
 def real_roots(p, tol=DEFAULT_TOL):
     """All real roots of p (multiplicity collapsed), sorted ascending.
 
@@ -156,17 +151,16 @@ def real_roots(p, tol=DEFAULT_TOL):
         p = Polynomial(p)
     if p.degree < 1:
         raise ValueError("degree-0 polynomial has no well-defined roots")
-    if p.degree == 1:
+    n = p.degree
+    if n == 1:
         candidates = [-p.coeffs[0] / p.coeffs[1]]
     else:
-        monic = np.asarray(p.coeffs, dtype=float) / p.coeffs[-1]
-        n = p.degree
-        comp = np.zeros((n, n))
-        comp[1:, :-1] = np.eye(n - 1)
-        comp[:, -1] = -monic[:-1]
-        eig = np.linalg.eigvals(comp)
-        candidates = [float(z.real) for z in eig
+        comp = np.eye(n, k=-1)
+        comp[:, -1] = [-(c / p.coeffs[-1]) for c in p.coeffs[:-1]]
+        candidates = [z.real for z in np.linalg.eigvals(comp).tolist()
                       if abs(z.imag) <= IMAG_REL_TOL * (1.0 + abs(z.real))]
+    # acceptance bound: tol * max|coeff| * max(1, |root|)^degree
+    bound = tol * max(abs(c) for c in p.coeffs)
     accepted = []
     for r in candidates:
         # Newton polish; guard against derivative blow-up near multiple roots
@@ -178,7 +172,7 @@ def real_roots(p, tol=DEFAULT_TOL):
             if not math.isfinite(step) or abs(step) > 1.0 + abs(r):
                 break
             r -= step
-        if abs(p(r)) <= residual_bound(p, r, tol):
+        if abs(p(r)) <= bound * max(1.0, abs(r)) ** n:
             accepted.append(r)
     accepted.sort()
     merged = []
@@ -189,7 +183,7 @@ def real_roots(p, tol=DEFAULT_TOL):
                 continue
             mid = 0.5 * (r + merged[-1])
             if (gap <= CLUSTER_REL_TOL * (1.0 + abs(r))
-                    and abs(p(mid)) <= residual_bound(p, mid, tol)):
+                    and abs(p(mid)) <= bound * max(1.0, abs(mid)) ** n):
                 continue
         merged.append(r)
     return merged

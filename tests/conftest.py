@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from pkmkin import DEFAULT_SYNTHETIC, SIXTEEN_BRANCH_REGION, wrap_angle
+from pkmkin import DEFAULT_SYNTHETIC, SIXTEEN_BRANCH_REGION, iso_ellipse, wrap_angle
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +50,22 @@ def region_points(rng, n, region=SIXTEEN_BRANCH_REGION):
         y = rng.uniform(y0, y1) * (1.0 if rng.uniform() < 0.5 else -1.0)
         z = rng.uniform(z0, z1)
         pts.append((x, y, z))
+    return pts
+
+
+def locus_points(geom, rng):
+    """Points (x, y, z) on the loci the IK branch construction special-cases:
+    region points; the y = 0 axis, where alpha in {0, pi} carries 8 branches
+    (both signs of s1); and points round iso-ellipses, among them the
+    perpendicular-leg one (R1 cos alpha = r1, rho1 pinned to z) and the
+    y = 0 edges (phi = 0, pi), where the leg-I radicand grazes zero."""
+    pts = region_points(rng, 20)
+    pts += [(geom.center_x + dx, 0.0, z) for dx in (-200.0, 0.0, 150.0, 400.0)
+            for z in (800.0, 1000.0)]
+    for alpha in (0.3, -0.9, 1.2, 2.6, math.acos(geom.r1 / geom.R1)):
+        ell = iso_ellipse(geom, alpha)
+        pts += [(*ell.point(phi), rng.uniform(700.0, 1100.0))
+                for phi in (0.0, math.pi, 0.4, 1.9, 3.5, 5.1)]
     return pts
 
 

@@ -15,7 +15,7 @@ from pkmkin.machine import _platform_coordinates
 from pkmkin.parallel_ik import constraint_residuals, coupling_residual
 from pkmkin.rootfind import real_roots
 
-from conftest import angle_delta, region_points, use_numpy_polynomial
+from conftest import angle_delta, locus_points, region_points, use_numpy_polynomial
 
 
 def working_pose(geom, rng):
@@ -266,6 +266,27 @@ def test_tool_ik_branch_is_parallel_branch_bitwise(geom, phi1):
             assert m.alpha == pose.alpha
             branches += 1
     assert branches >= 30
+
+
+def test_tool_ik_branch_residuals_per_leg_are_exact(geom):
+    # machine branches come from the per-leg branch builder: each residual
+    # is the four-constraint max of the branch's own joints, bit for bit,
+    # at the platform pose its tilt implies, on the special-cased IK loci
+    rng = np.random.default_rng(43)
+    branches = 0
+    for x, y, z in locus_points(geom, rng):
+        for alpha in orientation_candidates(geom, x, y):
+            tool = tool_pose_from_platform(geom, PlatformPose(x, y, z, alpha),
+                                           rng.uniform(-1.2, 1.2), rng.uniform(-math.pi, math.pi))
+            for m in tool_ik(geom, tool):
+                mj = m.machine_joints
+                px, py, pz, _ = _platform_coordinates(geom, tool, mj.theta1)
+                res = constraint_residuals(geom, px, py, pz, m.alpha, *mj.joints.as_tuple())
+                assert m.residual_norm == max(abs(r) for r in res)
+                assert m.within_limits == (geom.rho_within_limits(mj.joints.as_tuple())
+                                           and geom.theta2_min <= mj.theta2 <= geom.theta2_max)
+                branches += 1
+    assert branches >= 1000
 
 
 def test_tool_ik_degenerate_loci_match_parallel_module(geom):

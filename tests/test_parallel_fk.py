@@ -8,8 +8,10 @@ from pkmkin import (CoincidentOffsetError, DegenerateDenominatorError,
                     DegenerateOrientationError, InterpolationError,
                     ParallelJoints, enumerate_fk, enumerate_ik, newton_fk,
                     octic_from_joints, select_assembly_mode,
-                    select_working_solution, xp_from, yp_from, zp_from)
+                    select_working_solution, serialize_geometry, xp_from,
+                    yp_from, zp_from)
 from pkmkin import parallel_fk
+from pkmkin.cli import main
 from pkmkin.parallel_fk import AssemblyMode
 from pkmkin.parallel_ik import ConfigurationIndices, PlatformPose
 
@@ -336,6 +338,40 @@ def test_octic_certificate_catches_a_perturbed_matrix(geom, monkeypatch):
     monkeypatch.setitem(g.__dict__, "compiled_octic", (h, perturbed, factor))
     with pytest.raises(InterpolationError):
         octic_from_joints(g, sol.joints)
+
+
+def test_fk_surfaces_a_failed_certificate(geom, monkeypatch, tmp_path, capsys):
+    # an octic that lost its accuracy is an error, not "no assembly"
+    compile_octic = parallel_fk.compile_octic
+
+    def perturbed(g):
+        h, matrix, factor = compile_octic(g)
+        matrix = matrix.copy()
+        matrix[np.unravel_index(np.argmax(np.abs(matrix)), matrix.shape)] *= 1.0 + 1e-6
+        return h, matrix, factor
+
+    monkeypatch.setattr(parallel_fk, "compile_octic", perturbed)
+    joints = working_joints(geom, -250.0, 60.0, 900.0).joints
+    # a fresh instance compiles the perturbed matrix, as the CLI's does
+    with pytest.raises(InterpolationError):
+        enumerate_fk(replace(geom), joints)
+    path = tmp_path / "machine.cfg"
+    path.write_text(serialize_geometry(geom))
+    assert main(["fk", str(path), "--", *map(repr, joints.as_tuple())]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("pkmkin: ")
+
+
+def test_fk_degenerate_global_input_keeps_axis_modes(geom):
+    # C1 = 0 with rho2 = rho3 has no octic; the axis orientations remain
+    degenerate = replace(geom, R1=240.0, R2=240.0, r1=120.0, r4=120.0)
+    joints = ParallelJoints(500.0, 400.0, 400.0)
+    modes = enumerate_fk(degenerate, joints)
+    assert sorted(m.pose.alpha for m in modes) == [0.0, 0.0, math.pi, math.pi]
+    for m in modes:
+        assert max(map(abs, raw_residuals(degenerate, m.pose.x_p, m.pose.y_p, m.pose.z_p,
+                                          m.pose.alpha, *joints.as_tuple()))) \
+            <= 1e-7 * degenerate.residual_scale
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pkmkin import parallel_ik
 from pkmkin.parallel_ik import (RHO1_PINNED, coupling_residual,
                                 coupling_scale, constraint_residuals)
 
-from conftest import brute_force_ik, raw_residuals, region_points
+from conftest import brute_force_ik, locus_points, raw_residuals, region_points
 
 RNG = np.random.default_rng(20240811)
 POINT = (-250.0, 60.0, 900.0)
@@ -316,6 +316,36 @@ def test_solution_invariants(geom):
             assert joints.rho1 == pytest.approx(sol.joints.rho1, abs=1e-9)
             assert joints.rho2 == pytest.approx(sol.joints.rho2, abs=1e-9)
             assert joints.rho3 == pytest.approx(sol.joints.rho3, abs=1e-9)
+
+
+def assert_branches_exact(geom, point, sols):
+    """Each branch's residual is the four-constraint max of its own joints,
+    bit for bit, and its limit flag the slider-range test of its joints."""
+    for sol in sols:
+        res = constraint_residuals(geom, *point, sol.alpha, *sol.joints.as_tuple())
+        assert sol.residual_norm == max(abs(r) for r in res)
+        assert sol.within_limits == geom.rho_within_limits(sol.joints.as_tuple())
+
+
+def test_branch_residuals_per_leg_are_exact(geom):
+    # a branch's residual is assembled from per-leg values, one constraint
+    # evaluation per leg and slider sign
+    axis_eight = pinned = 0
+    for x, y, z in locus_points(geom, np.random.default_rng(41)):
+        sols = enumerate_ik(geom, x, y, z)
+        assert_branches_exact(geom, (x, y, z), sols)
+        axis_eight += sum(sum(s.alpha == a for s in sols) == 8 for a in (0.0, math.pi))
+        pinned += sum(s.joints.rho1 == z for s in sols)
+    assert axis_eight >= 16 and pinned >= 24
+
+
+def test_branch_limit_flags_per_leg(geom):
+    # a slider limit between two branches of one point: mixed flags
+    tops = sorted({max(s.joints.as_tuple()) for s in enumerate_ik(geom, *POINT)})
+    tight = replace(geom, rho_max=0.5 * (tops[len(tops) // 2 - 1] + tops[len(tops) // 2]))
+    sols = enumerate_ik(tight, *POINT)
+    assert {s.within_limits for s in sols} == {True, False}
+    assert_branches_exact(tight, POINT, sols)
 
 
 # ---------------------------------------------------------------------------

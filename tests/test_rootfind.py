@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from pkmkin import Polynomial, real_roots, real_roots_in_unit_interval
-from pkmkin.rootfind import _add, _divmod, _horner, _mul
+from pkmkin import (DEFAULT_SYNTHETIC, Polynomial, PlatformPose, coupling_cubic,
+                    enumerate_ik, real_roots, real_roots_in_unit_interval,
+                    select_working_solution, tilt_polynomial,
+                    tool_pose_from_platform)
+from pkmkin.rootfind import CLUSTER_REL_TOL, _add, _divmod, _horner, _mul
+
+from conftest import locus_points, region_points
 
 
 def poly_from_roots(roots):
@@ -80,6 +85,17 @@ def test_degree_cap():
         Polynomial([1.0] * 14)
 
 
+def test_coefficients_are_python_floats():
+    for coeffs in ([1, -2, 3], (1, -2, 3), np.array([1.0, -2.0, 3.0]),
+                   np.array([1, -2, 3], dtype=np.int32)):
+        p = Polynomial(coeffs)
+        assert p.coeffs == (1.0, -2.0, 3.0)
+        assert all(type(c) is float for c in p.coeffs)
+    for bad in ([], (), np.zeros(0), [[1.0, 2.0]], np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            Polynomial(bad)
+
+
 def test_trailing_trim():
     p = Polynomial((2.0, 1.0, 1e-15))
     assert p.degree == 1
@@ -123,6 +139,65 @@ def test_scaling_invariance(roots, scale):
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-9 * (1.0 + abs(x))
+
+
+# ---------------------------------------------------------------------------
+# real-root counts certified by Sturm sequences in exact arithmetic
+
+def sturm_count(sp, poly):
+    """Distinct real roots of poly: sign changes of its Sturm sequence at
+    -inf minus those at +inf."""
+    def changes(signs):
+        signs = [v for v in signs if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    seq = sp.sturm(poly)
+    return (changes([sp.sign(q.LC()) * (-1) ** q.degree() for q in seq])
+            - changes([sp.sign(q.LC()) for q in seq]))
+
+
+def has_root_cluster(poly, coeffs):
+    """Whether two exact roots lie within the root-cluster width.  Float
+    roots screen for candidate pairs (their error, about sqrt(eps) on a
+    cluster, is far below the 1e-4 screen); 30-digit roots decide."""
+    def close(roots, tol):
+        return any(abs(a - b) <= tol * (1.0 + abs(a))
+                   for i, a in enumerate(roots) for b in roots[:i])
+    return (close(np.roots(coeffs[::-1]).tolist(), 1e-4)
+            and close([complex(r) for r in poly.nroots(n=30)], CLUSTER_REL_TOL))
+
+
+def characteristic_polynomials():
+    """200 coupling cubics (the IK loci and region points) and 200 tilt
+    sextics (acceptance-3 tool poses) of the synthetic geometry."""
+    geom = DEFAULT_SYNTHETIC
+    rng = np.random.default_rng(61)
+    points = locus_points(geom, rng)
+    points += region_points(rng, 200 - len(points))
+    polys = [coupling_cubic(geom, x, y) for x, y, _ in points]
+    for x, y, z in region_points(rng, 200):
+        sol = select_working_solution(enumerate_ik(geom, x, y, z), geom)
+        tool = tool_pose_from_platform(geom, PlatformPose.solved(geom, x, y, z, sol.alpha),
+                                       rng.uniform(-0.9, 0.9),
+                                       rng.uniform(-math.pi + 0.05, math.pi - 0.05))
+        polys.append(tilt_polynomial(geom, tool))
+    return polys
+
+
+def test_real_root_counts_match_sturm():
+    # the companion filter (IMAG_REL_TOL) and the merge rules must neither
+    # drop nor invent a root on the characteristic polynomials
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    polys = characteristic_polynomials()
+    assert [p.degree for p in polys] == [3] * 200 + [6] * 200
+    skipped = 0
+    for p in polys:
+        exact = sp.Poly([sp.Rational(c) for c in reversed(p.coeffs)], x, domain="QQ")
+        if has_root_cluster(exact, p.coeffs):
+            skipped += 1
+            continue
+        assert len(real_roots(p)) == sturm_count(sp, exact), p.coeffs
+    assert skipped < 0.05 * len(polys)
 
 
 # ---------------------------------------------------------------------------
