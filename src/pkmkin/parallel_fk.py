@@ -13,13 +13,14 @@ N has degree <= 16 and always contains the spurious factor
 R1 cos(alpha) - r1; deflating it leaves the degree-8 polynomial whose real
 roots enumerate the assembly modes.  Its coefficients are polynomials of
 degree <= 6 in the slider differences, so the assembly and the deflation
-run once per geometry, on polynomial-valued differences, and each slider
-triple then costs one matrix-vector product plus a probe certificate.  Each
-root's platform position is then recovered by intersecting the three
+run once per geometry, on polynomial-valued differences, with the probe
+certificate's slider-free terms; each slider triple then costs one
+matrix-vector product plus the slider-dependent rest of the certificate.
+Each root's platform position is recovered by intersecting the three
 constraint spheres directly (division free, so exact even next to the
 degenerate orientations), with the axis orientations the half-angle map
-cannot represent injected as extra candidates.  The elimination-chain formulas themselves are exposed as
-yp_from / zp_from / xp_from.
+cannot represent injected as extra candidates.  The elimination-chain
+formulas themselves are exposed as yp_from / zp_from / xp_from.
 """
 
 import math
@@ -30,8 +31,8 @@ import numpy as np
 
 from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
                      DegenerateOrientationError, InterpolationError)
-from .parallel_ik import (ConfigurationIndices, ParallelJoints, PlatformPose,
-                          _dedup, _on_working_branch, _unique,
+from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
+                          PlatformPose, _dedup, _on_working_branch, _unique,
                           constraint_residuals)
 from .rootfind import (Polynomial, _add, _certify, _divmod, _horner, _mul,
                        real_roots)
@@ -94,17 +95,6 @@ def zp_from(geom, alpha, joints):
     return num / den
 
 
-def _xp_at(geom, alpha, joints, z_p, y_p):
-    c, s = math.cos(alpha), math.sin(alpha)
-    w2 = geom.R2 * c - geom.r4
-    gap = geom.offset_gap
-    span = (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
-    rhs = (geom.a_sq(c) - geom.L2**2 + w2**2 - 2.0 * y_p * w2
-           - (geom.R2 * s + joints.rho2 - joints.rho1)
-           * (2.0 * z_p - joints.rho1 - geom.R2 * s - joints.rho2))
-    return rhs / (2.0 * gap) - span / 2.0
-
-
 def xp_from(geom, alpha, joints):
     """x_p from the difference of the leg-I midpoint and leg-II spheres.
 
@@ -113,15 +103,15 @@ def xp_from(geom, alpha, joints):
     """
     _require_distinct_offsets(geom)
     z_p = zp_from(geom, alpha, joints)
-    return _xp_at(geom, alpha, joints, z_p, yp_from(geom, alpha, z_p, joints.rho1))
-
-
-def pose_from_alpha(geom, alpha, joints):
-    """Back-substitute one orientation into the elimination chain."""
-    z_p = zp_from(geom, alpha, joints)
     y_p = yp_from(geom, alpha, z_p, joints.rho1)
-    _require_distinct_offsets(geom)
-    return _xp_at(geom, alpha, joints, z_p, y_p), y_p, z_p
+    c, s = math.cos(alpha), math.sin(alpha)
+    w2 = geom.R2 * c - geom.r4
+    gap = geom.offset_gap
+    span = (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
+    rhs = (geom.a_sq(c) - geom.L2**2 + w2**2 - 2.0 * y_p * w2
+           - (geom.R2 * s + joints.rho2 - joints.rho1)
+           * (2.0 * z_p - joints.rho1 - geom.R2 * s - joints.rho2))
+    return rhs / (2.0 * gap) - span / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +207,34 @@ def _deflate(columns, factor, rel_tol):
     return out
 
 
+def _probe_nodes(geom, P1):
+    """The certificate's probe nodes t where P1(t) and R1 cos(alpha) - r1
+    are not small, each with the chain's slider-free terms at alpha =
+    2 atan(t): (t, P1(t), sin, R1 cos - r1, R2 cos - r4, a_sq(cos))."""
+    nodes = []
+    for t in (0.3317, -1.2113, 2.4091, -0.5729, 4.17, 0.071):
+        alpha = 2.0 * math.atan(t)
+        c, s = math.cos(alpha), math.sin(alpha)
+        pv, lead = _horner(P1, t), geom.R1 * c - geom.r1
+        # the second test is yp_from's DegenerateOrientationError
+        if abs(pv) < 1e-3 or abs(lead) < PERPENDICULAR_LEG_REL_TOL * geom.R1:
+            continue
+        nodes.append((t, pv, s, lead, geom.R2 * c - geom.r4, geom.a_sq(c)))
+    return tuple(nodes)
+
+
 def compile_octic(geom):
-    """(h, (9, 28) matrix, deflation factor) of the geometry's octic.
+    """(h, (9, 28) matrix, (deflation factor, probe nodes)) of the
+    geometry's octic.
 
     Row k of the matrix holds the coefficients of t^k over the monomials
     v1^e1 v2^e2 of degree <= 6, in the column order of _MONOMIALS.  The
     cleared numerator is deflated by the geometry-only spurious factor
-    (1 + t^2)^2 P1(t)^2, which is returned for the per-call certificate.
-    Raises InterpolationError when that factor does not divide out.
-    Computed once per geometry instance, as MachineGeometry.compiled_octic;
-    the geometry must have distinct offsets (octic_from_joints checks).
+    (1 + t^2)^2 P1(t)^2, returned with the probe nodes (_probe_nodes) for
+    the per-call certificate.  Raises InterpolationError when the factor
+    does not divide out.  Computed once per geometry instance, as
+    MachineGeometry.compiled_octic; the geometry must have distinct
+    offsets (octic_from_joints checks).
     """
     # the largest power of two within the slider half-stroke (1024 on the
     # synthetic geometry): scaling by h is then exact, and rho2 = rho3 gives
@@ -239,31 +247,38 @@ def compile_octic(geom):
     P1 = np.array([geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)])
     P1P1 = _mul(P1, P1)
     quot = _deflate(_deflate(columns, T2, 1e-9), P1P1, 1e-8)
-    return h, np.ascontiguousarray(quot.T), _mul(T2, P1P1)
+    return h, np.ascontiguousarray(quot.T), (_mul(T2, P1P1), _probe_nodes(geom, P1.tolist()))
 
 
-def _midpoint_residual(geom, x_p, y_p, z_p, alpha, rho1):
-    c = math.cos(alpha)
-    X1 = x_p + geom.D1 - geom.d1
-    return X1**2 + y_p**2 + (z_p - rho1)**2 - geom.a_sq(c)
-
-
-def _probe_samples(geom, joints, P1, Q):
+def _probe_samples(geom, joints, nodes):
     """(t, directly sampled residual product) at the probe nodes where the
-    elimination chain is well defined, for the certificate of N(t)."""
-    P1, Q = P1.tolist(), Q.tolist()
-    for t in (0.3317, -1.2113, 2.4091, -0.5729, 4.17, 0.071):
-        pv = _horner(P1, t)
-        qv = _horner(Q, t)
-        if abs(pv) < 1e-3 or abs(qv) < 1e-3:
+    elimination chain is well defined, for the certificate of N(t).  Q(t),
+    z_p, y_p, x_p and the leg-I midpoint residual are zp_from, yp_from and
+    xp_from term for term, in their order of operations, so every sample
+    has the chain's bits."""
+    R1, r1, R2, C1 = geom.R1, geom.r1, geom.R2, geom.C1
+    gap, span = geom.offset_gap, (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
+    r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
+    d32 = r3_ - r2_
+    # Q = d32 P1(t) + 4 C1 t, by Horner on its coefficients
+    q0, q1, q2 = d32 * (R1 - r1), 4.0 * C1, d32 * -(R1 + r1)
+    sum_diff = (r2_ + r3_) * d32
+    twist = 2.0 * R2 * (r3_ + r2_ - 2.0 * r1_)
+    cross = 4.0 * C1 * r1_
+    den_floor = 1e-12 * (4.0 * abs(C1) + 2.0 * (R1 + r1) * (abs(d32) + 1.0))
+    L2_sq, legs = geom.L2**2, geom.L2**2 - geom.L3**2
+    for t, pv, s, lead, w2, a2 in nodes:
+        qv = (q2 * t + q1) * t + q0
+        den = 2.0 * (2.0 * C1 * s + lead * d32)
+        if abs(qv) < 1e-3 or abs(den) < den_floor:
             continue
-        alpha = 2.0 * math.atan(t)
-        try:
-            x_p, y_p, z_p = pose_from_alpha(geom, alpha, joints)
-        except (DegenerateDenominatorError, DegenerateOrientationError):
-            continue
-        yield t, (_midpoint_residual(geom, x_p, y_p, z_p, alpha, joints.rho1)
-                  * (2.0 * geom.offset_gap * pv * (1.0 + t * t)**2 * qv)**2)
+        z_p = (lead * (sum_diff - twist * s) + cross * s + legs * lead) / den
+        y_p = R1 * s * (r1_ - z_p) / lead
+        rhs = (a2 - L2_sq + w2**2 - 2.0 * y_p * w2
+               - (R2 * s + r2_ - r1_) * (2.0 * z_p - r1_ - R2 * s - r2_))
+        x_p = rhs / (2.0 * gap) - span / 2.0
+        residual = (x_p + geom.D1 - geom.d1)**2 + y_p**2 + (z_p - r1_)**2 - a2
+        yield t, residual * (2.0 * gap * pv * (1.0 + t * t)**2 * qv)**2
 
 
 def octic_from_joints(geom, joints):
@@ -278,7 +293,7 @@ def octic_from_joints(geom, joints):
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
-    h, matrix, factor = geom.compiled_octic
+    h, matrix, (factor, nodes) = geom.compiled_octic
     r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
     v = ((r1_ - 0.5 * (r2_ + r3_)) / h, (r3_ - r2_) / h)
     if not all(map(math.isfinite, v)):
@@ -291,9 +306,7 @@ def octic_from_joints(geom, joints):
             octic = matrix @ (f1 * f2)
     except FloatingPointError as exc:
         raise OverflowError(f"characteristic polynomial: {exc}") from None
-    P1 = np.array([geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)])
-    Q = _add((r3_ - r2_) * P1, np.array([0.0, 4.0 * geom.C1]))
-    _certify(_mul(octic, factor), _probe_samples(geom, joints, P1, Q), 16,
+    _certify(_mul(octic, factor), _probe_samples(geom, joints, nodes), 16,
              "characteristic numerator")
     return Polynomial(octic)
 
@@ -383,17 +396,18 @@ def _jacobian(geom, x, y, z, a, joints):
     ])
 
 
-def _polish_pose(geom, joints, v):
-    """The candidate stage: a candidate within the 1e-3 * max(L^2) prefilter
-    takes damped Newton steps on the full constraint system until its
-    residual reaches 1e-14 * max(L^2) or no step lowers it.  Returns the
-    pose, as Python floats, and the last residual computed."""
+def _polish_pose(geom, joints, v, prefilter, converged):
+    """The candidate stage: a candidate within the prefilter residual
+    (1e-3 * max(L^2) in enumerate_fk) takes damped Newton steps on the full
+    constraint system until its residual reaches the converged one
+    (1e-14 * max(L^2)) or no step lowers it.  Returns the pose, as Python
+    floats, and the last residual computed."""
     rho = joints.as_tuple()
     f = constraint_residuals(geom, *v, *rho)
     norm = max(abs(r) for r in f)
-    if norm > FK_PREFILTER_REL_TOL * geom.residual_scale:
+    if norm > prefilter:
         return v, norm
-    while norm > 1e-14 * geom.residual_scale:
+    while norm > converged:
         try:
             step = np.linalg.solve(_jacobian(geom, *v, joints), -np.array(f))
         except np.linalg.LinAlgError:
@@ -415,11 +429,9 @@ def _polish_pose(geom, joints, v):
 def back_derived_indices(geom, pose, joints):
     """Branch signs recovered from the defining sign expressions."""
     s = math.sin(pose.alpha)
-    return ConfigurationIndices(
-        s1=-1 if joints.rho1 - pose.z_p <= 0.0 else 1,
-        s2=-1 if joints.rho2 - pose.z_p + geom.R2 * s <= 0.0 else 1,
-        s3=-1 if joints.rho3 - pose.z_p - geom.R2 * s <= 0.0 else 1,
-    )
+    return _INDICES[(-1 if joints.rho1 - pose.z_p <= 0.0 else 1,
+                     -1 if joints.rho2 - pose.z_p + geom.R2 * s <= 0.0 else 1,
+                     -1 if joints.rho3 - pose.z_p - geom.R2 * s <= 0.0 else 1)]
 
 
 def enumerate_fk(geom, joints):
@@ -444,11 +456,13 @@ def enumerate_fk(geom, joints):
     # the characteristic polynomial when rho2 = rho3 (its equation becomes
     # the vanishing denominator there)
     alphas = [2.0 * math.atan(t) for t in roots] + [math.pi, 0.0]
+    scale = geom.residual_scale
+    tols = FK_PREFILTER_REL_TOL * scale, 1e-14 * scale
     modes = []
     for candidate in (c for a in alphas for c in _sphere_candidates(geom, joints, a)):
-        (x, y, z, alpha), residual = _polish_pose(geom, joints, candidate)
+        (x, y, z, alpha), residual = _polish_pose(geom, joints, candidate, *tols)
         # a NaN residual fails this test too
-        if not residual <= FK_RESIDUAL_REL_TOL * geom.residual_scale:
+        if not residual <= FK_RESIDUAL_REL_TOL * scale:
             continue
         pose = PlatformPose(x, y, z, alpha)
         indices = back_derived_indices(geom, pose, joints)

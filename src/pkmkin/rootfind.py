@@ -85,6 +85,16 @@ def _horner(coeffs, x):
     return acc
 
 
+def _horner_slope(coeffs, x):
+    """Value and derivative at x in one pass, the value in the order of
+    operations of _horner."""
+    acc = slope = 0.0
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = acc * x + coeffs[k]
+        slope = slope * x + k * coeffs[k]
+    return acc * x + coeffs[0], slope
+
+
 def _divmod(num, den):
     """Quotient and remainder of num / den by long division from the top,
     in Python floats; den has degree >= 1."""
@@ -104,12 +114,17 @@ def _divmod(num, den):
 def _certify(coeffs, samples, degree, name):
     """Probe certificate of an exactly assembled polynomial: at 3 or more
     (node, sampled value) pairs its value must match the sampled relation it
-    clears, to 1e-9 relative; raises InterpolationError otherwise."""
-    scale = max(np.max(np.abs(coeffs)), 1.0)
+    clears, to 1e-9 relative; raises InterpolationError otherwise, and
+    OverflowError where a value, sample or bound is not finite."""
     values = coeffs.tolist()
+    scale = max(1.0, *map(abs, values))
     checked = 0
     for x, sampled in samples:
-        if abs(_horner(values, x) - sampled) > 1e-9 * (scale * max(1.0, abs(x))**degree + abs(sampled)):
+        value = _horner(values, x)
+        bound = 1e-9 * (scale * max(1.0, abs(x))**degree + abs(sampled))
+        if not (math.isfinite(value) and math.isfinite(bound)):
+            raise OverflowError(f"{name}: probe value out of float range at {x}")
+        if not abs(value - sampled) <= bound:
             raise InterpolationError(f"assembled {name} disagrees with the sampled residual at {x}")
         checked += 1
     if checked < 3:
@@ -136,10 +151,7 @@ class Polynomial:
         return _horner(self.coeffs, x)
 
     def derivative_at(self, x):
-        acc = 0.0
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * x + k * self.coeffs[k]
-        return acc
+        return _horner_slope(self.coeffs, x)[1]
 
 
 def real_roots(p, tol=DEFAULT_TOL):
@@ -165,14 +177,16 @@ def real_roots(p, tol=DEFAULT_TOL):
     for r in candidates:
         # Newton polish; guard against derivative blow-up near multiple roots
         for _ in range(3):
-            d = p.derivative_at(r)
+            value, d = _horner_slope(p.coeffs, r)
             if d == 0.0:
                 break
-            step = p(r) / d
+            step = value / d
             if not math.isfinite(step) or abs(step) > 1.0 + abs(r):
                 break
             r -= step
-        if abs(p(r)) <= bound * max(1.0, abs(r)) ** n:
+        else:
+            value = p(r)
+        if abs(value) <= bound * max(1.0, abs(r)) ** n:
             accepted.append(r)
     accepted.sort()
     merged = []

@@ -14,6 +14,7 @@ from pkmkin import parallel_fk
 from pkmkin.cli import main
 from pkmkin.parallel_fk import AssemblyMode
 from pkmkin.parallel_ik import ConfigurationIndices, PlatformPose
+from pkmkin.rootfind import _add, _horner
 
 from conftest import (angle_delta, raw_residuals, region_points,
                       use_numpy_polynomial)
@@ -338,6 +339,54 @@ def test_octic_certificate_catches_a_perturbed_matrix(geom, monkeypatch):
     monkeypatch.setitem(g.__dict__, "compiled_octic", (h, perturbed, factor))
     with pytest.raises(InterpolationError):
         octic_from_joints(g, sol.joints)
+
+
+def chain_samples(g, joints):
+    """(t, cleared midpoint residual) at the certificate's probe nodes,
+    straight from the public elimination chain, with P1(t) and Q(t) by
+    Horner on their coefficients."""
+    P1 = np.array([g.R1 - g.r1, 0.0, -(g.R1 + g.r1)])
+    Q = _add((joints.rho3 - joints.rho2) * P1, np.array([0.0, 4.0 * g.C1])).tolist()
+    out = []
+    for t in (0.3317, -1.2113, 2.4091, -0.5729, 4.17, 0.071):
+        pv, qv = _horner(P1.tolist(), t), _horner(Q, t)
+        if abs(pv) < 1e-3 or abs(qv) < 1e-3:
+            continue
+        alpha = 2.0 * math.atan(t)
+        try:
+            z_p = zp_from(g, alpha, joints)
+            y_p = yp_from(g, alpha, z_p, joints.rho1)
+        except (DegenerateDenominatorError, DegenerateOrientationError):
+            continue
+        residual = ((xp_from(g, alpha, joints) + g.D1 - g.d1)**2 + y_p**2
+                    + (z_p - joints.rho1)**2 - g.a_sq(math.cos(alpha)))
+        out.append((t, residual * (2.0 * g.offset_gap * pv * (1.0 + t * t)**2 * qv)**2))
+    return out
+
+
+@pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0},
+                                  {"R1": 240.0, "R2": 240.0, "r1": 120.0, "r4": 120.0}],
+                         ids=["synthetic", "L2-neq-L3", "C1-zero"])
+def test_probe_node_table_matches_the_elimination_chain(geom, dims):
+    # the compiled node table and the per-call terms give the chain's
+    # samples bit for bit (repr tells -0.0 from 0.0), skips included
+    g = replace(geom, **dims)
+    nodes = g.compiled_octic[2][1]
+    rng = np.random.default_rng(43)
+    rho = np.concatenate([rng.uniform(-200.0, 1500.0, (200, 3)),
+                          rng.uniform(-1e4, 1e4, (200, 3))])
+    rho[::4, 2] = rho[::4, 1]
+    cases = [ParallelJoints(*map(float, r)) for r in rho]
+    # rho3 - rho2 that puts a root of Q(t) = (rho3 - rho2) P1(t) + 4 C1 t on
+    # each node, so that the node is skipped
+    cases += [ParallelJoints(900.0, 400.0, 400.0 - 4.0 * g.C1 * t / pv)
+              for t, pv, *_ in nodes]
+    skipped = 0
+    for joints in cases:
+        expected = chain_samples(g, joints)
+        assert repr(list(parallel_fk._probe_samples(g, joints, nodes))) == repr(expected), joints
+        skipped += len(expected) < len(nodes)
+    assert len(nodes) == 6 and skipped >= len(nodes)
 
 
 def test_fk_surfaces_a_failed_certificate(geom, monkeypatch, tmp_path, capsys):

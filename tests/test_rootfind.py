@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from pkmkin import (DEFAULT_SYNTHETIC, Polynomial, PlatformPose, coupling_cubic,
-                    enumerate_ik, real_roots, real_roots_in_unit_interval,
-                    select_working_solution, tilt_polynomial,
-                    tool_pose_from_platform)
+from pkmkin import (DEFAULT_SYNTHETIC, ParallelJoints, Polynomial, PlatformPose,
+                    coupling_cubic, enumerate_ik, octic_from_joints, real_roots,
+                    real_roots_in_unit_interval, select_working_solution,
+                    tilt_polynomial, tool_pose_from_platform)
 from pkmkin.rootfind import CLUSTER_REL_TOL, _add, _divmod, _horner, _mul
 
 from conftest import locus_points, region_points
@@ -198,6 +198,24 @@ def test_real_root_counts_match_sturm():
             continue
         assert len(real_roots(p)) == sturm_count(sp, exact), p.coeffs
     assert skipped < 0.05 * len(polys)
+
+
+def test_octic_real_root_counts_match_sturm():
+    # FK octics off the rho2 = rho3 plane, where no round-off double root
+    # at t = 0 blurs the count
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    rng = np.random.default_rng(67)
+    skipped = 0
+    for rho in rng.uniform(-200.0, 1500.0, size=(200, 3)):
+        p = octic_from_joints(DEFAULT_SYNTHETIC, ParallelJoints(*map(float, rho)))
+        assert p.degree == 8
+        exact = sp.Poly([sp.Rational(c) for c in reversed(p.coeffs)], x, domain="QQ")
+        if has_root_cluster(exact, p.coeffs):
+            skipped += 1
+            continue
+        assert len(real_roots(p)) == sturm_count(sp, exact), rho
+    assert skipped < 0.05 * 200
 
 
 # ---------------------------------------------------------------------------
