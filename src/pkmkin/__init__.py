@@ -20,8 +20,8 @@ from .machine import (MachineIkSolution, MachineJoints, ToolPose,
                       platform_from_tool, select_machine_solution,
                       table_transform, tilt_candidates, tilt_polynomial,
                       tool_fk, tool_ik, tool_pose_from_platform)
-from .oracle import (ResidualVector, newton_fk, residuals_machine,
-                     residuals_parallel)
+from .oracle import (ResidualVector, newton_fk, newton_fk_batch,
+                     residuals_machine, residuals_parallel)
 from .parallel_fk import (AssemblyMode, enumerate_fk, octic_from_joints,
                           select_assembly_mode, xp_from, yp_from, zp_from)
 from .parallel_ik import (RHO1_PINNED, ConfigurationIndices, IkSolution,
@@ -45,7 +45,8 @@ __all__ = [
     "SignRuleViolation", "ToolPose", "UnreachableOrientationError",
     "allowed_s1", "coupling_cubic", "enumerate_fk", "enumerate_ik",
     "iso_ellipse", "joints_from_pose", "load_geometry", "newton_fk",
-    "octic_from_joints", "orientation_candidates", "platform_from_tool",
+    "newton_fk_batch", "octic_from_joints", "orientation_candidates",
+    "platform_from_tool",
     "read_geometry_file", "real_roots", "real_roots_in_unit_interval",
     "residuals_machine", "residuals_parallel", "select_assembly_mode",
     "select_machine_solution", "select_working_solution",

@@ -5,7 +5,8 @@ description and solves them with a multi-start damped Newton iteration.  It
 deliberately shares no code with the closed-form IK/FK modules so that
 agreement between the two routes is a genuine cross-check (the machine's
 own controller historically used an iterative resolution of the same
-equations).
+equations).  `newton_fk_batch` solves many joint vectors' starts as the
+columns of one lockstep iteration, with each vector's result unchanged.
 """
 
 import math
@@ -36,9 +37,10 @@ class ResidualVector:
 
 
 def _legs(geom, rho):
-    """Per-leg constants of the rod statement, one row each, legs I+, I-, II,
-    III on the trailing axis: base offset D, platform offset d, signed arm,
-    lateral offset, slider coordinate and squared rod length."""
+    """Per-leg constants of the rod statement, legs I+, I-, II, III along
+    each row: base offset D, platform offset d, signed arm, lateral offset,
+    slider coordinate and squared rod length; shape (6, 4).  `[..., None]`
+    gives one column per leg for a batch of pose rows."""
     D1, D2, d1, d2 = geom.D1, geom.D2, geom.d1, geom.d2
     R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
     return np.array([[D1, D1, D2, D2], [d1, d1, d2, d2],
@@ -47,20 +49,35 @@ def _legs(geom, rho):
                      [geom.L1**2, geom.L1**2, geom.L2**2, geom.L3**2]])
 
 
-def _rods(legs, x, y, z, c, s):
-    """The four rod vectors (dx, dy, dz), legs on the trailing axis, at
-    platform position (x, y, z) with c, s = cos, sin(alpha).
+def _rods(legs, x, y, z, c, s, out=(None, None, None)):
+    """The four rod vectors (dx, dy, dz), legs on the leading axis, at
+    platform position (x, y, z) with c, s = cos, sin(alpha); written into
+    `out` when given.
 
-    Floats give shape (4,); (n, 1) columns give (n, 4) with the same bits
-    row by row, since each leg's arithmetic is elementwise.
+    Floats give shape (4,).  Poses on a trailing axis, against legs with a
+    matching trailing axis, give (4, n) with the same bits column by
+    column, since each leg's arithmetic is elementwise.
     """
     D, d, arm, off, rho, _ = legs
-    return (x + D) - d, (y + arm * c) + off, (z + arm * s) - rho
+    dx, dy, dz = out
+    dx = np.add(x, D, out=dx)
+    dx -= d
+    dy = np.multiply(arm, c, out=dy)
+    dy += y
+    dy += off
+    dz = np.multiply(arm, s, out=dz)
+    dz += z
+    dz -= rho
+    return dx, dy, dz
 
 
-def _residuals(legs, rods):
+def _residuals(legs, rods, out=None):
     dx, dy, dz = rods
-    return dx**2 + dy**2 + dz**2 - legs[5]
+    f = np.square(dx, out=out)
+    f += dy**2
+    f += dz**2
+    f -= legs[5]
+    return f
 
 
 def residuals_parallel(geom, pose, joints):
@@ -96,51 +113,151 @@ def default_start_box(geom, rho):
             (-reach, reach), (lo, hi))
 
 
-def _batch_residuals(legs, v):
-    """Residuals for a (n, 4) batch of pose vectors; returns (n, 4)."""
-    x, y, z, alpha = v.T[..., None]
-    return _residuals(legs, _rods(legs, x, y, z, np.cos(alpha), np.sin(alpha)))
+# Rows of a Newton state block, one column per start: the pose (x, y, z,
+# alpha), the start's index (exact in binary) and its slider per leg, then
+# what `_evaluate` fills in: cos and sin alpha, and the rods (dx, dy, dz)
+# and the residual of each leg.
+_POSE, _INDEX, _SLIDERS = slice(0, 4), 4, slice(5, 9)
+_COS, _SIN, _RODS, _RESIDUALS = 9, 10, slice(11, 23), slice(23, 27)
+_ROWS = 27
 
 
-def _batch_residuals_jacobian(legs, v):
-    """Residuals and analytic Jacobian for a (n, 4) batch in one pass."""
-    x, y, z, alpha = v.T[..., None]
-    c, s = np.cos(alpha), np.sin(alpha)
-    rods = dx, dy, dz = _rods(legs, x, y, z, c, s)
+def _evaluate(legs, block):
+    """Fill a state block's cos, sin, rods and residuals from its pose and
+    slider rows, in place; `legs` is `_legs(geom, rho)[..., None]`, of
+    which the sliders come from the block instead."""
+    x, y, z, alpha = block[_POSE]
+    c = np.cos(alpha, out=block[_COS])
+    s = np.sin(alpha, out=block[_SIN])
+    legs = (*legs[:4], block[_SLIDERS], legs[5])
+    rods = _rods(legs, x, y, z, c, s, out=block[_RODS].reshape(3, 4, -1))
+    _residuals(legs, rods, out=block[_RESIDUALS])
+
+
+def _jacobian(legs, block):
+    """Analytic Jacobian of the residuals of a state block's columns;
+    shape (m, 4, 4), one leg per matrix row."""
     arm = legs[2]
-    J = np.empty((v.shape[0], 4, 4))
-    J[:, :, 0] = 2 * dx
-    J[:, :, 1] = 2 * dy
-    J[:, :, 2] = 2 * dz
+    rods = block[_RODS].reshape(3, 4, -1)
+    c, s = block[_COS], block[_SIN]
+    _, dy, dz = rods
+    J = np.empty((4, 4, block.shape[1]))
+    np.multiply(2, rods, out=J[:3])
     # each rod's platform end sits at arm * (cos, sin)(alpha) in (y, z)
-    J[:, :, 3] = 2 * (dz * arm * c - dy * arm * s)
-    return _residuals(legs, rods), J
+    J[3] = 2 * (dz * arm * c - dy * arm * s)
+    return J.T
 
 
-# the damped step lengths after the full step, 2^-k for k = 1..29 (exact in binary)
-_HALVED_STEP_LENGTHS = np.ldexp(1.0, -np.arange(1, 30))
+# the damped step lengths 2^-k for k = 0..29, exact in binary
+_STEP_LENGTHS = np.ldexp(1.0, -np.arange(30))[:, None]
 
 
-def _damped_step(legs, v, step, norm):
-    """Per row, the first v + lam * step with lam = 1, 1/2, ..., 2^-29 whose
-    residual max-norm is below `norm`; returns (trial, improved).
+def _line_search(legs, block, step, norm):
+    """Per column of a state block, the first pose + lam * step with lam =
+    1, 1/2, ..., 2^-29 whose residual max-norm is below `norm`.
 
-    Every row tries the full step first.  The rows it does not improve then
-    try all 29 shorter lengths at once, as one (m, 29, 4) batch.  This picks
-    the same lam as halving from 1 until the norm drops.  Only the `improved`
-    rows of `trial` hold a step.
+    All 30 lengths are evaluated as one block of 30 x m columns, and the
+    first that improves is the lam that halving from 1 until the norm drops
+    would pick.  Returns the state block at the accepted steps, without the
+    columns no lam improved.
     """
-    trial = v + step
-    improved = np.max(np.abs(_batch_residuals(legs, trial)), axis=1) < norm
-    rest = np.flatnonzero(~improved)
-    if rest.size:
-        cand = v[rest, None] + _HALVED_STEP_LENGTHS[:, None] * step[rest, None]
-        cand_norm = np.max(np.abs(_batch_residuals(legs, cand.reshape(-1, 4))), axis=1)
-        good = cand_norm.reshape(rest.size, -1) < norm[rest, None]
-        hit = good.any(axis=1)
-        trial[rest[hit]] = cand[hit, good[hit].argmax(axis=1)]
-        improved[rest[hit]] = True
-    return trial, improved
+    k, m = len(_STEP_LENGTHS), block.shape[1]
+    trial = np.empty((_ROWS, k * m))
+    copied = trial[:_COS].reshape(_COS, k, m)
+    copied[...] = block[:_COS, None]
+    copied[_POSE] += _STEP_LENGTHS * step[:, None]
+    _evaluate(legs, trial)
+    good = np.abs(trial[_RESIDUALS]).max(axis=0).reshape(k, m) < norm
+    cols = np.flatnonzero(good.any(axis=0))
+    return trial[:, good[:, cols].argmax(axis=0) * m + cols]
+
+
+def _newton_columns(legs, block, tol, max_iter):
+    """Damped Newton on the independent columns of a state block whose pose,
+    index and slider rows are set, all in lockstep.
+
+    Each iteration damps the Newton step of every active column by the
+    first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm; a column
+    that no step improves stops, as do converged and singular columns.  The
+    accepted step's rods, (cos, sin) and residuals carry over to the next
+    Jacobian.  Returns the pose and index rows of the columns that
+    converged to `tol`.
+    """
+    _evaluate(legs, block)
+    done = []
+    for _ in range(max_iter):
+        if not block.shape[1]:
+            break
+        norm = np.abs(block[_RESIDUALS]).max(axis=0)
+        J = _jacobian(legs, block)
+        # converged and singular columns (NaN columns fail both tests) stop
+        go = (norm > tol) & (np.abs(np.linalg.det(J)) > 1e-300)
+        done.append(block[:_INDEX + 1, norm <= tol])
+        block = block[:, go]
+        step = np.linalg.solve(J[go], -block[_RESIDUALS].T[..., None])[..., 0].T
+        block = _line_search(legs, block, step, norm[go])
+    done.append(block[:_INDEX + 1, np.abs(block[_RESIDUALS]).max(axis=0) <= tol])
+    return np.concatenate(done, axis=1)
+
+
+def _canonical(rows):
+    """Distinct poses from converged (x, y, z, alpha) rows: alpha wrapped to
+    (-pi, pi], sorted canonically, deduplicated at NEWTON_DEDUP_TOL."""
+    found = []
+    for x, y, z, a in rows:
+        # normalize to (-pi, pi] with -pi canonicalized to +pi
+        alpha = math.fmod(a + math.pi, 2.0 * math.pi)
+        alpha = alpha + 2.0 * math.pi if alpha <= 0.0 else alpha
+        found.append((x, y, z, alpha - math.pi))
+    found.sort(key=lambda p: (p[3], p[0], p[1], p[2]))
+    distinct = []
+    for p in found:
+        if any(max(abs(p[i] - q[i]) for i in range(4)) <= NEWTON_DEDUP_TOL
+               for q in distinct):
+            continue
+        distinct.append(p)
+    return distinct
+
+
+def _finite_sliders(joints):
+    rho = tuple(map(float, joints.as_tuple()))
+    for name, value in zip(("rho1", "rho2", "rho3"), rho):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return rho
+
+
+def _newton(geom, joints_seq, starts, seeds, box, alpha_range, max_iter):
+    """Poses per joint vector, its starts drawn from its own seed as columns
+    of one lockstep Newton solve."""
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
+    rhos = [_finite_sliders(j) for j in joints_seq]
+    if len(seeds) != len(rhos):
+        raise ValueError(f"{len(seeds)} seeds for {len(rhos)} joint vectors")
+    if not rhos:
+        return []
+    block = np.empty((_ROWS, len(rhos) * starts))
+    for k, (rho, seed) in enumerate(zip(rhos, seeds)):
+        rng = np.random.default_rng(seed)
+        cols = block[:, k * starts:(k + 1) * starts]
+        lims = (*(default_start_box(geom, rho) if box is None else box), alpha_range)
+        for row, (lo, hi) in zip(cols[_POSE], lims):
+            row[:] = rng.uniform(lo, hi, starts)
+        cols[_SLIDERS] = _legs(geom, rho)[4, :, None]
+    block[_INDEX] = np.arange(block.shape[1])
+    try:
+        # sliders beyond about 1e154 overflow the squared rod lengths
+        with np.errstate(over="raise"):
+            # the columns carry their sliders; the table's own slider row goes unused
+            found = _newton_columns(_legs(geom, rhos[0])[..., None], block,
+                                    NEWTON_REL_TOL * geom.residual_scale, max_iter)
+    except FloatingPointError as exc:
+        raise OverflowError(f"newton oracle: {exc}") from None
+    rows = [[] for _ in rhos]
+    for *pose, index in found.T.tolist():
+        rows[int(index) // starts].append(pose)
+    return [_canonical(r) for r in rows]
 
 
 def newton_fk(geom, joints, starts=100, seed=0, box=None,
@@ -155,56 +272,25 @@ def newton_fk(geom, joints, starts=100, seed=0, box=None,
 
     Each outer iteration damps the Newton step of every active start by the
     first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm: exactly
-    the step that halving from 1 would pick.  Every start tries the full
-    step; the starts it does not improve try the 29 shorter lengths in one
-    batched pass, so the extra memory is O(29 x starts the full step did not
-    improve).  A start that no step improves stops.
+    the step that halving from 1 would pick.  All 30 lengths are tried in
+    one batched pass, so the extra memory is O(30 x active starts).  A
+    start that no step improves stops.  ValueError for starts < 1 or a
+    non-finite slider, OverflowError when the sliders or the box are too
+    large for floats.
     """
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    rho = joints.as_tuple()
-    legs = _legs(geom, rho)
-    if box is None:
-        box = default_start_box(geom, rho)
-    rng = np.random.default_rng(seed)
-    v = np.column_stack([
-        rng.uniform(box[0][0], box[0][1], starts),
-        rng.uniform(box[1][0], box[1][1], starts),
-        rng.uniform(box[2][0], box[2][1], starts),
-        rng.uniform(alpha_range[0], alpha_range[1], starts),
-    ])
-    tol = NEWTON_REL_TOL * geom.residual_scale
-    active = np.ones(starts, dtype=bool)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        f, J = _batch_residuals_jacobian(legs, v[idx])
-        norm = np.max(np.abs(f), axis=1)
-        # converged and singular starts (NaN rows fail both tests) stop
-        go = (norm > tol) & (np.abs(np.linalg.det(J)) > 1e-300)
-        active[idx[~go]] = False
-        idx, f, norm, J = idx[go], f[go], norm[go], J[go]
-        if idx.size == 0:
-            continue
-        step = np.linalg.solve(J, -f[..., None])[..., 0]
-        trial, improved = _damped_step(legs, v[idx], step, norm)
-        v[idx[improved]] = trial[improved]
-        active[idx[~improved]] = False  # stuck: no damped step improves
-    final = _batch_residuals(legs, v)
-    converged = np.max(np.abs(final), axis=1) <= tol
-    found = []
-    for row in v[converged]:
-        # normalize to (-pi, pi] with -pi canonicalized to +pi
-        alpha = math.fmod(row[3] + math.pi, 2.0 * math.pi)
-        alpha = alpha + 2.0 * math.pi if alpha <= 0.0 else alpha
-        found.append((float(row[0]), float(row[1]), float(row[2]),
-                      float(alpha - math.pi)))
-    found.sort(key=lambda p: (p[3], p[0], p[1], p[2]))
-    distinct = []
-    for p in found:
-        if any(max(abs(p[i] - q[i]) for i in range(4)) <= NEWTON_DEDUP_TOL
-               for q in distinct):
-            continue
-        distinct.append(p)
-    return distinct
+    [poses] = _newton(geom, [joints], starts, [seed], box, alpha_range, max_iter)
+    return poses
+
+
+def newton_fk_batch(geom, joints_seq, starts, seeds):
+    """`newton_fk` for a sequence of joint vectors in one lockstep solve.
+
+    Vector k draws its starts from seeds[k] and its own default box, exactly
+    as `newton_fk` does, so the k-th returned list is `==` to
+    `newton_fk(geom, joints_seq[k], starts, seeds[k])`.  The line search
+    holds 30 candidates per active start of every vector at once, so the
+    memory grows with the batch: a few dozen vectors per call keep it to
+    tens of MB.
+    """
+    return _newton(geom, joints_seq, starts, seeds, None, (-math.pi, math.pi),
+                   NEWTON_MAX_ITER)

@@ -315,9 +315,10 @@ def octic_from_joints(geom, joints):
 # assembly-mode enumeration
 
 def _as_joints(joints):
-    if isinstance(joints, ParallelJoints):
-        return joints
-    return ParallelJoints(*joints)
+    """Sliders as Python floats, whose arithmetic raises OverflowError where
+    numpy scalars would warn first."""
+    rho = joints.as_tuple() if isinstance(joints, ParallelJoints) else joints
+    return ParallelJoints(*map(float, rho))
 
 
 def _sphere_candidates(geom, joints, alpha):

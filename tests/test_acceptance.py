@@ -19,7 +19,7 @@ import pytest
 
 from pkmkin import (DEFAULT_SYNTHETIC, MachineJoints,
                     ParallelJoints, PlatformPose, enumerate_fk, enumerate_ik,
-                    iso_ellipse, newton_fk, orientation_candidates,
+                    iso_ellipse, newton_fk_batch, orientation_candidates,
                     read_geometry_file, residuals_machine, residuals_parallel,
                     select_assembly_mode, select_machine_solution,
                     select_working_solution, serialize_geometry,
@@ -190,14 +190,18 @@ def test_criterion_5_oracle_completeness(pose_bank):
     joint_vectors = [sol.joints for _, sol in pose_bank[:300]]
     joint_vectors += [ParallelJoints(*rng.uniform(-100.0, 1200.0, size=3))
                       for _ in range(200)]
-    for joints in joint_vectors:
-        checked += 1
-        modes = enumerate_fk(GEOM, joints)
-        for px, py, pz, pa in newton_fk(GEOM, joints, starts=100, seed=checked):
-            if not any(abs(m.pose.x_p - px) <= 1e-5 and abs(m.pose.y_p - py) <= 1e-5
-                       and abs(m.pose.z_p - pz) <= 1e-5
-                       and angle_delta(m.pose.alpha, pa) <= 1e-5 for m in modes):
-                misses += 1
+    # vector k (from 1) draws its starts from seed k; chunks bound the memory
+    for chunk in range(0, len(joint_vectors), 50):
+        batch = joint_vectors[chunk:chunk + 50]
+        seeds = range(chunk + 1, chunk + 1 + len(batch))
+        for joints, poses in zip(batch, newton_fk_batch(GEOM, batch, starts=100, seeds=seeds)):
+            checked += 1
+            modes = enumerate_fk(GEOM, joints)
+            for px, py, pz, pa in poses:
+                if not any(abs(m.pose.x_p - px) <= 1e-5 and abs(m.pose.y_p - py) <= 1e-5
+                           and abs(m.pose.z_p - pz) <= 1e-5
+                           and angle_delta(m.pose.alpha, pa) <= 1e-5 for m in modes):
+                    misses += 1
     ok = misses == 0 and checked >= 500
     report(5, ok, f"oracle completeness: {checked} joint vectors x 100 starts, "
                   f"{misses} newton solutions unmatched")

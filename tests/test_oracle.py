@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pkmkin import (MachineJoints, ParallelJoints, PlatformPose,
-                    enumerate_fk, enumerate_ik, newton_fk, residuals_machine,
-                    residuals_parallel, select_working_solution,
-                    tool_pose_from_platform)
+                    enumerate_fk, enumerate_ik, newton_fk, newton_fk_batch,
+                    residuals_machine, residuals_parallel,
+                    select_working_solution, tool_pose_from_platform)
 from pkmkin import oracle
-from pkmkin.oracle import (_batch_residuals, _batch_residuals_jacobian,
-                          _damped_step, _legs, _residuals, _rods)
+from pkmkin.oracle import (_INDEX, _POSE, _RESIDUALS, _ROWS, _SLIDERS,
+                          _evaluate, _jacobian, _legs, _line_search,
+                          _residuals, _rods)
 
 from conftest import angle_delta, region_points
 
@@ -47,21 +49,35 @@ def test_first_order_growth_in_z(geom):
     assert abs(r1.r_3a) > 1.0
 
 
+def _state(legs, v):
+    """The Newton state block at pose columns v (4, m), indexed 0..m-1, at
+    the sliders of legs = _legs(geom, rho)[..., None]."""
+    block = np.empty((_ROWS, v.shape[1]))
+    block[_POSE] = v
+    block[_INDEX] = np.arange(v.shape[1])
+    block[_SLIDERS] = legs[4]
+    _evaluate(legs, block)
+    return block
+
+
 def test_jacobian_matches_finite_differences(geom):
     rng = np.random.default_rng(3)
-    legs = _legs(geom, (400.0, 380.0, 390.0))
-    for _ in range(10):
-        v = np.array([rng.uniform(-400, -100), rng.uniform(-150, 150),
-                      rng.uniform(600, 1200), rng.uniform(-2.5, 2.5)])
-        f, [J] = _batch_residuals_jacobian(legs, v[None])
-        assert np.array_equal(f, _batch_residuals(legs, v[None]))
+    legs = _legs(geom, (400.0, 380.0, 390.0))[..., None]
+    vs = [np.array([rng.uniform(-400, -100), rng.uniform(-150, 150),
+                    rng.uniform(600, 1200), rng.uniform(-2.5, 2.5)]) for _ in range(10)]
+    every = _state(legs, np.column_stack(vs))
+    for i, v in enumerate(vs):
+        block = _state(legs, v[:, None])
+        # one column evaluates to the bits it has among ten
+        assert block[_INDEX + 1:].tobytes() == every[_INDEX + 1:, [i]].tobytes()
+        [J] = _jacobian(legs, block)
         h = 1e-6
-        f_mag = np.max(np.abs(f))
+        f_mag = np.max(np.abs(block[_RESIDUALS]))
         for k in range(4):
             dv = np.zeros(4)
             dv[k] = h
-            [fd] = (_batch_residuals(legs, (v + dv)[None])
-                    - _batch_residuals(legs, (v - dv)[None])) / (2.0 * h)
+            fd = (_state(legs, (v + dv)[:, None])[_RESIDUALS, 0]
+                  - _state(legs, (v - dv)[:, None])[_RESIDUALS, 0]) / (2.0 * h)
             # cancellation noise in the difference is ~eps * |f| / h
             noise = 1e-15 * f_mag / h
             scale = max(1.0, np.max(np.abs(J[:, k])))
@@ -70,20 +86,21 @@ def test_jacobian_matches_finite_differences(geom):
 
 def test_rod_statement_same_bits_on_floats_and_rows(geom):
     # the scalar residual functions and the Newton batch share one statement:
-    # Python floats give the bits of the matching row of the (n, 4) evaluation
+    # Python floats give the bits of the matching column of the (4, n)
+    # evaluation, legs leading
     rng = np.random.default_rng(10)
     legs = _legs(geom, (400.0, 380.0, 390.0))
     v = rng.uniform(-1.0, 1.0, size=(50, 4)) * np.array([400, 200, 1200, 3.3])
-    x, y, z, alpha = v.T[..., None]
+    x, y, z, alpha = v.T
     c, s = np.cos(alpha), np.sin(alpha)
-    rods = _rods(legs, x, y, z, c, s)
-    rows = _residuals(legs, rods)
-    assert np.array_equal(rows, _batch_residuals(legs, v))
+    rods = _rods(legs[..., None], x, y, z, c, s)
+    cols = _residuals(legs[..., None], rods)
+    assert np.array_equal(cols, _state(legs[..., None], v.T)[_RESIDUALS])
     for i, (xi, yi, zi, _) in enumerate(v.tolist()):
-        one = _rods(legs, xi, yi, zi, float(c[i, 0]), float(s[i, 0]))
+        one = _rods(legs, xi, yi, zi, float(c[i]), float(s[i]))
         for scalar, batch in zip(one, rods):
-            assert scalar.tobytes() == batch[i].tobytes()
-        assert _residuals(legs, one).tobytes() == rows[i].tobytes()
+            assert scalar.tobytes() == batch[:, i].tobytes()
+        assert _residuals(legs, one).tobytes() == cols[:, i].tobytes()
     pose = PlatformPose(*v[0].tolist())
     tool = tool_pose_from_platform(geom, pose, 0.35, -0.8)
     joints = ParallelJoints(400.0, 380.0, 390.0)
@@ -93,19 +110,21 @@ def test_rod_statement_same_bits_on_floats_and_rows(geom):
         assert [type(f) for f in r.as_tuple()] == [float] * 4
 
 
-def _halving_reference(legs, v, step, norm):
+def _halving_reference(legs, block, step, norm):
     """The sequential rule: halve lam from 1, up to 30 tries, until the norm drops."""
-    lam = np.ones(len(v))
-    improved = np.zeros(len(v), dtype=bool)
-    trial = v.copy()
+    lam = np.ones(block.shape[1])
+    improved = np.zeros(block.shape[1], dtype=bool)
+    trial = block.copy()
     for _ in range(30):
         pending = np.flatnonzero(~improved)
-        cand = v[pending] + lam[pending, None] * step[pending]
-        good = np.max(np.abs(_batch_residuals(legs, cand)), axis=1) < norm[pending]
-        trial[pending[good]] = cand[good]
+        cand = block[:, pending]
+        cand[_POSE] += lam[pending] * step[:, pending]
+        _evaluate(legs, cand)
+        good = np.max(np.abs(cand[_RESIDUALS]), axis=0) < norm[pending]
+        trial[:, pending[good]] = cand[:, good]
         improved[pending[good]] = True
         lam[pending[~good]] *= 0.5
-    return trial, improved
+    return trial[:, improved]
 
 
 @pytest.mark.parametrize("ks", [[0], [5], [29], [None],
@@ -115,23 +134,22 @@ def test_damped_step_matches_halving(geom, ks):
     # v sits 1 mm off an exact pose; step = -2^k (v - pose) lands on the pose
     # at lam = 2^-k, the only lam within the norm bound of 1 mm^2.  k = None
     # has a zero step and the norm at v: only a strict drop counts, so no lam
-    # improves and the row is stuck.
+    # improves and the column is stuck.
     x, y, z = -250.0, 60.0, 900.0
     sol = select_working_solution(enumerate_ik(geom, x, y, z), geom)
-    legs = _legs(geom, sol.joints.as_tuple())
+    legs = _legs(geom, sol.joints.as_tuple())[..., None]
     d = np.array([0.6, -0.5, 0.4, 1e-3])
-    v = np.tile(np.array([x, y, z, sol.alpha]) + d, (len(ks), 1))
+    v = np.tile((np.array([x, y, z, sol.alpha]) + d)[:, None], len(ks))
+    block = _state(legs, v)
     stuck = np.array([k is None for k in ks])
-    step = np.array([0.0 * d if k is None else -2.0**k * d for k in ks])
-    norm = np.where(stuck, np.max(np.abs(_batch_residuals(legs, v)), axis=1), 1.0)
-    ref_trial, ref_improved = _halving_reference(legs, v, step, norm)
-    assert np.array_equal(ref_improved, ~stuck)
-    for i, k in enumerate(ks):
-        if k is not None:
-            assert np.array_equal(ref_trial[i], v[i] + 2.0**-k * step[i])
-    trial, improved = _damped_step(legs, v, step, norm)
-    assert np.array_equal(improved, ref_improved)
-    assert np.array_equal(trial[improved], ref_trial[improved])
+    step = np.array([0.0 * d if k is None else -2.0**k * d for k in ks]).T
+    norm = np.where(stuck, np.max(np.abs(block[_RESIDUALS]), axis=0), 1.0)
+    ref = _halving_reference(legs, block, step, norm)
+    assert np.array_equal(ref[_INDEX], np.flatnonzero(~stuck))
+    for col, i in zip(ref.T, np.flatnonzero(~stuck)):
+        assert np.array_equal(col[_POSE], v[:, i] + 2.0**-ks[i] * step[:, i])
+    # the whole carried state: pose, index, sliders, cos, sin, rods, residuals
+    assert _line_search(legs, block, step, norm).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("starts", [1, 100, 400])
@@ -142,9 +160,32 @@ def test_newton_matches_halving_line_search(geom, monkeypatch, starts):
               for p in region_points(rng, 3)]
     joints += [ParallelJoints(*rng.uniform(-100.0, 1200.0, size=3)) for _ in range(2)]
     got = [newton_fk(geom, j, starts=starts, seed=i) for i, j in enumerate(joints)]
-    monkeypatch.setattr(oracle, "_damped_step", _halving_reference)
+    monkeypatch.setattr(oracle, "_line_search", _halving_reference)
     assert [newton_fk(geom, j, starts=starts, seed=i) for i, j in enumerate(joints)] == got
     assert starts == 1 or all(got[:3])
+
+
+@pytest.mark.parametrize("starts", [1, 100, 400])
+def test_batch_matches_scalar_per_vector(geom, starts):
+    # the acceptance-5 mix, sliders that admit no assembly, and the first
+    # vector again under another seed
+    rng = np.random.default_rng(11)
+    joints = [select_working_solution(enumerate_ik(geom, *p), geom).joints
+              for p in region_points(rng, 3)]
+    joints += [ParallelJoints(*rng.uniform(-100.0, 1200.0, size=3)) for _ in range(2)]
+    joints += [ParallelJoints(0.0, 3000.0, -3000.0), joints[0]]
+    seeds = [3, 1, 4, 1, 5, 9, 2]
+    got = newton_fk_batch(geom, joints, starts=starts, seeds=seeds)
+    assert got == [newton_fk(geom, j, starts=starts, seed=k) for j, k in zip(joints, seeds)]
+    assert got[5] == []
+    assert starts == 1 or (got[0] and got[6])
+
+
+def test_batch_checks_its_seeds_and_takes_no_vectors(geom):
+    joints = [ParallelJoints(400.0, 380.0, 390.0), ParallelJoints(420.0, 380.0, 390.0)]
+    with pytest.raises(ValueError, match="seeds"):
+        newton_fk_batch(geom, joints, 20, [1])
+    assert newton_fk_batch(geom, [], 20, []) == []
 
 
 def test_newton_finds_known_pose(geom):
@@ -188,6 +229,25 @@ def test_newton_deterministic(geom):
 def test_newton_rejects_bad_starts(geom):
     with pytest.raises(ValueError):
         newton_fk(geom, ParallelJoints(400.0, 380.0, 390.0), starts=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_newton_rejects_non_finite_sliders(geom, bad):
+    joints = ParallelJoints(400.0, bad, 390.0)
+    with pytest.raises(ValueError, match="rho2"):
+        newton_fk(geom, joints)
+    with pytest.raises(ValueError, match="rho2"):
+        newton_fk_batch(geom, [ParallelJoints(400.0, 380.0, 390.0), joints], 100, [0, 1])
+
+
+def test_newton_overflow_raises_without_warning(geom):
+    joints = ParallelJoints(1e200, 400.0, 380.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            newton_fk(geom, joints)
+        with pytest.raises(OverflowError):
+            newton_fk_batch(geom, [ParallelJoints(400.0, 380.0, 390.0), joints], 100, [0, 1])
 
 
 def test_machine_residuals_direct_evaluation(geom):

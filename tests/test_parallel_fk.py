@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -475,6 +476,26 @@ def test_fk_symmetric_joints_cover_axis_modes(geom):
 
 def test_fk_unassemblable_joints_empty(geom):
     assert enumerate_fk(geom, ParallelJoints(2000.0, -1900.0, 200.0)) == []
+
+
+@pytest.mark.parametrize("rho", [(1e48, -1e48, 3e48), (1e50, -1e50, 3e50)],
+                         ids=["certificate-bound", "certificate-values"])
+def test_fk_numpy_float_sliders_overflow_without_warning(geom, rho):
+    # numpy scalars warn on overflow before the Python-float arithmetic
+    # raises, so the sliders become Python floats on the way in
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for joints in (np.array(rho), ParallelJoints(*np.array(rho))):
+            with pytest.raises(OverflowError):
+                enumerate_fk(geom, joints)
+
+
+def test_fk_slider_types_give_the_same_modes(geom):
+    rng = np.random.default_rng(14)
+    for rho in rng.uniform(-200.0, 1500.0, size=(20, 3)):
+        expected = repr(enumerate_fk(geom, ParallelJoints(*rho.tolist())))
+        assert repr(enumerate_fk(geom, rho)) == expected
+        assert repr(enumerate_fk(geom, ParallelJoints(*rho))) == expected
 
 
 def test_fk_polish_runs_to_convergence(geom):
