@@ -14,15 +14,13 @@ on legs II and III.
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .parallel_fk import enumerate_fk
-from .parallel_ik import (DEDUP_TOL, ConfigurationIndices, ParallelJoints,
-                          PlatformPose, _branches, _coupling_holds, _dedup,
-                          _on_working_branch, _unique, coupling_residual,
-                          wrap_angle)
+from .parallel_ik import (ConfigurationIndices, ParallelJoints, _branches,
+                          _coupling_holds, _on_working_branch, _unique,
+                          coupling_residual, wrap_angle)
 from .rootfind import CLUSTER_REL_TOL, Polynomial, _add, _certify, _mul, real_roots
 
 
@@ -216,22 +214,25 @@ def tool_ik(geom, tool):
     theta2 = -phi2 exactly; theta1 runs over the in-range tilt candidates.
     Each tilt implies one platform pose, whose branches are the
     parallel-module ones, built, sign-ruled and residual-checked against all
-    four rod constraints by the same code as enumerate_ik.  within_limits
-    covers the sliders and the rotary range (the tilt range is enforced on
-    theta1 directly, since the table cannot leave it).
+    four rod constraints by the same code as enumerate_ik, and distinct by
+    the same per-leg rule.  within_limits covers the sliders and the rotary
+    range (the tilt range is enforced on theta1 directly, since the table
+    cannot leave it).
     """
+    # positions as Python floats, whose arithmetic raises OverflowError where
+    # numpy scalars would warn first; the angles are wrapped floats already
+    tool = ToolPose(float(tool.x_u), float(tool.y_u), float(tool.z_u), tool.phi1, tool.phi2)
     theta2 = -tool.phi2
     rotary_ok = geom.theta2_min <= theta2 <= geom.theta2_max
-    solutions = [
-        MachineIkSolution(
-            machine_joints=MachineJoints(joints=sol.joints, theta1=theta1, theta2=theta2),
-            indices=sol.indices, alpha=sol.alpha, residual_norm=sol.residual_norm,
-            within_limits=sol.within_limits and rotary_ok)
-        for theta1 in tilt_candidates(geom, tool)
-        for sol in _branches(geom, PlatformPose(*_platform_coordinates(geom, tool, theta1)))]
-    return _dedup(solutions, attrgetter("machine_joints.theta1", "machine_joints.joints.rho1",
-                                        "machine_joints.joints.rho2", "machine_joints.joints.rho3"),
-                  DEDUP_TOL)
+    solutions = []
+    for theta1 in tilt_candidates(geom, tool):
+        x_p, y_p, z_p, alpha = _platform_coordinates(geom, tool, theta1)
+        alpha = wrap_angle(alpha)
+        solutions += [MachineIkSolution(MachineJoints(joints, theta1, theta2), indices, alpha,
+                                        residual, within_limits and rotary_ok)
+                      for joints, indices, residual, within_limits
+                      in _branches(geom, x_p, y_p, z_p, alpha)]
+    return solutions
 
 
 def select_machine_solution(solutions, geom):

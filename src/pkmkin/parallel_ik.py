@@ -12,7 +12,6 @@ sign branches on the three sliders, for at most 16 branches in total.
 import math
 from dataclasses import dataclass
 from itertools import product
-from operator import attrgetter
 
 from .errors import (AmbiguousSelectionError, DegenerateOrientationError,
                      InconsistentPoseError, NegativeRadicandError,
@@ -119,32 +118,47 @@ class IsoEllipse:
                 self.semi_minor_b * math.sin(phi))
 
 
-def constraint_residuals(geom, x_p, y_p, z_p, alpha, rho1, rho2, rho3):
-    """The four rod-length constraint residuals (mm^2), leg I twice."""
-    c, s = math.cos(alpha), math.sin(alpha)
+def _rod_terms(geom, x_p, y_p, z_p, c, s):
+    """The slider-free part of the four rod constraints at an orientation
+    with cosine c and sine s, leg I twice: per constraint its planar term
+    X^2 + Y^2 (mm^2) and the height its slider is measured from (mm)."""
     X1 = x_p + geom.D1 - geom.d1
     X2 = x_p + geom.D2 - geom.d2
-    return (
-        X1**2 + (y_p + geom.R1 * c - geom.r1)**2 + (z_p + geom.R1 * s - rho1)**2 - geom.L1**2,
-        X1**2 + (y_p - geom.R1 * c + geom.r1)**2 + (z_p - geom.R1 * s - rho1)**2 - geom.L1**2,
-        X2**2 + (y_p - geom.R2 * c + geom.r4)**2 + (z_p - geom.R2 * s - rho2)**2 - geom.L2**2,
-        X2**2 + (y_p + geom.R2 * c - geom.r4)**2 + (z_p + geom.R2 * s - rho3)**2 - geom.L3**2,
-    )
+    return (X1**2 + (y_p + geom.R1 * c - geom.r1)**2, z_p + geom.R1 * s,
+            X1**2 + (y_p - geom.R1 * c + geom.r1)**2, z_p - geom.R1 * s,
+            X2**2 + (y_p - geom.R2 * c + geom.r4)**2, z_p - geom.R2 * s,
+            X2**2 + (y_p + geom.R2 * c - geom.r4)**2, z_p + geom.R2 * s)
 
 
-def _coupling_terms(geom, x_p, y_p, alpha):
-    """The three terms the coupling relation sums, in its order:
+def _slider_residuals(geom, terms, rho1, rho2, rho3):
+    """The four rod-constraint residuals (mm^2) from the _rod_terms of a pose."""
+    p1a, h1a, p1b, h1b, p2, h2, p3, h3 = terms
+    return (p1a + (h1a - rho1)**2 - geom.L1**2,
+            p1b + (h1b - rho1)**2 - geom.L1**2,
+            p2 + (h2 - rho2)**2 - geom.L2**2,
+            p3 + (h3 - rho3)**2 - geom.L3**2)
+
+
+def constraint_residuals(geom, x_p, y_p, z_p, alpha, rho1, rho2, rho3):
+    """The four rod-length constraint residuals (mm^2), leg I twice."""
+    return _slider_residuals(
+        geom, _rod_terms(geom, x_p, y_p, z_p, math.cos(alpha), math.sin(alpha)), rho1, rho2, rho3)
+
+
+def _coupling_terms(geom, x_p, y_p, c, s):
+    """The three terms the coupling relation sums, in its order, at an
+    orientation with cosine c and sine s:
     R1^2 s^2 X1^2 + leg1_span_sq(c) y_p^2 - R1^2 s^2 a_sq(c)."""
-    c, s = math.cos(alpha), math.sin(alpha)
     X1 = x_p + geom.D1 - geom.d1
-    return (geom.R1**2 * s**2 * X1**2,
-            geom.leg1_span_sq(c) * y_p**2,
-            geom.R1**2 * s**2 * geom.a_sq(c))
+    span = geom.leg1_span_sq(c)
+    lever = geom.R1**2 * s**2
+    # a_sq(c) = L1^2 - leg1_span_sq(c)
+    return lever * X1**2, span * y_p**2, lever * (geom.L1**2 - span)
 
 
 def coupling_residual(geom, x_p, y_p, alpha):
     """Residual of the position/orientation coupling relation."""
-    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, alpha)
+    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha))
     return t1 + t2 - t3
 
 
@@ -156,13 +170,13 @@ def coupling_scale(geom, x_p, y_p, alpha):
     boundary-clamped cosine roots from just outside [-1, 1] cannot sneak in
     as candidates on the strength of an unrelated global scale.
     """
-    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, alpha)
+    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha))
     return max(1.0, t1, abs(t2), abs(t3))
 
 
 def _coupling_holds(geom, x_p, y_p, alpha):
     """The coupling test of every orientation candidate, from one evaluation."""
-    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, alpha)
+    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha))
     return abs(t1 + t2 - t3) <= COUPLING_REL_TOL * max(1.0, t1, abs(t2), abs(t3))
 
 
@@ -183,15 +197,16 @@ def coupling_cubic(geom, x_p, y_p):
 
 def _polish_alpha(geom, x_p, y_p, alpha):
     """Newton-polish alpha against the coupling residual (arccos of a cubic
-    root loses accuracy near cos(alpha) = +-1)."""
+    root loses accuracy near cos(alpha) = +-1), one evaluation of the
+    coupling terms per step."""
     R1, r1 = geom.R1, geom.r1
-    X1 = x_p + geom.D1 - geom.d1
+    R1_sq, X1_sq, y_sq = R1**2, (x_p + geom.D1 - geom.d1)**2, y_p**2
+    k1, k3 = 2.0 * R1 * r1, 2.0 * R1**3 * r1
     for _ in range(3):
         c, s = math.cos(alpha), math.sin(alpha)
-        g = coupling_residual(geom, x_p, y_p, alpha)
-        dg = (2.0 * s * c * R1**2 * (X1**2 - geom.a_sq(c))
-              + 2.0 * R1 * r1 * s * y_p**2
-              + 2.0 * R1**3 * r1 * s**3)
+        t1, t2, t3 = _coupling_terms(geom, x_p, y_p, c, s)
+        g = t1 + t2 - t3
+        dg = 2.0 * s * c * R1_sq * (X1_sq - geom.a_sq(c)) + k1 * s * y_sq + k3 * s**3
         if dg == 0.0:
             break
         step = g / dg
@@ -209,6 +224,7 @@ def orientation_candidates(geom, x_p, y_p):
     sin(alpha) is paired with y_p only later, through the rho1 branch rule.
     Empty when the point lies outside every coupling ellipse.
     """
+    x_p, y_p = float(x_p), float(y_p)
     cubic = coupling_cubic(geom, x_p, y_p)
     out = []
     for c in real_roots_in_unit_interval(cubic):
@@ -258,18 +274,6 @@ def _clamped_sqrt(radicand, scale, leg):
     return math.sqrt(max(radicand, 0.0))
 
 
-def leg_radicands(geom, x_p, y_p, alpha):
-    """Square-root arguments of the three slider solutions (mm^2)."""
-    c = math.cos(alpha)
-    X1 = x_p + geom.D1 - geom.d1
-    X2 = x_p + geom.D2 - geom.d2
-    return (
-        geom.a_sq(c) - X1**2 - y_p**2,
-        geom.L2**2 - X2**2 - (y_p - geom.R2 * c + geom.r4)**2,
-        geom.L3**2 - X2**2 - (y_p + geom.R2 * c - geom.r4)**2,
-    )
-
-
 def allowed_s1(geom, pose):
     """Admissible leg-I branch signs for a pose on the coupling locus.
 
@@ -277,12 +281,12 @@ def allowed_s1(geom, pose):
     geometry forces rho1 = z_p (zero radicand).  At alpha in {0, pi} both
     signs are admissible; otherwise the sign rule fixes s1 uniquely.
     """
-    return _sign_rule(geom, pose)[0]
+    return _sign_rule(geom, pose.y_p, math.cos(pose.alpha), math.sin(pose.alpha))[0]
 
 
-def _sign_rule(geom, pose):
-    """(allowed_s1, rho1 - z_p), the offset None where s1 is free."""
-    c, s = math.cos(pose.alpha), math.sin(pose.alpha)
+def _sign_rule(geom, y_p, c, s):
+    """(allowed_s1, rho1 - z_p) at an orientation with cosine c and sine s,
+    the offset None where s1 is free."""
     if abs(s) < DEGENERATE_SIN_TOL:
         return frozenset((-1, 1)), None
     # the sign rule solved for the slider offset rho1 - z_p; it vanishes at
@@ -291,7 +295,7 @@ def _sign_rule(geom, pose):
     # an offset within DEDUP_TOL (or NaN) pins rho1 = z_p rather than taking
     # the square root of a radicand that is round-off noise; -0.0 is the
     # offset that leaves z_p unchanged bit for bit
-    offset = pose.y_p * (geom.R1 * c - geom.r1) / (geom.R1 * s)
+    offset = y_p * (geom.R1 * c - geom.r1) / (geom.R1 * s)
     if not abs(offset) > DEDUP_TOL:
         return RHO1_PINNED, -0.0
     return frozenset((_sgn(offset),)), offset
@@ -302,22 +306,27 @@ def _sgn(v):
     return int(v > 0) - int(v < 0)
 
 
-def _leg_roots(geom, pose):
-    """The clamped square roots of the three leg radicands; a leg that cannot
-    close raises NegativeRadicandError, leg I checked first, then II, III."""
-    rad1, rad2, rad3 = leg_radicands(geom, pose.x_p, pose.y_p, pose.alpha)
+def _leg_roots(geom, x_p, y_p, c):
+    """The clamped square roots of the three slider solutions' radicands
+    (mm) at an orientation with cosine c; a leg that cannot close raises
+    NegativeRadicandError, leg I checked first, then II, III."""
+    X1 = x_p + geom.D1 - geom.d1
+    X2 = x_p + geom.D2 - geom.d2
+    rad1 = geom.a_sq(c) - X1**2 - y_p**2
+    rad2 = geom.L2**2 - X2**2 - (y_p - geom.R2 * c + geom.r4)**2
+    rad3 = geom.L3**2 - X2**2 - (y_p + geom.R2 * c - geom.r4)**2
     return (_clamped_sqrt(rad1, geom.L1**2, "I"),
             _clamped_sqrt(rad2, geom.L2**2, "II"),
             _clamped_sqrt(rad3, geom.L3**2, "III"))
 
 
-def _sliders(geom, pose, offset, roots, s1, s2, s3):
+def _sliders(geom, z_p, s, offset, roots, s1, s2, s3):
     # off the axis the sign rule gives rho1 - z_p without a square root: the
     # leg-I radicand is round-off next to the y_p = 0 edge of an ellipse,
     # and there its root would put rho1 off by up to ~1e-5 mm
-    rho1 = pose.z_p + (s1 * roots[0] if offset is None else offset)
-    lift = geom.R2 * math.sin(pose.alpha)
-    return rho1, pose.z_p - lift + s2 * roots[1], pose.z_p + lift + s3 * roots[2]
+    rho1 = z_p + (s1 * roots[0] if offset is None else offset)
+    lift = geom.R2 * s
+    return rho1, z_p - lift + s2 * roots[1], z_p + lift + s3 * roots[2]
 
 
 def joints_from_pose(geom, pose, indices):
@@ -326,65 +335,81 @@ def joints_from_pose(geom, pose, indices):
     Raises NegativeRadicandError when a leg cannot close and
     SignRuleViolation when indices.s1 contradicts the leg-I sign rule.
     """
-    allowed, offset = _sign_rule(geom, pose)
+    c, s = math.cos(pose.alpha), math.sin(pose.alpha)
+    allowed, offset = _sign_rule(geom, pose.y_p, c, s)
     if allowed is not RHO1_PINNED and indices.s1 not in allowed:
         raise SignRuleViolation(
             f"s1={indices.s1:+d} contradicts the leg-I sign rule at alpha={pose.alpha:.9f}")
-    return ParallelJoints(*_sliders(geom, pose, offset, _leg_roots(geom, pose),
-                                   *indices.as_tuple()))
+    return ParallelJoints(*_sliders(geom, pose.z_p, s, offset,
+                                    _leg_roots(geom, pose.x_p, pose.y_p, c),
+                                    *indices.as_tuple()))
 
 
 # the eight sign branches, built once (ConfigurationIndices is frozen)
 _INDICES = {signs: ConfigurationIndices(*signs) for signs in product((-1, 1), repeat=3)}
 
 
-def _branches(geom, pose):
-    """Every sign branch of a solved pose that closes all four rod constraints
-    (4 or 8 before the residual filter, not deduplicated).  Each constraint
-    involves one slider, so they are evaluated with every slider on sign -1,
-    then +1, and a branch's residual is the worst of its three legs'."""
-    allowed, offset = _sign_rule(geom, pose)
+def _branches(geom, x_p, y_p, z_p, alpha):
+    """Every sign branch at one orientation (alpha wrapped) that closes all
+    four rod constraints, as (joints, indices, residual, within_limits), in
+    sign order s1, s2, s3 with -1 first.
+
+    The sine and cosine, the leg roots and the slider-free rod terms are
+    evaluated once.  Each constraint involves one slider, so it is evaluated
+    per leg and sign, and a branch's residual is the worst of its three
+    legs'.  Among the signs the sign rule allows, a leg whose two signs give
+    sliders within DEDUP_TOL of each other (leg I pinned to rho1 = z_p, a
+    grazing leg whose root clamps to 0) contributes its s = -1 slider only,
+    so no two branches coincide.
+    """
+    c, s = math.cos(alpha), math.sin(alpha)
+    allowed, offset = _sign_rule(geom, y_p, c, s)
     try:
-        roots = _leg_roots(geom, pose)
+        roots = _leg_roots(geom, x_p, y_p, c)
     except NegativeRadicandError:
         return []
-    legs = {}
-    for sign in (-1, 1):
-        rho = _sliders(geom, pose, offset, roots, sign, sign, sign)
-        r1a, r1b, r2, r3 = constraint_residuals(geom, pose.x_p, pose.y_p, pose.z_p,
-                                                pose.alpha, *rho)
-        # per leg: (rho, |residual|, within limits), leg I the worse of two
-        legs[sign] = [(v, e, geom.rho_min <= v <= geom.rho_max)
-                      for v, e in zip(rho, (max(abs(r1a), abs(r1b)), abs(r2), abs(r3)))]
-    out = []
+    terms = _rod_terms(geom, x_p, y_p, z_p, c, s)
+    lo, hi = geom.rho_min, geom.rho_max
+    minus = _sliders(geom, z_p, s, offset, roots, -1, -1, -1)
+    plus = _sliders(geom, z_p, s, offset, roots, 1, 1, 1)
+    m1a, m1b, m2, m3 = _slider_residuals(geom, terms, *minus)
+    p1a, p1b, p2, p3 = _slider_residuals(geom, terms, *plus)
+    # per leg: (sign, rho, |residual|, within limits), leg I the worse of two
+    legs = []
+    for signs, vm, vp, em, ep in zip(
+            ((-1, 1) if allowed is RHO1_PINNED else sorted(allowed), (-1, 1), (-1, 1)),
+            minus, plus, (max(abs(m1a), abs(m1b)), abs(m2), abs(m3)),
+            (max(abs(p1a), abs(p1b)), abs(p2), abs(p3))):
+        options = [(-1, vm, em, lo <= vm <= hi)] if -1 in signs else []
+        if 1 in signs and not (options and abs(vp - vm) <= DEDUP_TOL):
+            options.append((1, vp, ep, lo <= vp <= hi))
+        legs.append(options)
     tol = SOLUTION_REL_TOL * geom.residual_scale
-    s1_values = (-1, 1) if allowed is RHO1_PINNED else sorted(allowed)
-    for s1, s2, s3 in product(s1_values, (-1, 1), (-1, 1)):
-        (rho1, e1, ok1), (rho2, e2, ok2), (rho3, e3, ok3) = legs[s1][0], legs[s2][1], legs[s3][2]
-        residual = max(e1, e2, e3)
-        if residual <= tol:
-            out.append(IkSolution(joints=ParallelJoints(rho1, rho2, rho3), alpha=pose.alpha,
-                                  indices=_INDICES[s1, s2, s3], residual_norm=residual,
-                                  within_limits=ok1 and ok2 and ok3))
-    return out
+    return [(ParallelJoints(rho1, rho2, rho3), _INDICES[s1, s2, s3], residual, ok1 and ok2 and ok3)
+            for (s1, rho1, e1, ok1), (s2, rho2, e2, ok2), (s3, rho3, e3, ok3) in product(*legs)
+            for residual in (max(e1, e2, e3),) if residual <= tol]
 
 
 def enumerate_ik(geom, x_p, y_p, z_p):
     """Every inverse-kinematic branch at a platform position (at most 16).
 
-    Branches out of slider range are annotated, not dropped; duplicates
-    (within 1e-9 mm / 1e-9 rad) are merged.  Empty when the position lies
-    outside every coupling ellipse.
+    Branches out of slider range are annotated, not dropped.  Each
+    orientation contributes every sign branch the leg-I sign rule allows,
+    except that a leg whose two signs give the same slider within 1e-9 mm
+    takes s = -1 only, so no two branches coincide.  Empty when the
+    position lies outside every coupling ellipse.
     """
-    solutions = [sol for alpha in orientation_candidates(geom, x_p, y_p)
-                 for sol in _branches(geom, PlatformPose(x_p, y_p, z_p, alpha))]
-    return _dedup(solutions, attrgetter("alpha", "joints.rho1", "joints.rho2", "joints.rho3"),
-                  DEDUP_TOL)
+    x_p, y_p, z_p = float(x_p), float(y_p), float(z_p)
+    # orientation candidates are wrapped, and wrap_angle is idempotent
+    return [IkSolution(joints, alpha, indices, residual, within_limits)
+            for alpha in orientation_candidates(geom, x_p, y_p)
+            for joints, indices, residual, within_limits in _branches(geom, x_p, y_p, z_p, alpha)]
 
 
 def _dedup(items, key, tol):
     """items without those whose four-float key lies within tol, component
-    by component, of an earlier kept item's key; order is preserved."""
+    by component, of an earlier kept item's key; order is preserved.  Serves
+    enumerate_fk's assembly modes; IK branches are distinct by construction."""
     kept, kept_keys = [], []
     for item in items:
         a, b, c, d = key(item)

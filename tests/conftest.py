@@ -69,6 +69,36 @@ def locus_points(geom, rng):
     return pts
 
 
+def assert_distinct(keys, tol):
+    """No two keys lie within tol of each other in every component."""
+    for i, a in enumerate(keys):
+        for b in keys[:i]:
+            assert not all(abs(p - q) <= tol for p, q in zip(a, b)), (a, b)
+
+
+def grazing_point(geom, leg, alpha=0.3, z=900.0):
+    """A point (x, y, z) on alpha's iso-ellipse where leg II or III only just
+    fails to close: its radicand is about -1e-6 mm^2, inside the clamp, so
+    its root is 0.0 and both of its slider signs give one slider.  Found by
+    bisection on the ellipse for leg III; leg II is its mirror in y, exact
+    for L2 = L3."""
+    assert geom.L2 == geom.L3
+    ell, w = iso_ellipse(geom, alpha), geom.R2 * math.cos(alpha) - geom.r4
+
+    def radicand(phi):
+        x, y = ell.point(phi)
+        return geom.L3**2 - (x + geom.D2 - geom.d2)**2 - (y + w)**2
+
+    lo, hi = 2.8, 3.0
+    assert radicand(lo) > 0.0 > radicand(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radicand(mid) > -1e-6 else (lo, mid)
+    assert -1e-5 < radicand(hi) < 0.0
+    x, y = ell.point(hi)
+    return (x, y if leg == "III" else -y, z)
+
+
 def raw_residuals(geom, x, y, z, alpha, rho1, rho2, rho3):
     """The four rod constraints, restated from the machine description."""
     c, s = math.cos(alpha), math.sin(alpha)

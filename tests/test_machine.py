@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pkmkin import (MachineJoints, ParallelJoints, PlatformPose, ToolPose,
+from pkmkin import (ConfigurationIndices, MachineJoints, ParallelJoints, PlatformPose, ToolPose,
                     enumerate_fk, enumerate_ik, iso_ellipse, joints_from_pose,
                     orientation_candidates, platform_from_tool,
                     residuals_machine, residuals_parallel,
@@ -12,10 +12,11 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose, ToolPose,
                     tool_fk, tool_ik, tool_pose_from_platform, wrap_angle)
 from pkmkin import machine
 from pkmkin.machine import _platform_coordinates
-from pkmkin.parallel_ik import constraint_residuals, coupling_residual
+from pkmkin.parallel_ik import DEDUP_TOL, constraint_residuals, coupling_residual
 from pkmkin.rootfind import real_roots
 
-from conftest import angle_delta, locus_points, region_points, use_numpy_polynomial
+from conftest import (angle_delta, assert_distinct, grazing_point, locus_points,
+                      region_points, use_numpy_polynomial)
 
 
 def working_pose(geom, rng):
@@ -327,6 +328,57 @@ def test_tool_ik_degenerate_loci_match_parallel_module(geom):
         assert len(at_tilt) == len(peers), (x, y, z, alpha, theta1)
         matched += len(peers)
     assert matched >= 200
+
+
+def test_no_two_tool_ik_branches_coincide(geom):
+    # tool poses mapped from the IK loci and from points around the region,
+    # on a zero and a random table; y = 0 axis points give the tilted axis
+    # poses, where alpha in {0, pi} carries 8 branches
+    rng = np.random.default_rng(46)
+    points = [p for seed in range(4) for p in locus_points(geom, np.random.default_rng(seed))]
+    points += [(rng.uniform(-900.0, 500.0), rng.uniform(-500.0, 500.0), rng.uniform(600.0, 1200.0))
+               for _ in range(100)]
+    branches = 0
+    for x, y, z in points:
+        for alpha in orientation_candidates(geom, x, y):
+            for theta1 in (0.0, rng.uniform(-1.2, 1.2)):
+                tool = tool_pose_from_platform(geom, PlatformPose(x, y, z, alpha), theta1,
+                                               rng.uniform(-math.pi, math.pi))
+                sols = tool_ik(geom, tool)
+                assert_distinct([(m.machine_joints.theta1, *m.machine_joints.joints.as_tuple())
+                                 for m in sols], DEDUP_TOL)
+                branches += len(sols)
+    assert branches >= 5000
+
+
+@pytest.mark.parametrize("leg", ["II", "III"])
+@pytest.mark.parametrize("theta1", [0.0, 0.7])
+def test_tool_ik_grazing_leg_gives_its_minus_branch_once(geom, leg, theta1):
+    x, y, z = grazing_point(geom, leg)
+    tool = tool_pose_from_platform(geom, PlatformPose(x, y, z, 0.3), theta1, 0.4)
+    sols = [m for m in tool_ik(geom, tool) if abs(m.machine_joints.theta1 - theta1) <= 1e-9]
+    k = 1 if leg == "II" else 2
+    assert len(sols) == 2 and {m.indices.as_tuple()[k] for m in sols} == {-1}
+    for m in sols:
+        pose = PlatformPose(*_platform_coordinates(geom, tool, m.machine_joints.theta1))
+        signs = list(m.indices.as_tuple())
+        signs[k] = 1
+        assert joints_from_pose(geom, pose, ConfigurationIndices(*signs)) == m.machine_joints.joints
+
+
+@pytest.mark.parametrize("tool", [(120.0, -80.0, -150.0, 0.3, 1.1), (1e200, 0.0, 0.0, 0.0, 0.0),
+                                  (0.0, 0.0, -1e200, 0.2, 0.0)])
+def test_tool_ik_numpy_scalar_inputs_match_python_floats(geom, tool):
+    def outcome(pose):
+        try:
+            return repr(tool_ik(geom, pose))
+        except Exception as exc:  # noqa: BLE001 - the exception type is compared
+            return type(exc)
+
+    expected = outcome(ToolPose(*tool))
+    assert outcome(ToolPose(*map(np.float64, tool))) == expected
+    assert outcome(ToolPose(*np.array(tool))) == expected
+    assert expected is OverflowError or "np." not in expected
 
 
 def test_select_machine_solution_roundtrip(geom):

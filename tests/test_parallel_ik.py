@@ -14,10 +14,11 @@ from pkmkin import (AmbiguousSelectionError, ConfigurationIndices,
                     orientation_candidates, residuals_parallel,
                     select_working_solution, wrap_angle)
 from pkmkin import parallel_ik
-from pkmkin.parallel_ik import (RHO1_PINNED, coupling_residual,
+from pkmkin.parallel_ik import (DEDUP_TOL, RHO1_PINNED, coupling_residual,
                                 coupling_scale, constraint_residuals)
 
-from conftest import brute_force_ik, locus_points, raw_residuals, region_points
+from conftest import (assert_distinct, brute_force_ik, grazing_point, locus_points,
+                      raw_residuals, region_points)
 
 RNG = np.random.default_rng(20240811)
 POINT = (-250.0, 60.0, 900.0)
@@ -346,6 +347,61 @@ def test_branch_limit_flags_per_leg(geom):
     sols = enumerate_ik(tight, *POINT)
     assert {s.within_limits for s in sols} == {True, False}
     assert_branches_exact(tight, POINT, sols)
+
+
+def test_no_two_branches_coincide(geom):
+    # every branch differs from every other by more than DEDUP_TOL in its
+    # orientation or one slider; where both leg-I signs are allowed and
+    # give rho1 = z_p, the s1 = -1 copy stands for both
+    rng = np.random.default_rng(44)
+    points = [p for seed in range(8) for p in locus_points(geom, np.random.default_rng(seed))]
+    points += [(rng.uniform(-900.0, 500.0), rng.uniform(-500.0, 500.0), rng.uniform(600.0, 1200.0))
+               for _ in range(300)]
+    pinned = 0
+    for x, y, z in points:
+        sols = enumerate_ik(geom, x, y, z)
+        assert_distinct([(s.alpha, *s.joints.as_tuple()) for s in sols], DEDUP_TOL)
+        for alpha in {s.alpha for s in sols}:
+            if allowed_s1(geom, PlatformPose(x, y, z, alpha)) is RHO1_PINNED:
+                assert {s.indices.s1 for s in sols if s.alpha == alpha} == {-1}
+                pinned += 1
+    assert pinned >= 200
+
+
+@pytest.mark.parametrize("leg", ["II", "III"])
+def test_grazing_leg_gives_its_minus_branch_once(geom, leg):
+    # the grazing leg's radicand clamps to 0: its s = +1 slider is its
+    # s = -1 slider, and only the s = -1 branch is returned
+    x, y, z = grazing_point(geom, leg)
+    sols = [s for s in enumerate_ik(geom, x, y, z) if abs(s.alpha - 0.3) <= 1e-9]
+    k = 1 if leg == "II" else 2
+    assert len(sols) == 2 and {s.indices.as_tuple()[k] for s in sols} == {-1}
+    assert len({s.indices.as_tuple()[3 - k] for s in sols}) == 2
+    for sol in sols:
+        pose = PlatformPose(x, y, z, sol.alpha)
+        signs = list(sol.indices.as_tuple())
+        assert joints_from_pose(geom, pose, sol.indices) == sol.joints
+        signs[k] = 1
+        assert joints_from_pose(geom, pose, ConfigurationIndices(*signs)) == sol.joints
+
+
+@pytest.mark.parametrize("point", [POINT, (-250.0, -60.0, 1100.0), (1e200, 0.0, 900.0),
+                                   (-250.0, 1e200, 900.0)])
+def test_numpy_scalar_inputs_match_python_floats(geom, point):
+    # sliders come out as Python floats, and overflow raises OverflowError
+    # without a numpy warning first (Tier-1 turns RuntimeWarning into an error)
+    def outcome(func, *args):
+        try:
+            return repr(func(geom, *args))
+        except Exception as exc:  # noqa: BLE001 - the exception type is compared
+            return type(exc)
+
+    scalars = tuple(np.float64(v) for v in point)
+    for func, n in ((enumerate_ik, 3), (orientation_candidates, 2)):
+        expected = outcome(func, *point[:n])
+        assert outcome(func, *scalars[:n]) == expected
+        assert outcome(func, *np.array(point)[:n]) == expected
+        assert expected is OverflowError or "np." not in expected
 
 
 # ---------------------------------------------------------------------------
