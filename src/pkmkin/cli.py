@@ -41,6 +41,18 @@ ELLIPSE_COLUMNS = ("record", "alpha", "center_x", "a", "b", "phi", "x", "y", "re
 
 ANGLE_FIELDS = frozenset(("alpha", "theta1", "theta2", "phi1", "phi2"))
 
+# (command, help, float arguments, --select help) of the four solver commands
+SOLVER_COMMANDS = (
+    ("ik", "inverse kinematics of the parallel module",
+     ("x_p", "y_p", "z_p"), "print only the working solution"),
+    ("fk", "forward kinematics of the parallel module",
+     ("rho1", "rho2", "rho3"), "print only the reachable assembly mode"),
+    ("tool-ik", "inverse kinematics of the full machine",
+     ("x_u", "y_u", "z_u", "phi1", "phi2"), "print only the working solution"),
+    ("tool-fk", "forward kinematics of the full machine",
+     ("rho1", "rho2", "rho3", "theta1", "theta2"), "print only the reachable assembly mode"),
+)
+
 
 @dataclass(frozen=True)
 class SolutionRecord:
@@ -70,40 +82,36 @@ def _fmt_cell(v, human):
     return str(v)
 
 
-def emit_records(records, columns, fmt, deg, out=None):
-    if out is None:
-        out = sys.stdout
+def emit_records(records, columns, fmt, deg):
     if fmt == "table":
         widths = [max(len(c), 14) for c in columns]
         header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
-        print(header, file=out)
-        print("-" * len(header), file=out)
+        print(header)
+        print("-" * len(header))
         for rec in records:
             cells = [_fmt_cell(v, True).rjust(w) if not isinstance(v, str) else v.ljust(w)
                      for v, w in zip(rec.row(columns, deg), widths)]
-            print("  ".join(cells), file=out)
+            print("  ".join(cells))
     elif fmt == "csv":
-        print(",".join(columns), file=out)
+        print(",".join(columns))
         for rec in records:
-            print(",".join(_fmt_cell(v, False) for v in rec.row(columns, deg)), file=out)
+            print(",".join(_fmt_cell(v, False) for v in rec.row(columns, deg)))
     elif fmt == "json-lines":
         for rec in records:
             obj = {col: v for col, v in zip(columns, rec.row(columns, deg))
                    if col in rec.values}
             obj["label"] = rec.label
-            print(json.dumps(obj, sort_keys=True), file=out)
+            print(json.dumps(obj, sort_keys=True))
     else:  # pragma: no cover
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _emit_solutions(args, items, select, columns, values, order=None):
-    """Emit one labelled row (a), (b), ... per item; with --select only the
-    item `select` picks.  `order` sorts the rows, `values` fills one."""
+def _emit_solutions(args, items, select, columns, values):
+    """Emit one labelled row (a), (b), ... per item, in the solver's order;
+    with --select only the item `select` picks.  `values` fills one row."""
     if args.select:
         chosen = select(items)
         items = [chosen] if chosen is not None else []
-    if order is not None:
-        items = sorted(items, key=order)
     records = [SolutionRecord(label=f"({MODE_LABELS[i]})", values=values(item))
                for i, item in enumerate(items)]
     emit_records(records, columns, args.format, args.deg)
@@ -142,41 +150,12 @@ def build_parser():
         p.add_argument("--deg", action="store_true",
                        help="angles in degrees on input and output")
 
-    p_ik = sub.add_parser("ik", help="inverse kinematics of the parallel module")
-    common(p_ik)
-    p_ik.add_argument("x_p", type=finite)
-    p_ik.add_argument("y_p", type=finite)
-    p_ik.add_argument("z_p", type=finite)
-    p_ik.add_argument("--select", action="store_true",
-                      help="print only the working solution")
-
-    p_fk = sub.add_parser("fk", help="forward kinematics of the parallel module")
-    common(p_fk)
-    p_fk.add_argument("rho1", type=finite)
-    p_fk.add_argument("rho2", type=finite)
-    p_fk.add_argument("rho3", type=finite)
-    p_fk.add_argument("--select", action="store_true",
-                      help="print only the reachable assembly mode")
-
-    p_tik = sub.add_parser("tool-ik", help="inverse kinematics of the full machine")
-    common(p_tik)
-    p_tik.add_argument("x_u", type=finite)
-    p_tik.add_argument("y_u", type=finite)
-    p_tik.add_argument("z_u", type=finite)
-    p_tik.add_argument("phi1", type=finite)
-    p_tik.add_argument("phi2", type=finite)
-    p_tik.add_argument("--select", action="store_true",
-                       help="print only the working solution")
-
-    p_tfk = sub.add_parser("tool-fk", help="forward kinematics of the full machine")
-    common(p_tfk)
-    p_tfk.add_argument("rho1", type=finite)
-    p_tfk.add_argument("rho2", type=finite)
-    p_tfk.add_argument("rho3", type=finite)
-    p_tfk.add_argument("theta1", type=finite)
-    p_tfk.add_argument("theta2", type=finite)
-    p_tfk.add_argument("--select", action="store_true",
-                       help="print only the reachable assembly mode")
+    for name, help_text, floats, select_help in SOLVER_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        for arg in floats:
+            p.add_argument(arg, type=finite)
+        p.add_argument("--select", action="store_true", help=select_help)
 
     p_ell = sub.add_parser("ellipse", help="iso-orientation ellipse plot data")
     common(p_ell)
@@ -210,8 +189,7 @@ def cmd_ik(geom, args):
         lambda sols: pik.select_working_solution(sols, geom), IK_COLUMNS,
         lambda sol: dict(rho1=sol.joints.rho1, rho2=sol.joints.rho2,
                          rho3=sol.joints.rho3, alpha=sol.alpha, **_branch_fields(sol),
-                         within_limits=sol.within_limits),
-        order=lambda sol: (sol.alpha, sol.indices.as_tuple()))
+                         within_limits=sol.within_limits))
 
 
 def cmd_fk(geom, args):
@@ -235,8 +213,7 @@ def cmd_tool_ik(geom, args):
                          rho3=sol.machine_joints.joints.rho3,
                          theta1=sol.machine_joints.theta1,
                          theta2=sol.machine_joints.theta2, **_branch_fields(sol),
-                         within_limits=sol.within_limits),
-        order=lambda sol: (sol.machine_joints.theta1, sol.indices.as_tuple()))
+                         within_limits=sol.within_limits))
 
 
 def cmd_tool_fk(geom, args):
@@ -297,9 +274,7 @@ def cmd_roundtrip(geom, args):
         print("pkmkin roundtrip: error: starts must be >= 1", file=sys.stderr)
         return 1
     box = args.box if args.box is not None else [
-        geo.SIXTEEN_BRANCH_REGION[0][0], geo.SIXTEEN_BRANCH_REGION[0][1],
-        geo.SIXTEEN_BRANCH_REGION[1][0], geo.SIXTEEN_BRANCH_REGION[1][1],
-        geo.SIXTEEN_BRANCH_REGION[2][0], geo.SIXTEEN_BRANCH_REGION[2][1]]
+        v for limits in geo.SIXTEEN_BRANCH_REGION for v in limits]
     rng = np.random.default_rng(args.seed)
     ik_hist, fk_hist = {}, {}
     failures = 0

@@ -8,21 +8,10 @@ a comment.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 from .errors import GeometryError
-
-# Keys that must appear in every geometry document.
-REQUIRED_KEYS = (
-    "D1", "d1", "R1", "r1", "L1",
-    "D2", "d2", "R2", "r4", "L2", "L3",
-    "Delta", "d_a", "d_t", "rho_min", "rho_max",
-)
-
-# Tilting-table ranges are optional in the document; defaults are permissive.
-OPTIONAL_KEYS = ("theta1_min", "theta1_max", "theta2_min", "theta2_max")
-
 
 @dataclass(frozen=True)
 class MachineGeometry:
@@ -98,11 +87,16 @@ class MachineGeometry:
         return compile_octic(self)
 
 
+# Keys that must appear in every geometry document, in field order; the
+# fields with a default, the tilting-table ranges, are optional (permissive).
+REQUIRED_KEYS = tuple(f.name for f in fields(MachineGeometry) if f.default is MISSING)
+OPTIONAL_KEYS = tuple(f.name for f in fields(MachineGeometry) if f.default is not MISSING)
+
+
 def validate(geom):
     """Return a list of human-readable invariant violations (empty if valid)."""
     violations = []
-    for name in ("D1", "d1", "R1", "r1", "L1", "D2", "d2", "R2", "r4", "L2", "L3",
-                 "Delta", "d_a", "d_t"):
+    for name in REQUIRED_KEYS[:-2]:  # every length, not the slider limits
         value = getattr(geom, name)
         if not math.isfinite(value):
             violations.append(f"non-finite value {name}")
@@ -169,8 +163,15 @@ def serialize_geometry(geom):
 
 
 def read_geometry_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return load_geometry(fh.read())
+    """load_geometry of a file; GeometryError naming the file and the byte
+    offset when it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GeometryError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
+    return load_geometry(text)
 
 
 def write_geometry_file(geom, path):

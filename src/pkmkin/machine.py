@@ -215,7 +215,8 @@ def tool_ik(geom, tool):
     Each tilt implies one platform pose, whose branches are the
     parallel-module ones, built, sign-ruled and residual-checked against all
     four rod constraints by the same code as enumerate_ik, and distinct by
-    the same per-leg rule.  within_limits covers the sliders and the rotary
+    the same per-leg rule.  Branches come sorted ascending by (theta1,
+    indices.as_tuple()).  within_limits covers the sliders and the rotary
     range (the tilt range is enforced on theta1 directly, since the table
     cannot leave it).
     """

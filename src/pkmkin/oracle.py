@@ -227,9 +227,9 @@ def _finite_sliders(joints):
     return rho
 
 
-def _newton(geom, joints_seq, starts, seeds, box, alpha_range, max_iter):
-    """Poses per joint vector, its starts drawn from its own seed as columns
-    of one lockstep Newton solve."""
+def _newton(geom, joints_seq, starts, seeds):
+    """Poses per joint vector, its starts drawn from its own seed in its
+    default_start_box and (-pi, pi] as columns of one lockstep Newton solve."""
     if starts < 1:
         raise ValueError("starts must be >= 1")
     rhos = [_finite_sliders(j) for j in joints_seq]
@@ -241,8 +241,7 @@ def _newton(geom, joints_seq, starts, seeds, box, alpha_range, max_iter):
     for k, (rho, seed) in enumerate(zip(rhos, seeds)):
         rng = np.random.default_rng(seed)
         cols = block[:, k * starts:(k + 1) * starts]
-        lims = (*(default_start_box(geom, rho) if box is None else box), alpha_range)
-        for row, (lo, hi) in zip(cols[_POSE], lims):
+        for row, (lo, hi) in zip(cols[_POSE], (*default_start_box(geom, rho), (-math.pi, math.pi))):
             row[:] = rng.uniform(lo, hi, starts)
         cols[_SLIDERS] = _legs(geom, rho)[4, :, None]
     block[_INDEX] = np.arange(block.shape[1])
@@ -251,7 +250,7 @@ def _newton(geom, joints_seq, starts, seeds, box, alpha_range, max_iter):
         with np.errstate(over="raise"):
             # the columns carry their sliders; the table's own slider row goes unused
             found = _newton_columns(_legs(geom, rhos[0])[..., None], block,
-                                    NEWTON_REL_TOL * geom.residual_scale, max_iter)
+                                    NEWTON_REL_TOL * geom.residual_scale, NEWTON_MAX_ITER)
     except FloatingPointError as exc:
         raise OverflowError(f"newton oracle: {exc}") from None
     rows = [[] for _ in rhos]
@@ -260,25 +259,25 @@ def _newton(geom, joints_seq, starts, seeds, box, alpha_range, max_iter):
     return [_canonical(r) for r in rows]
 
 
-def newton_fk(geom, joints, starts=100, seed=0, box=None,
-              alpha_range=(-math.pi, math.pi), max_iter=NEWTON_MAX_ITER):
+def newton_fk(geom, joints, starts=100, seed=0):
     """Multi-start damped Newton on the 4-residual system.
 
-    Returns the distinct converged poses as (x_p, y_p, z_p, alpha) tuples
-    (alpha in (-pi, pi]), deduplicated at 1e-6 and sorted canonically;
-    non-convergent starts are dropped.  All starts iterate in lockstep, so
-    the result is deterministic for a fixed seed and independent of any
-    execution order.
+    The starts are drawn from `seed`: positions uniform in
+    default_start_box(geom, rho), alpha uniform in (-pi, pi].  Returns the
+    distinct converged poses as (x_p, y_p, z_p, alpha) tuples (alpha in
+    (-pi, pi]), deduplicated at 1e-6 and sorted canonically; non-convergent
+    starts are dropped.  All starts iterate in lockstep, so the result is
+    deterministic for a fixed seed and independent of any execution order.
 
     Each outer iteration damps the Newton step of every active start by the
     first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm: exactly
     the step that halving from 1 would pick.  All 30 lengths are tried in
     one batched pass, so the extra memory is O(30 x active starts).  A
-    start that no step improves stops.  ValueError for starts < 1 or a
-    non-finite slider, OverflowError when the sliders or the box are too
-    large for floats.
+    start that no step improves stops, and every start stops after 100
+    iterations.  ValueError for starts < 1 or a non-finite slider,
+    OverflowError when the sliders are too large for floats.
     """
-    [poses] = _newton(geom, [joints], starts, [seed], box, alpha_range, max_iter)
+    [poses] = _newton(geom, [joints], starts, [seed])
     return poses
 
 
@@ -292,5 +291,4 @@ def newton_fk_batch(geom, joints_seq, starts, seeds):
     memory grows with the batch: a few dozen vectors per call keep it to
     tens of MB.
     """
-    return _newton(geom, joints_seq, starts, seeds, None, (-math.pi, math.pi),
-                   NEWTON_MAX_ITER)
+    return _newton(geom, joints_seq, starts, seeds)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
                      DegenerateOrientationError, InterpolationError)
 from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
-                          PlatformPose, _dedup, _on_working_branch, _unique,
+                          PlatformPose, _on_working_branch, _unique,
                           constraint_residuals)
 from .rootfind import (Polynomial, _add, _certify, _divmod, _horner, _mul,
                        real_roots)
@@ -433,6 +433,22 @@ def back_derived_indices(geom, pose, joints):
     return _INDICES[(-1 if joints.rho1 - pose.z_p <= 0.0 else 1,
                      -1 if joints.rho2 - pose.z_p + geom.R2 * s <= 0.0 else 1,
                      -1 if joints.rho3 - pose.z_p - geom.R2 * s <= 0.0 else 1)]
+
+
+def _dedup(items, key, tol):
+    """items without those whose four-float key lies within tol, component
+    by component, of an earlier kept item's key; order is preserved."""
+    kept, kept_keys = [], []
+    for item in items:
+        a, b, c, d = key(item)
+        for p, q, r, s in kept_keys:
+            if (abs(a - p) <= tol and abs(b - q) <= tol
+                    and abs(c - r) <= tol and abs(d - s) <= tol):
+                break
+        else:
+            kept.append(item)
+            kept_keys.append((a, b, c, d))
+    return kept
 
 
 def enumerate_fk(geom, joints):

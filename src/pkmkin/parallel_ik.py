@@ -232,7 +232,7 @@ def orientation_candidates(geom, x_p, y_p):
         # noise into a spurious +-alpha pair (or split pi across the wrap),
         # and polishing would walk off the axis, so they stay exact
         snapped = c > 1.0 - COS_SNAP_TOL or c < -1.0 + COS_SNAP_TOL
-        base = math.acos(max(-1.0, min(1.0, round(c) if snapped else c)))
+        base = math.acos(round(c) if snapped else c)
         for alpha in {wrap_angle(base), wrap_angle(-base)}:
             if not snapped:
                 alpha = wrap_angle(_polish_alpha(geom, x_p, y_p, alpha))
@@ -396,31 +396,15 @@ def enumerate_ik(geom, x_p, y_p, z_p):
     Branches out of slider range are annotated, not dropped.  Each
     orientation contributes every sign branch the leg-I sign rule allows,
     except that a leg whose two signs give the same slider within 1e-9 mm
-    takes s = -1 only, so no two branches coincide.  Empty when the
-    position lies outside every coupling ellipse.
+    takes s = -1 only, so no two branches coincide.  Branches come sorted
+    ascending by (alpha, indices.as_tuple()).  Empty when the position lies
+    outside every coupling ellipse.
     """
     x_p, y_p, z_p = float(x_p), float(y_p), float(z_p)
     # orientation candidates are wrapped, and wrap_angle is idempotent
     return [IkSolution(joints, alpha, indices, residual, within_limits)
             for alpha in orientation_candidates(geom, x_p, y_p)
             for joints, indices, residual, within_limits in _branches(geom, x_p, y_p, z_p, alpha)]
-
-
-def _dedup(items, key, tol):
-    """items without those whose four-float key lies within tol, component
-    by component, of an earlier kept item's key; order is preserved.  Serves
-    enumerate_fk's assembly modes; IK branches are distinct by construction."""
-    kept, kept_keys = [], []
-    for item in items:
-        a, b, c, d = key(item)
-        for p, q, r, s in kept_keys:
-            if (abs(a - p) <= tol and abs(b - q) <= tol
-                    and abs(c - r) <= tol and abs(d - s) <= tol):
-                break
-        else:
-            kept.append(item)
-            kept_keys.append((a, b, c, d))
-    return kept
 
 
 def _on_working_branch(geom, indices, alpha):

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InterpolationError
 
 TRIM_REL_TOL = 1e-12
-DEFAULT_TOL = 1e-10
+RESIDUAL_REL_TOL = 1e-10
 MERGE_REL_TOL = 1e-9
 # multiple roots split by ~sqrt(eps) in the eigenvalue step; a pair this
 # close whose midpoint also satisfies the residual bound is one root
@@ -150,11 +150,8 @@ class Polynomial:
     def __call__(self, x):
         return _horner(self.coeffs, x)
 
-    def derivative_at(self, x):
-        return _horner_slope(self.coeffs, x)[1]
 
-
-def real_roots(p, tol=DEFAULT_TOL):
+def real_roots(p):
     """All real roots of p (multiplicity collapsed), sorted ascending.
 
     Raises ValueError on degree-0 input or non-finite coefficients.
@@ -164,15 +161,12 @@ def real_roots(p, tol=DEFAULT_TOL):
     if p.degree < 1:
         raise ValueError("degree-0 polynomial has no well-defined roots")
     n = p.degree
-    if n == 1:
-        candidates = [-p.coeffs[0] / p.coeffs[1]]
-    else:
-        comp = np.eye(n, k=-1)
-        comp[:, -1] = [-(c / p.coeffs[-1]) for c in p.coeffs[:-1]]
-        candidates = [z.real for z in np.linalg.eigvals(comp).tolist()
-                      if abs(z.imag) <= IMAG_REL_TOL * (1.0 + abs(z.real))]
-    # acceptance bound: tol * max|coeff| * max(1, |root|)^degree
-    bound = tol * max(abs(c) for c in p.coeffs)
+    comp = np.eye(n, k=-1)
+    comp[:, -1] = [-(c / p.coeffs[-1]) for c in p.coeffs[:-1]]
+    candidates = [z.real for z in np.linalg.eigvals(comp).tolist()
+                  if abs(z.imag) <= IMAG_REL_TOL * (1.0 + abs(z.real))]
+    # acceptance bound: RESIDUAL_REL_TOL * max|coeff| * max(1, |root|)^degree
+    bound = RESIDUAL_REL_TOL * max(abs(c) for c in p.coeffs)
     accepted = []
     for r in candidates:
         # Newton polish; guard against derivative blow-up near multiple roots
@@ -203,14 +197,9 @@ def real_roots(p, tol=DEFAULT_TOL):
     return merged
 
 
-def real_roots_in_unit_interval(p, tol=DEFAULT_TOL, eps=1e-9):
-    """Real roots filtered to [-1-eps, 1+eps] and clamped into [-1, 1]."""
-    roots = [min(1.0, max(-1.0, r))
-             for r in real_roots(p, tol=tol)
-             if -1.0 - eps <= r <= 1.0 + eps]
-    out = []
-    for r in roots:
-        if out and abs(r - out[-1]) <= MERGE_REL_TOL * (1.0 + abs(r)):
-            continue
-        out.append(r)
-    return out
+def real_roots_in_unit_interval(p):
+    """Real roots filtered to [-1-1e-9, 1+1e-9] and clamped into [-1, 1],
+    ascending.  No merge beyond real_roots' own: orientation_candidates
+    merges the orientations they give, at DEDUP_TOL."""
+    return [min(1.0, max(-1.0, r)) for r in real_roots(p)
+            if -1.0 - 1e-9 <= r <= 1.0 + 1e-9]

@@ -329,6 +329,16 @@ def test_bad_geometry_exit_1(tmp_path, capsys):
     assert "geometry" in err
 
 
+def test_non_utf8_geometry_is_one_stderr_line(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(serialize_geometry(DEFAULT_SYNTHETIC).encode("utf-8") + b"\xff")
+    code, out, err = run_cli(capsys, "ik", str(path), "--", "-250", "60", "900")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"pkmkin: invalid geometry: {path}: not UTF-8 text at byte offset ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_missing_geometry_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "ik", "/nonexistent/geom.cfg", "0", "0", "0")
     assert code == 1

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkmkin import (DEFAULT_SYNTHETIC, GeometryError, MachineGeometry,
-                    load_geometry, serialize_geometry, validate)
+                    load_geometry, read_geometry_file, serialize_geometry,
+                    validate)
 from pkmkin.geometry import OPTIONAL_KEYS
 
 VALID_DOC = serialize_geometry(DEFAULT_SYNTHETIC)
@@ -19,6 +20,14 @@ def test_roundtrip_identity():
     geom = load_geometry(VALID_DOC)
     assert geom == DEFAULT_SYNTHETIC
     assert load_geometry(serialize_geometry(geom)) == geom
+
+
+def test_non_utf8_file_names_file_and_offset(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(VALID_DOC.encode("utf-8") + b"# \xff\n")
+    with pytest.raises(GeometryError) as exc:
+        read_geometry_file(str(path))
+    assert str(exc.value) == f"{path}: not UTF-8 text at byte offset {len(VALID_DOC) + 2}"
 
 
 def test_trapezium_invariant_rejected():

@@ -351,6 +351,27 @@ def test_no_two_tool_ik_branches_coincide(geom):
     assert branches >= 5000
 
 
+def test_tool_ik_branches_come_sorted_by_tilt_then_signs(geom):
+    # the CLI prints the rows in the order tool_ik returns them; y = 0 axis
+    # points on a nonzero tilt give the tilted axis poses
+    rng = np.random.default_rng(48)
+    points = [p for seed in range(8) for p in locus_points(geom, np.random.default_rng(seed))]
+    points += region_points(rng, 300)
+    branches = tilted_axis = 0
+    for x, y, z in points:
+        for alpha in orientation_candidates(geom, x, y):
+            for theta1 in (0.0, rng.uniform(-1.2, 1.2)):
+                tool = tool_pose_from_platform(geom, PlatformPose(x, y, z, alpha), theta1,
+                                               rng.uniform(-math.pi, math.pi))
+                sols = tool_ik(geom, tool)
+                keys = [(m.machine_joints.theta1, m.indices.as_tuple()) for m in sols]
+                assert all(a < b for a, b in zip(keys, keys[1:])), tool
+                branches += len(keys)
+                tilted_axis += sum(abs(math.sin(m.alpha)) < 1e-12 and m.machine_joints.theta1 != 0.0
+                                   for m in sols)
+    assert branches >= 50000 and tilted_axis >= 1000
+
+
 @pytest.mark.parametrize("leg", ["II", "III"])
 @pytest.mark.parametrize("theta1", [0.0, 0.7])
 def test_tool_ik_grazing_leg_gives_its_minus_branch_once(geom, leg, theta1):

@@ -10,8 +10,8 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose,
                     select_working_solution, tool_pose_from_platform)
 from pkmkin import oracle
 from pkmkin.oracle import (_INDEX, _POSE, _RESIDUALS, _ROWS, _SLIDERS,
-                          _evaluate, _jacobian, _legs, _line_search,
-                          _residuals, _rods)
+                          NEWTON_REL_TOL, _evaluate, _jacobian, _legs,
+                          _line_search, _newton_columns, _residuals, _rods)
 
 from conftest import angle_delta, region_points
 
@@ -212,11 +212,12 @@ def test_newton_solutions_all_match_symbolic_modes(geom):
 def test_newton_fixed_point(geom):
     x, y, z = -250.0, 60.0, 900.0
     sol = select_working_solution(enumerate_ik(geom, x, y, z), geom)
-    got = newton_fk(geom, sol.joints, starts=1, seed=0,
-                    box=((x, x), (y, y), (z, z)),
-                    alpha_range=(sol.alpha, sol.alpha), max_iter=2)
-    assert len(got) == 1
-    assert got[0] == pytest.approx((x, y, z, sol.alpha), abs=1e-9)
+    # one start at the closed-form pose, two iterations
+    legs = _legs(geom, sol.joints.as_tuple())[..., None]
+    block = _state(legs, np.array([[x], [y], [z], [sol.alpha]]))
+    got = _newton_columns(legs, block, NEWTON_REL_TOL * geom.residual_scale, 2)
+    assert got.shape == (_INDEX + 1, 1)
+    assert tuple(got[_POSE, 0]) == pytest.approx((x, y, z, sol.alpha), abs=1e-9)
 
 
 def test_newton_deterministic(geom):

@@ -368,6 +368,18 @@ def test_no_two_branches_coincide(geom):
     assert pinned >= 200
 
 
+def test_branches_come_sorted_by_orientation_then_signs(geom):
+    # the CLI prints the rows in the order enumerate_ik returns them
+    points = [p for seed in range(8) for p in locus_points(geom, np.random.default_rng(seed))]
+    points += region_points(np.random.default_rng(47), 300)
+    branches = 0
+    for x, y, z in points:
+        keys = [(s.alpha, s.indices.as_tuple()) for s in enumerate_ik(geom, x, y, z)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (x, y, z)
+        branches += len(keys)
+    assert branches >= 12000
+
+
 @pytest.mark.parametrize("leg", ["II", "III"])
 def test_grazing_leg_gives_its_minus_branch_once(geom, leg):
     # the grazing leg's radicand clamps to 0: its s = +1 slider is its

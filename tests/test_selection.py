@@ -1,4 +1,4 @@
-"""The working-branch rule and the tolerance dedup, shared by every solver.
+"""The working-branch rule, shared by every solver, and enumerate_fk's tolerance dedup.
 
 The rule is s = (-1, -1, -1) and R1 cos(alpha) > r1; the IK-level
 selections also require the branch to be within limits, while the FK-level
@@ -16,7 +16,7 @@ from pkmkin import (AmbiguousSelectionError, ConfigurationIndices,
                     select_assembly_mode, select_machine_solution,
                     select_working_solution, tool_ik,
                     tool_pose_from_platform)
-from pkmkin.parallel_ik import _dedup
+from pkmkin.parallel_fk import _dedup
 
 from conftest import region_points
 
