@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from pkmkin import (DEFAULT_SYNTHETIC, ParallelJoints, enumerate_fk,
-                    read_geometry_file)
+from pkmkin import (DEFAULT_SYNTHETIC, KinematicsError, ParallelJoints,
+                    enumerate_fk, read_geometry_file)
 
 
 def main(argv=None):
@@ -28,7 +28,14 @@ def main(argv=None):
     parser.add_argument("--rho-max", type=float, default=1500.0)
     args = parser.parse_args(argv)
 
-    geom = read_geometry_file(args.geometry) if args.geometry else DEFAULT_SYNTHETIC
+    try:
+        geom = read_geometry_file(args.geometry) if args.geometry else DEFAULT_SYNTHETIC
+    except OSError as exc:
+        print(f"pkmkin: cannot read geometry: {exc}", file=sys.stderr)
+        return 1
+    except KinematicsError as exc:
+        print(f"pkmkin: invalid geometry: {exc}", file=sys.stderr)
+        return 1
     rng = np.random.default_rng(args.seed)
     hist = {}
     reachable_hist = {}

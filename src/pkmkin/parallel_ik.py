@@ -220,9 +220,11 @@ def orientation_candidates(geom, x_p, y_p):
     """All orientations alpha admissible at (x_p, y_p), sorted ascending.
 
     Both signs of each arccos root are kept (the cubic is stated in
-    cos(alpha) and the coupling relation is even in alpha); the sign of
-    sin(alpha) is paired with y_p only later, through the rho1 branch rule.
-    Empty when the point lies outside every coupling ellipse.
+    cos(alpha)); the sign of sin(alpha) is paired with y_p only later,
+    through the rho1 branch rule.  The coupling relation and its polish are
+    even in alpha, so each cosine root is polished and coupling-tested once,
+    and its pair +-alpha stands or falls together.  Empty when the point
+    lies outside every coupling ellipse.
     """
     x_p, y_p = float(x_p), float(y_p)
     cubic = coupling_cubic(geom, x_p, y_p)
@@ -231,13 +233,12 @@ def orientation_candidates(geom, x_p, y_p):
         # axis roots come back as +-(1 - O(eps)); arccos would amplify the
         # noise into a spurious +-alpha pair (or split pi across the wrap),
         # and polishing would walk off the axis, so they stay exact
-        snapped = c > 1.0 - COS_SNAP_TOL or c < -1.0 + COS_SNAP_TOL
-        base = math.acos(round(c) if snapped else c)
-        for alpha in {wrap_angle(base), wrap_angle(-base)}:
-            if not snapped:
-                alpha = wrap_angle(_polish_alpha(geom, x_p, y_p, alpha))
-            if _coupling_holds(geom, x_p, y_p, alpha):
-                out.append(alpha)
+        if c > 1.0 - COS_SNAP_TOL or c < -1.0 + COS_SNAP_TOL:
+            alpha = math.acos(round(c))
+        else:
+            alpha = wrap_angle(_polish_alpha(geom, x_p, y_p, math.acos(c)))
+        if _coupling_holds(geom, x_p, y_p, alpha):
+            out += (alpha, wrap_angle(-alpha))
     out.sort()
     merged = []
     for a in out:

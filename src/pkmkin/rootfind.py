@@ -6,10 +6,13 @@ accepted against a scaled residual bound and merged when closer than
 1e-9 * (1 + |root|).
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+# the LAPACK gufunc numpy.linalg.eigvals dispatches to (numpy 1.24 to 2.4)
+from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .errors import InterpolationError
 
@@ -23,6 +26,8 @@ MAX_DEGREE = 12
 # companion eigenvalues of a real polynomial carry O(sqrt(eps)) imaginary
 # noise on clustered real roots; the residual bound is the real filter
 IMAG_REL_TOL = 1e-6
+# companion subdiagonals, one per degree; real_roots fills a copy
+_SHIFTS = [np.eye(n, k=-1) for n in range(MAX_DEGREE + 1)]
 
 
 def _trim(coeffs):
@@ -154,16 +159,25 @@ class Polynomial:
 def real_roots(p):
     """All real roots of p (multiplicity collapsed), sorted ascending.
 
-    Raises ValueError on degree-0 input or non-finite coefficients.
+    Raises ValueError on degree-0 input or non-finite coefficients, and
+    numpy.linalg.LinAlgError when the companion eigenvalues do not converge.
     """
     if not isinstance(p, Polynomial):
         p = Polynomial(p)
     if p.degree < 1:
         raise ValueError("degree-0 polynomial has no well-defined roots")
     n = p.degree
-    comp = np.eye(n, k=-1)
+    comp = _SHIFTS[n].copy()
     comp[:, -1] = [-(c / p.coeffs[-1]) for c in p.coeffs[:-1]]
-    candidates = [z.real for z in np.linalg.eigvals(comp).tolist()
+    # _trim keeps a leading coefficient above TRIM_REL_TOL times the largest,
+    # so every companion entry is finite and at most 1e12: numpy.linalg.eigvals'
+    # finite check would be redundant.  Its gufunc reports non-convergence as
+    # NaN eigenvalues (and the invalid flag, silenced here), raised, not dropped
+    with np.errstate(invalid="ignore"):
+        eigenvalues = _eigvals(comp, signature="d->D").tolist()
+    if any(map(cmath.isnan, eigenvalues)):
+        raise np.linalg.LinAlgError("companion eigenvalues did not converge")
+    candidates = [z.real for z in eigenvalues
                   if abs(z.imag) <= IMAG_REL_TOL * (1.0 + abs(z.real))]
     # acceptance bound: RESIDUAL_REL_TOL * max|coeff| * max(1, |root|)^degree
     bound = RESIDUAL_REL_TOL * max(abs(c) for c in p.coeffs)

@@ -1,9 +1,11 @@
 import csv
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +344,44 @@ def test_non_utf8_geometry_is_one_stderr_line(tmp_path, capsys):
 def test_missing_geometry_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "ik", "/nonexistent/geom.cfg", "0", "0", "0")
     assert code == 1
+
+
+@pytest.fixture(scope="module")
+def mode_census():
+    """scripts/mode_census.py, loaded from its file path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "mode_census.py"
+    spec = importlib.util.spec_from_file_location("mode_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mode_census_invalid_geometry_is_one_stderr_line(mode_census, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("D1 = x\n")
+    code = mode_census.main(["--geometry", str(path), "--samples", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pkmkin: invalid geometry: ") and "'D1'" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_mode_census_missing_geometry_is_one_stderr_line(mode_census, tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    code = mode_census.main(["--geometry", str(path), "--samples", "5"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pkmkin: cannot read geometry: ") and str(path) in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_mode_census_reads_a_geometry_file(mode_census, geom_file, capsys):
+    code = mode_census.main(["--geometry", geom_file, "--samples", "5"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert out.startswith("samples: 5  seed: 0\n")
 
 
 def test_usage_error_exit_1(geom_file, capsys):

@@ -87,6 +87,41 @@ def test_candidates_generic_point_four_and_negation_closed(geom):
             assert any(abs(a + b) <= 1e-9 for b in cands)
 
 
+def per_sign_candidates(geom, x_p, y_p):
+    """Reference orientation candidates: both signs of every arccos root,
+    each polished and coupling-tested on its own, then merged."""
+    out = []
+    for c in parallel_ik.real_roots_in_unit_interval(coupling_cubic(geom, x_p, y_p)):
+        snapped = c > 1.0 - parallel_ik.COS_SNAP_TOL or c < -1.0 + parallel_ik.COS_SNAP_TOL
+        base = math.acos(round(c) if snapped else c)
+        for alpha in {wrap_angle(base), wrap_angle(-base)}:
+            if not snapped:
+                alpha = wrap_angle(parallel_ik._polish_alpha(geom, x_p, y_p, alpha))
+            if parallel_ik._coupling_holds(geom, x_p, y_p, alpha):
+                out.append(alpha)
+    out.sort()
+    merged = []
+    for a in out:
+        if not (merged and abs(a - merged[-1]) <= DEDUP_TOL):
+            merged.append(a)
+    return merged
+
+
+def test_candidates_match_per_sign_reference(geom):
+    # the coupling relation and its polish are even in alpha, so one polish
+    # and one coupling test per cosine root find what one per sign does
+    rng = np.random.default_rng(14)
+    points = region_points(rng, 300)
+    for seed in range(8):
+        points += locus_points(geom, np.random.default_rng(seed))
+    for x, y, _ in points:
+        got, ref = orientation_candidates(geom, x, y), per_sign_candidates(geom, x, y)
+        assert len(got) == len(ref), (x, y)
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(got, ref)), (x, y, got, ref)
+    for x in (geom.center_x, 5000.0):
+        assert orientation_candidates(geom, x, 0.0) == per_sign_candidates(geom, x, 0.0) == [0.0, math.pi]
+
+
 def test_candidates_far_outside_empty(geom):
     assert orientation_candidates(geom, 5000.0, 50.0) == []
     assert orientation_candidates(geom, geom.center_x, 4000.0) == []

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from pkmkin import (DEFAULT_SYNTHETIC, ParallelJoints, Polynomial, PlatformPose,
-                    coupling_cubic, enumerate_ik, octic_from_joints, real_roots,
-                    real_roots_in_unit_interval, select_working_solution,
-                    tilt_polynomial, tool_pose_from_platform)
+                    coupling_cubic, enumerate_ik, octic_from_joints,
+                    orientation_candidates, real_roots, real_roots_in_unit_interval,
+                    rootfind, select_working_solution, tilt_polynomial,
+                    tool_pose_from_platform)
 from pkmkin.rootfind import CLUSTER_REL_TOL, _add, _divmod, _horner, _mul
 
 from conftest import locus_points, region_points
@@ -296,3 +297,70 @@ def test_kernel_divmod_matches_polydiv():
     num = ops[-1].copy()
     _divmod(num, divisors[0])
     assert same_bits(num, ops[-1])
+
+
+# ---------------------------------------------------------------------------
+# eigenvalue step: numpy.linalg.eigvals is the reference, bit for bit
+
+def eigenvalue_inputs():
+    """Seeded random polynomials of every degree 1-12, and coupling cubics,
+    tilt sextics and FK octics (rho3 = rho2 on every other triple) of the
+    synthetic geometry."""
+    geom = DEFAULT_SYNTHETIC
+    rng = np.random.default_rng(71)
+    polys = [Polynomial(rng.normal(size=n + 1) * 10.0 ** rng.integers(-3, 6))
+             for n in range(1, 13) for _ in range(5)]
+    polys += [Polynomial(poly_from_roots(rng.uniform(-3.0, 3.0, size=n))) for n in range(1, 13)]
+    for x, y, z in region_points(rng, 10):
+        polys.append(coupling_cubic(geom, x, y))
+        sol = select_working_solution(enumerate_ik(geom, x, y, z), geom)
+        tool = tool_pose_from_platform(geom, PlatformPose.solved(geom, x, y, z, sol.alpha),
+                                       rng.uniform(-0.9, 0.9),
+                                       rng.uniform(-math.pi + 0.05, math.pi - 0.05))
+        polys.append(tilt_polynomial(geom, tool))
+    for k, rho in enumerate(rng.uniform(-200.0, 1500.0, size=(10, 3))):
+        if k % 2:
+            rho[2] = rho[1]
+        polys.append(octic_from_joints(geom, ParallelJoints(*map(float, rho))))
+    return polys
+
+
+def test_eigenvalue_call_matches_numpy_linalg_eigvals(monkeypatch):
+    # real_roots calls the LAPACK gufunc behind numpy.linalg.eigvals without
+    # the wrapper; a numpy whose private gufunc differs fails here
+    seen = []
+
+    def recording(comp, signature):
+        w = eigvals(comp, signature=signature)
+        seen.append((comp.copy(), w))
+        return w
+
+    polys = eigenvalue_inputs()
+    eigvals = rootfind._eigvals
+    monkeypatch.setattr(rootfind, "_eigvals", recording)
+    for p in polys:
+        real_roots(p)
+    assert {p.degree for p in polys} == set(range(1, 13))
+    assert len(seen) == len(polys)
+    for comp, w in seen:
+        ref = np.linalg.eigvals(comp)
+        # the wrapper's own post-processing: real when every imaginary part is 0
+        got = w.real if (w.imag == 0).all() else w
+        assert got.dtype == ref.dtype and same_bits(got.view(float), ref.view(float)), comp
+
+
+@pytest.mark.parametrize("stub", [
+    # NaN without a floating-point flag
+    lambda comp, signature: np.full(len(comp), complex(math.nan, 0.0)),
+    # one NaN among finite eigenvalues
+    lambda comp, signature: np.append(np.zeros(len(comp) - 1, complex), complex(0.0, math.nan)),
+    # LAPACK's non-convergence: NaN made under the invalid flag
+    lambda comp, signature: np.zeros(len(comp), complex) * math.inf,
+], ids=["all-nan", "one-nan", "invalid-flag"])
+def test_eigenvalue_failure_raises_linalg_error(monkeypatch, stub):
+    monkeypatch.setattr(rootfind, "_eigvals", stub)
+    for p in (Polynomial(poly_from_roots([1.0, 2.0, 3.0])), Polynomial((1.0, 2.0))):
+        with pytest.raises(np.linalg.LinAlgError):
+            real_roots(p)
+    with pytest.raises(np.linalg.LinAlgError):
+        orientation_candidates(DEFAULT_SYNTHETIC, -250.0, 60.0)
