@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from pkmkin import (DEFAULT_SYNTHETIC, KinematicsError, ParallelJoints,
-                    enumerate_fk, read_geometry_file)
+from pkmkin import DEFAULT_SYNTHETIC, ParallelJoints, enumerate_fk
+from pkmkin.cli import read_geometry_or_report
 
 
 def main(argv=None):
@@ -28,13 +28,8 @@ def main(argv=None):
     parser.add_argument("--rho-max", type=float, default=1500.0)
     args = parser.parse_args(argv)
 
-    try:
-        geom = read_geometry_file(args.geometry) if args.geometry else DEFAULT_SYNTHETIC
-    except OSError as exc:
-        print(f"pkmkin: cannot read geometry: {exc}", file=sys.stderr)
-        return 1
-    except KinematicsError as exc:
-        print(f"pkmkin: invalid geometry: {exc}", file=sys.stderr)
+    geom = read_geometry_or_report(args.geometry) if args.geometry else DEFAULT_SYNTHETIC
+    if geom is None:
         return 1
     rng = np.random.default_rng(args.seed)
     hist = {}

@@ -339,16 +339,23 @@ def cmd_roundtrip(geom, args):
     return 0
 
 
+def read_geometry_or_report(path):
+    """The geometry in the file at path, or None after one stderr line
+    saying why it cannot be read or is invalid."""
+    try:
+        return geo.read_geometry_file(path)
+    except OSError as exc:
+        print(f"pkmkin: cannot read geometry: {exc}", file=sys.stderr)
+    except KinematicsError as exc:
+        print(f"pkmkin: invalid geometry: {exc}", file=sys.stderr)
+    return None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        geom = geo.read_geometry_file(args.geometry)
-    except OSError as exc:
-        print(f"pkmkin: cannot read geometry: {exc}", file=sys.stderr)
-        return 1
-    except KinematicsError as exc:
-        print(f"pkmkin: invalid geometry: {exc}", file=sys.stderr)
+    geom = read_geometry_or_report(args.geometry)
+    if geom is None:
         return 1
     handler = {
         "ik": cmd_ik, "fk": cmd_fk, "tool-ik": cmd_tool_ik,
