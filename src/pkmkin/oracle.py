@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# the LAPACK gufuncs numpy.linalg.det and numpy.linalg.solve dispatch to
+from numpy.linalg._umath_linalg import det as _det, solve as _solve
 
 NEWTON_REL_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -71,11 +73,13 @@ def _rods(legs, x, y, z, c, s, out=(None, None, None)):
     return dx, dy, dz
 
 
-def _residuals(legs, rods, out=None):
+def _residuals(legs, rods, out=None, squares=None):
+    """dx^2 + dy^2 + dz^2 - L^2 per leg; written into `out` when given, and
+    the dy and dz squares into `squares` in turn."""
     dx, dy, dz = rods
     f = np.square(dx, out=out)
-    f += dy**2
-    f += dz**2
+    f += np.square(dy, out=squares)
+    f += np.square(dz, out=squares)
     f -= legs[5]
     return f
 
@@ -122,16 +126,17 @@ _COS, _SIN, _RODS, _RESIDUALS = 9, 10, slice(11, 23), slice(23, 27)
 _ROWS = 27
 
 
-def _evaluate(legs, block):
+def _evaluate(legs, block, squares=None):
     """Fill a state block's cos, sin, rods and residuals from its pose and
     slider rows, in place; `legs` is `_legs(geom, rho)[..., None]`, of
-    which the sliders come from the block instead."""
+    which the sliders come from the block instead; `squares`, of the
+    residuals' shape, takes the intermediate squares."""
     x, y, z, alpha = block[_POSE]
     c = np.cos(alpha, out=block[_COS])
     s = np.sin(alpha, out=block[_SIN])
     legs = (*legs[:4], block[_SLIDERS], legs[5])
     rods = _rods(legs, x, y, z, c, s, out=block[_RODS].reshape(3, 4, -1))
-    _residuals(legs, rods, out=block[_RESIDUALS])
+    _residuals(legs, rods, out=block[_RESIDUALS], squares=squares)
 
 
 def _jacobian(legs, block):
@@ -152,24 +157,33 @@ def _jacobian(legs, block):
 _STEP_LENGTHS = np.ldexp(1.0, -np.arange(30))[:, None]
 
 
-def _line_search(legs, block, step, norm):
+def _line_search(legs, block, step, norm, work):
     """Per column of a state block, the first pose + lam * step with lam =
     1, 1/2, ..., 2^-29 whose residual max-norm is below `norm`.
 
-    All 30 lengths are evaluated as one block of 30 x m columns, and the
-    first that improves is the lam that halving from 1 until the norm drops
-    would pick.  Returns the state block at the accepted steps, without the
-    columns no lam improved.
+    All 30 lengths are evaluated as one block of 30 x m columns, held in
+    the front of the flat workspace `work`, and the first that improves is
+    the lam that halving from 1 until the norm drops would pick.  Returns
+    the state block at the accepted steps, without the columns no lam
+    improved, and the residual max-norm of each of its columns.
     """
     k, m = len(_STEP_LENGTHS), block.shape[1]
-    trial = np.empty((_ROWS, k * m))
-    copied = trial[:_COS].reshape(_COS, k, m)
-    copied[...] = block[:_COS, None]
-    copied[_POSE] += _STEP_LENGTHS * step[:, None]
-    _evaluate(legs, trial)
-    good = np.abs(trial[_RESIDUALS]).max(axis=0).reshape(k, m) < norm
-    cols = np.flatnonzero(good.any(axis=0))
-    return trial[:, good[:, cols].argmax(axis=0) * m + cols]
+    n = k * m
+    trial = work[:_ROWS * n].reshape(_ROWS, n)
+    squares = work[_ROWS * n:(_ROWS + 4) * n].reshape(4, n)
+    # the index row is left unfilled: accepted columns take it from the block
+    moved = trial[:_COS].reshape(_COS, k, m)
+    np.multiply(_STEP_LENGTHS, step[:, None], out=moved[_POSE])
+    moved[_POSE] += block[_POSE, None]
+    moved[_SLIDERS] = block[_SLIDERS, None]
+    _evaluate(legs, trial, squares)
+    norms = np.abs(trial[_RESIDUALS], out=squares).max(axis=0)
+    good = norms.reshape(k, m) < norm
+    cols = good.any(axis=0).nonzero()[0]
+    picked = good.argmax(axis=0)[cols] * m + cols
+    accepted = trial[:, picked]
+    accepted[_INDEX] = block[_INDEX, cols]
+    return accepted, norms[picked]
 
 
 def _newton_columns(legs, block, tol, max_iter):
@@ -179,24 +193,31 @@ def _newton_columns(legs, block, tol, max_iter):
     Each iteration damps the Newton step of every active column by the
     first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm; a column
     that no step improves stops, as do converged and singular columns.  The
-    accepted step's rods, (cos, sin) and residuals carry over to the next
-    Jacobian.  Returns the pose and index rows of the columns that
-    converged to `tol`.
+    accepted step's rods, (cos, sin), residuals and max-norm carry over to
+    the next Jacobian.  Every line search works in one flat workspace, sized
+    for the first, which has the most columns.  Returns the pose and index
+    rows of the columns that converged to `tol`.
     """
     _evaluate(legs, block)
+    norm = np.abs(block[_RESIDUALS]).max(axis=0)
+    work = np.empty((_ROWS + 4) * len(_STEP_LENGTHS) * block.shape[1])
     done = []
     for _ in range(max_iter):
         if not block.shape[1]:
             break
-        norm = np.abs(block[_RESIDUALS]).max(axis=0)
         J = _jacobian(legs, block)
-        # converged and singular columns (NaN columns fail both tests) stop
-        go = (norm > tol) & (np.abs(np.linalg.det(J)) > 1e-300)
-        done.append(block[:_INDEX + 1, norm <= tol])
-        block = block[:, go]
-        step = np.linalg.solve(J[go], -block[_RESIDUALS].T[..., None])[..., 0].T
-        block = _line_search(legs, block, step, norm[go])
-    done.append(block[:_INDEX + 1, np.abs(block[_RESIDUALS]).max(axis=0) <= tol])
+        # numpy.linalg.solve's own floating-point state, with the invalid
+        # flag ignored as well: a NaN column raises it in det.  solve only
+        # sees columns whose LU has no zero pivot, so it raises no flag
+        with np.errstate(all="ignore"):
+            # converged and singular columns (NaN columns fail both tests) stop
+            go = (norm > tol) & (np.abs(_det(J, signature="d->d")) > 1e-300)
+            if not go.all():
+                done.append(block[:_INDEX + 1, norm <= tol])
+                block, J, norm = block[:, go], J[go], norm[go]
+            step = _solve(J, -block[_RESIDUALS].T[..., None], signature="dd->d")[..., 0].T
+        block, norm = _line_search(legs, block, step, norm, work)
+    done.append(block[:_INDEX + 1, norm <= tol])
     return np.concatenate(done, axis=1)
 
 
@@ -272,7 +293,8 @@ def newton_fk(geom, joints, starts=100, seed=0):
     Each outer iteration damps the Newton step of every active start by the
     first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm: exactly
     the step that halving from 1 would pick.  All 30 lengths are tried in
-    one batched pass, so the extra memory is O(30 x active starts).  A
+    one batched pass, in a workspace allocated once per call for 30
+    candidates per start: 31 floats each, about 740 KB at 100 starts.  A
     start that no step improves stops, and every start stops after 100
     iterations.  ValueError for starts < 1 or a non-finite slider,
     OverflowError when the sliders are too large for floats.
@@ -286,9 +308,9 @@ def newton_fk_batch(geom, joints_seq, starts, seeds):
 
     Vector k draws its starts from seeds[k] and its own default box, exactly
     as `newton_fk` does, so the k-th returned list is `==` to
-    `newton_fk(geom, joints_seq[k], starts, seeds[k])`.  The line search
-    holds 30 candidates per active start of every vector at once, so the
-    memory grows with the batch: a few dozen vectors per call keep it to
-    tens of MB.
+    `newton_fk(geom, joints_seq[k], starts, seeds[k])`.  The line-search
+    workspace holds 30 candidates per start of every vector, 7.4 KB per
+    start, so the memory grows with the batch: 50 vectors of 100 starts
+    take about 37 MB.
     """
     return _newton(geom, joints_seq, starts, seeds)

@@ -156,6 +156,30 @@ class Polynomial:
         return _horner(self.coeffs, x)
 
 
+def _polish(coeffs, r):
+    """Up to 3 Newton steps from r, and the value at the root they reach
+    (in the order of operations of _horner).
+
+    The polish stops where the derivative vanishes, where a step would
+    leave the root's scale (derivative blow-up near multiple roots), and at
+    a fixed point: a step that leaves r's bits unchanged, since each step
+    depends on r alone and the steps left would repeat it.  -0.0 - -0.0 is
+    +0.0, which compares equal to -0.0, so the sign is compared as well.
+    """
+    for _ in range(3):
+        value, d = _horner_slope(coeffs, r)
+        if d == 0.0:
+            return r, value
+        step = value / d
+        if not math.isfinite(step) or abs(step) > 1.0 + abs(r):
+            return r, value
+        polished = r - step
+        if polished == r and math.copysign(1.0, polished) == math.copysign(1.0, r):
+            return r, value
+        r = polished
+    return r, _horner(coeffs, r)
+
+
 def real_roots(p):
     """All real roots of p (multiplicity collapsed), sorted ascending.
 
@@ -183,17 +207,7 @@ def real_roots(p):
     bound = RESIDUAL_REL_TOL * max(abs(c) for c in p.coeffs)
     accepted = []
     for r in candidates:
-        # Newton polish; guard against derivative blow-up near multiple roots
-        for _ in range(3):
-            value, d = _horner_slope(p.coeffs, r)
-            if d == 0.0:
-                break
-            step = value / d
-            if not math.isfinite(step) or abs(step) > 1.0 + abs(r):
-                break
-            r -= step
-        else:
-            value = p(r)
+        r, value = _polish(p.coeffs, r)
         if abs(value) <= bound * max(1.0, abs(r)) ** n:
             accepted.append(r)
     accepted.sort()

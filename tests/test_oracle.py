@@ -9,9 +9,10 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose,
                     residuals_machine, residuals_parallel,
                     select_working_solution, tool_pose_from_platform)
 from pkmkin import oracle
-from pkmkin.oracle import (_INDEX, _POSE, _RESIDUALS, _ROWS, _SLIDERS,
-                          NEWTON_REL_TOL, _evaluate, _jacobian, _legs,
-                          _line_search, _newton_columns, _residuals, _rods)
+from pkmkin.oracle import (_INDEX, _POSE, _RESIDUALS, _ROWS, _SLIDERS, _STEP_LENGTHS,
+                          NEWTON_MAX_ITER, NEWTON_REL_TOL, _canonical, _evaluate,
+                          _jacobian, _legs, _line_search, _newton_columns, _residuals,
+                          _rods, default_start_box)
 
 from conftest import angle_delta, region_points
 
@@ -110,8 +111,9 @@ def test_rod_statement_same_bits_on_floats_and_rows(geom):
         assert [type(f) for f in r.as_tuple()] == [float] * 4
 
 
-def _halving_reference(legs, block, step, norm):
-    """The sequential rule: halve lam from 1, up to 30 tries, until the norm drops."""
+def _halving_reference(legs, block, step, norm, work=None):
+    """The sequential rule: halve lam from 1, up to 30 tries, until the norm
+    drops; the improved columns and their residual max-norms."""
     lam = np.ones(block.shape[1])
     improved = np.zeros(block.shape[1], dtype=bool)
     trial = block.copy()
@@ -124,7 +126,7 @@ def _halving_reference(legs, block, step, norm):
         trial[:, pending[good]] = cand[:, good]
         improved[pending[good]] = True
         lam[pending[~good]] *= 0.5
-    return trial[:, improved]
+    return trial[:, improved], np.max(np.abs(trial[_RESIDUALS, improved]), axis=0)
 
 
 @pytest.mark.parametrize("ks", [[0], [5], [29], [None],
@@ -144,35 +146,141 @@ def test_damped_step_matches_halving(geom, ks):
     stuck = np.array([k is None for k in ks])
     step = np.array([0.0 * d if k is None else -2.0**k * d for k in ks]).T
     norm = np.where(stuck, np.max(np.abs(block[_RESIDUALS]), axis=0), 1.0)
-    ref = _halving_reference(legs, block, step, norm)
+    ref, ref_norm = _halving_reference(legs, block, step, norm)
     assert np.array_equal(ref[_INDEX], np.flatnonzero(~stuck))
     for col, i in zip(ref.T, np.flatnonzero(~stuck)):
         assert np.array_equal(col[_POSE], v[:, i] + 2.0**-ks[i] * step[:, i])
-    # the whole carried state: pose, index, sliders, cos, sin, rods, residuals
-    assert _line_search(legs, block, step, norm).tobytes() == ref.tobytes()
+    # a workspace sized for twice the columns, NaN where nothing is written:
+    # the whole carried state (pose, index, sliders, cos, sin, rods,
+    # residuals) and the max-norms come out with the reference's bits
+    work = np.full((_ROWS + 4) * len(_STEP_LENGTHS) * 2 * len(ks), np.nan)
+    got, got_norm = _line_search(legs, block, step, norm, work)
+    assert got.tobytes() == ref.tobytes()
+    assert got_norm.tobytes() == ref_norm.tobytes()
+
+
+def _acceptance_5_mix(geom, seed):
+    """Three working-region joint vectors and two random slider triples."""
+    rng = np.random.default_rng(seed)
+    joints = [select_working_solution(enumerate_ik(geom, *p), geom).joints
+              for p in region_points(rng, 3)]
+    return joints + [ParallelJoints(*rng.uniform(-100.0, 1200.0, size=3)) for _ in range(2)]
 
 
 @pytest.mark.parametrize("starts", [1, 100, 400])
 def test_newton_matches_halving_line_search(geom, monkeypatch, starts):
-    # the acceptance-5 mix: working-region joints and random slider triples
-    rng = np.random.default_rng(9)
-    joints = [select_working_solution(enumerate_ik(geom, *p), geom).joints
-              for p in region_points(rng, 3)]
-    joints += [ParallelJoints(*rng.uniform(-100.0, 1200.0, size=3)) for _ in range(2)]
+    joints = _acceptance_5_mix(geom, 9)
     got = [newton_fk(geom, j, starts=starts, seed=i) for i, j in enumerate(joints)]
     monkeypatch.setattr(oracle, "_line_search", _halving_reference)
     assert [newton_fk(geom, j, starts=starts, seed=i) for i, j in enumerate(joints)] == got
     assert starts == 1 or all(got[:3])
 
 
+def _plain_newton(geom, joints, starts, seed):
+    """newton_fk restated as a plain loop over the starts' columns: the
+    Jacobian written out from the rods, numpy.linalg's det and solve, and
+    sequential halving.  Only the rod statement and the final wrap, sort
+    and dedup (_canonical) are the oracle's own."""
+    rho = joints.as_tuple()
+    legs = _legs(geom, rho)[..., None]
+    arm = legs[2]
+    rng = np.random.default_rng(seed)
+    v = np.array([rng.uniform(lo, hi, starts)
+                  for lo, hi in (*default_start_box(geom, rho), (-math.pi, math.pi))])
+    tol = NEWTON_REL_TOL * geom.residual_scale
+
+    def evaluate(v):
+        c, s = np.cos(v[3]), np.sin(v[3])
+        rods = _rods(legs, *v[:3], c, s)
+        return rods, c, s, _residuals(legs, rods)
+
+    active = np.ones(starts, dtype=bool)
+    converged = np.zeros(starts, dtype=bool)
+    for _ in range(NEWTON_MAX_ITER):
+        cols = np.flatnonzero(active)
+        (dx, dy, dz), c, s, f = evaluate(v[:, cols])
+        norm = np.max(np.abs(f), axis=0)
+        # J[col, leg, (x, y, z, alpha)]
+        J = np.stack([2 * dx, 2 * dy, 2 * dz, 2 * (dz * arm * c - dy * arm * s)],
+                     axis=-1).transpose(1, 0, 2)
+        done = norm <= tol
+        singular = ~(np.abs(np.linalg.det(J)) > 1e-300)
+        converged[cols[done]] = True
+        active[cols[done | singular]] = False
+        go = ~done & ~singular
+        cols, f, norm = cols[go], f[:, go], norm[go]
+        step = np.linalg.solve(J[go], -f.T[..., None])[..., 0].T
+        lam = np.ones(len(cols))
+        pending = np.ones(len(cols), dtype=bool)
+        for _ in range(30):
+            trial = v[:, cols] + lam * step
+            better = pending & (np.max(np.abs(evaluate(trial)[3]), axis=0) < norm)
+            v[:, cols[better]] = trial[:, better]
+            pending &= ~better
+            lam *= 0.5
+        active[cols[pending]] = False
+    cols = np.flatnonzero(active)
+    converged[cols[np.max(np.abs(evaluate(v[:, cols])[3]), axis=0) <= tol]] = True
+    return _canonical(v[:, converged].T.tolist())
+
+
+@pytest.mark.parametrize("starts", [1, 100, 400])
+def test_newton_matches_plain_reference(geom, starts):
+    # an independent restatement of the iteration: a change that moves any
+    # Newton iterate by a rounding (the Jacobian's operation order, say)
+    # shows up as a different pose
+    joints = _acceptance_5_mix(geom, 9)
+    want = [_plain_newton(geom, j, starts, seed) for seed, j in enumerate(joints)]
+    assert [newton_fk(geom, j, starts=starts, seed=i) for i, j in enumerate(joints)] == want
+    assert newton_fk_batch(geom, joints, starts, range(len(joints))) == want
+    assert starts == 1 or all(want[:3])
+
+
+@pytest.mark.parametrize("m", [1, 22, 500])
+def test_direct_lapack_calls_match_numpy_linalg(geom, m):
+    # the oracle calls the gufuncs behind numpy.linalg.det and .solve without
+    # their wrappers; a numpy whose private gufuncs differ fails here
+    rng = np.random.default_rng(m)
+    rho = (400.0, 380.0, 390.0)
+    legs = _legs(geom, rho)[..., None]
+    v = np.array([rng.uniform(lo, hi, m)
+                  for lo, hi in (*default_start_box(geom, rho), (-math.pi, math.pi))])
+    block = _state(legs, v)
+    J = _jacobian(legs, block)
+    b = -block[_RESIDUALS].T[..., None]
+    assert oracle._det(J, signature="d->d").tobytes() == np.linalg.det(J).tobytes()
+    assert oracle._solve(J, b, signature="dd->d").tobytes() == np.linalg.solve(J, b).tobytes()
+
+
+def test_singular_and_nan_columns_stop_without_warning(geom):
+    # leg II's rod vanishes at x = d2 - D2, y = R2 - r4, z = rho2, alpha = 0,
+    # so that column's Jacobian has a zero row and det == 0 exactly; a NaN
+    # pose gives a NaN column; both stop, and the regular columns around
+    # them converge
+    x, y, z = -250.0, 60.0, 900.0
+    sol = select_working_solution(enumerate_ik(geom, x, y, z), geom)
+    legs = _legs(geom, sol.joints.as_tuple())[..., None]
+    near = np.array([x, y, z, sol.alpha]) + np.array([0.6, -0.5, 0.4, 1e-3])
+    singular = [geom.d2 - geom.D2, geom.R2 - geom.r4, sol.joints.rho2, 0.0]
+    block = _state(legs, np.column_stack([near, singular, [np.nan] * 4, near]))
+    tol = NEWTON_REL_TOL * geom.residual_scale
+    # the NaN column's det raises the invalid flag
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(_jacobian(legs, block))
+    assert det[1] == 0.0 and math.isnan(det[2]) and np.abs(det[[0, 3]]).min() > 1e-300
+    assert np.max(np.abs(block[_RESIDUALS, 1])) > tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _newton_columns(legs, block, tol, NEWTON_MAX_ITER)
+    assert got[_INDEX].tolist() == [0.0, 3.0]
+    assert tuple(got[_POSE, 0]) == pytest.approx((x, y, z, sol.alpha), abs=1e-6)
+
+
 @pytest.mark.parametrize("starts", [1, 100, 400])
 def test_batch_matches_scalar_per_vector(geom, starts):
     # the acceptance-5 mix, sliders that admit no assembly, and the first
     # vector again under another seed
-    rng = np.random.default_rng(11)
-    joints = [select_working_solution(enumerate_ik(geom, *p), geom).joints
-              for p in region_points(rng, 3)]
-    joints += [ParallelJoints(*rng.uniform(-100.0, 1200.0, size=3)) for _ in range(2)]
+    joints = _acceptance_5_mix(geom, 11)
     joints += [ParallelJoints(0.0, 3000.0, -3000.0), joints[0]]
     seeds = [3, 1, 4, 1, 5, 9, 2]
     got = newton_fk_batch(geom, joints, starts=starts, seeds=seeds)

@@ -12,7 +12,8 @@ from pkmkin import (DEFAULT_SYNTHETIC, ParallelJoints, Polynomial, PlatformPose,
                     orientation_candidates, real_roots, real_roots_in_unit_interval,
                     rootfind, select_working_solution, tilt_polynomial,
                     tool_pose_from_platform)
-from pkmkin.rootfind import CLUSTER_REL_TOL, _add, _divmod, _horner, _mul
+from pkmkin.rootfind import (CLUSTER_REL_TOL, _add, _divmod, _horner, _horner_slope,
+                             _mul, _polish)
 
 from conftest import locus_points, region_points
 
@@ -364,3 +365,58 @@ def test_eigenvalue_failure_raises_linalg_error(monkeypatch, stub):
             real_roots(p)
     with pytest.raises(np.linalg.LinAlgError):
         orientation_candidates(DEFAULT_SYNTHETIC, -250.0, 60.0)
+
+
+# ---------------------------------------------------------------------------
+# Newton polish: stopping at the fixed point keeps the bits of 3 steps
+
+def three_step_polish(coeffs, r):
+    """The polish without the fixed-point stop: 3 steps unless the
+    derivative vanishes or a step leaves the root's scale."""
+    for _ in range(3):
+        value, d = _horner_slope(coeffs, r)
+        if d == 0.0:
+            break
+        step = value / d
+        if not math.isfinite(step) or abs(step) > 1.0 + abs(r):
+            break
+        r -= step
+    else:
+        value = _horner(coeffs, r)
+    return r, value
+
+
+def polish_inputs():
+    """The coupling cubics and tilt sextics of characteristic_polynomials,
+    200 FK octics (rho3 = rho2 on every other triple), and seeded random
+    polynomials of degree 1-12, some with roots at +0.0 or -0.0."""
+    polys = characteristic_polynomials()
+    rng = np.random.default_rng(73)
+    for k, rho in enumerate(rng.uniform(-200.0, 1500.0, size=(200, 3))):
+        if k % 2:
+            rho[2] = rho[1]
+        polys.append(octic_from_joints(DEFAULT_SYNTHETIC, ParallelJoints(*map(float, rho))))
+    for k in range(600):
+        n = k % 12 + 1
+        if k % 3 == 2:
+            c = poly_from_roots([*rng.uniform(-3.0, 3.0, size=n - 1), (0.0, -0.0)[k % 2]])
+        else:
+            c = rng.normal(size=n + 1) * 10.0 ** rng.integers(-3, 6)
+            if k % 3 == 1:
+                c[0] = (0.0, -0.0)[k % 2]
+        polys.append(Polynomial(c))
+    return polys
+
+
+def test_polish_fixed_point_stop_keeps_the_bits(monkeypatch):
+    polys = polish_inputs()
+    got = [real_roots(p) for p in polys]
+    monkeypatch.setattr(rootfind, "_polish", three_step_polish)
+    assert repr([real_roots(p) for p in polys]) == repr(got)
+    # signed zeros: at r = -0.0 with a step of -0.0, r - step is +0.0,
+    # equal to r but not the same bits, so the polish goes on from +0.0
+    for coeffs in ([0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [-0.0, -1.0],
+                   [-0.0, 3.0, 1.0], [0.0, -2.0, 0.0, 1.0], [-0.0, 0.0, 1.0]):
+        for r in (0.0, -0.0, 5e-324, -5e-324, 1e-300):
+            assert repr(_polish(coeffs, r)) == repr(three_step_polish(coeffs, r)), (coeffs, r)
+    assert repr(_polish([-0.0, -1.0], -0.0)) == "(0.0, -0.0)"
