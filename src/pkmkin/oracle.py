@@ -10,6 +10,7 @@ columns of one lockstep iteration, with each vector's result unchanged.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,8 +252,13 @@ def _finite_sliders(joints):
 def _newton(geom, joints_seq, starts, seeds):
     """Poses per joint vector, its starts drawn from its own seed in its
     default_start_box and (-pi, pi] as columns of one lockstep Newton solve."""
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    try:
+        count = operator.index(starts)
+    except TypeError:
+        count = None
+    if count is None or isinstance(starts, bool) or count < 1:
+        raise ValueError(f"starts must be an integer >= 1, got {starts!r}")
+    starts = count
     rhos = [_finite_sliders(j) for j in joints_seq]
     if len(seeds) != len(rhos):
         raise ValueError(f"{len(seeds)} seeds for {len(rhos)} joint vectors")
@@ -296,8 +302,9 @@ def newton_fk(geom, joints, starts=100, seed=0):
     one batched pass, in a workspace allocated once per call for 30
     candidates per start: 31 floats each, about 740 KB at 100 starts.  A
     start that no step improves stops, and every start stops after 100
-    iterations.  ValueError for starts < 1 or a non-finite slider,
-    OverflowError when the sliders are too large for floats.
+    iterations.  ValueError for starts not an integer >= 1 (a bool is not
+    one) or a non-finite slider, OverflowError when the sliders are too
+    large for floats.
     """
     [poses] = _newton(geom, [joints], starts, [seed])
     return poses

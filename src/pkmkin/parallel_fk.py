@@ -6,16 +6,18 @@ the difference of the two leg-I constraints gives y_p(z_p, alpha), the
 difference of the leg-II/III constraints gives z_p(alpha), the difference
 of the leg-I midpoint sphere and the leg-II sphere gives x_p(alpha), and
 back-substituting everything into the leg-I midpoint sphere leaves a
-rational function of t whose cleared numerator N(t) is assembled exactly,
+rational function of t whose cleared numerator N(t) is assembled
 coefficient by coefficient (every ingredient is itself a polynomial in t).
 N has degree <= 16 and always contains the spurious factor
 (1 + t^2)^2 * P1(t)^2, where P1(t) is the half-angle form of
-R1 cos(alpha) - r1; deflating it leaves the degree-8 polynomial whose real
-roots enumerate the assembly modes.  Its coefficients are polynomials of
-degree <= 6 in the slider differences, so the assembly and the deflation
-run once per geometry, on polynomial-valued differences, with the probe
-certificate's slider-free terms; each slider triple then costs one
-matrix-vector product plus the slider-dependent rest of the certificate.
+R1 cos(alpha) - r1; dividing it out leaves the degree-8 polynomial whose
+real roots enumerate the assembly modes.  Its coefficients are polynomials
+of degree <= 6 in the slider differences, so the assembly and the division
+run once per geometry, on polynomial-valued differences, in exact integer
+arithmetic, with the probe certificate's slider-free terms; each slider
+triple then costs one matrix-vector product plus the slider-dependent rest
+of the certificate.  On rho2 = rho3 with L2 = L3 the octic is even with a
+double root at t = 0, and its other roots come from a quadratic.
 Each root's platform position is recovered by intersecting the three
 constraint spheres directly (division free, so exact even next to the
 degenerate orientations), with the axis orientations the half-angle map
@@ -34,8 +36,7 @@ from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
 from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
                           PlatformPose, _on_working_branch, _unique,
                           constraint_residuals)
-from .rootfind import (Polynomial, _add, _certify, _divmod, _horner, _mul,
-                       real_roots)
+from .rootfind import Polynomial, _certify, _horner, _mul, real_roots
 
 FK_RESIDUAL_REL_TOL = 1e-7
 FK_PREFILTER_REL_TOL = 1e-3
@@ -122,89 +123,125 @@ def xp_from(geom, alpha, joints):
 # <= 6 in the slider differences alone, scaled as
 # v = (rho1 - (rho2 + rho3) / 2, rho3 - rho2) / h.  One (9, 28) matrix over
 # the monomials of degree <= 6 in v then maps a slider triple to its octic.
-# The matrix is compiled by running the exact assembly once, at the triple
-# (h v1, -h v2 / 2, h v2 / 2), on polynomial-valued v.  A polynomial in
-# (t, v1, v2) is a 1-D array under Kronecker substitution, index
-# k*7^2 + e1*7 + e2: no v-degree exceeds 6, so no product carries and the
-# coefficient kernel works on it unchanged.
+# The matrix is compiled by running the assembly once, at the triple
+# (h v1, -h v2 / 2, h v2 / 2), on polynomial-valued v, in exact integer
+# arithmetic, and rounding each entry once.
 
 _STRIDE = 7                 # one slider variable: powers 0..6
-_BLOCK = _STRIDE**2         # one power of t
 _MONOMIALS = np.array([(e1, e2) for e1 in range(_STRIDE) for e2 in range(_STRIDE - e1)]).T
 # where each monomial's two factors sit in the flat table of powers
-# (v1^0..v1^6, v2^0..v2^6), and its column in a Kronecker block
+# (v1^0..v1^6, v2^0..v2^6)
 _POWER_INDEX = _MONOMIALS + np.array([[0], [_STRIDE]])
-_COLUMNS = (_STRIDE, 1) @ _MONOMIALS
 
 
-def _in_t(coeffs):
-    """An ascending polynomial in t alone as a Kronecker array."""
-    c = np.zeros((len(coeffs) - 1) * _BLOCK + 1)
-    c[::_BLOCK] = coeffs
-    return c
+class _Exact(dict):
+    """A polynomial in (t, v1, v2) with integer coefficients, keyed by the
+    exponents (k, e1, e2), under +, - and * with another one or an int."""
+
+    def __add__(self, other):
+        out = _Exact(self)
+        for key, c in _exact(other).items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __mul__(self, other):
+        out, terms = _Exact(), _exact(other).items()
+        for (k, e1, e2), x in self.items():
+            for (l, f1, f2), y in terms:
+                key = k + l, e1 + f1, e2 + f2
+                out[key] = out.get(key, 0) + x * y
+        return out
+
+    __rmul__ = __mul__
+
+
+def _exact(value):
+    return value if isinstance(value, _Exact) else _Exact({(0, 0, 0): value})
+
+
+def _in_t(*coeffs):
+    """An ascending polynomial in t alone."""
+    return _Exact({(k, 0, 0): c for k, c in enumerate(coeffs) if c})
 
 
 def _cleared_numerator(geom, h):
-    """N(t, v), the cleared leg-I midpoint residual, as a Kronecker array.
+    """(S^10 N(t, v), S^2 (1 + t^2)^2 P1(t)^2 ascending, S) in integers.
 
-    N = residual(x_p(t), y_p(t), z_p(t)) * (2 gap P1 T^2 Q)^2 with
-    T = 1 + t^2, P1 the half-angle form of R1 cos(alpha) - r1 and Q that of
-    the z_p denominator, at rho2 + rho3 = 0.  Degree <= 16 in t and <= 6
-    in v.
+    N = residual(x_p(t), y_p(t), z_p(t)) * (2 gap P1 T^2 Q)^2 is the cleared
+    leg-I midpoint residual, with T = 1 + t^2, P1 the half-angle form of
+    R1 cos(alpha) - r1 and Q that of the z_p denominator, at
+    rho2 + rho3 = 0.  Degree <= 16 in t and <= 6 in v.  Every float is a
+    dyadic rational, so each length (h among them) times S, the least
+    power of two that makes all of them integers, is an integer.  N is
+    homogeneous of degree 10 in the lengths and P1 of degree 1; t and v are
+    pure numbers.
     """
-    R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
-    gap = geom.offset_gap
-    span = (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
+    # p2_ = -h v2 / 2 takes h / 2
+    lengths = (geom.R1, geom.r1, geom.R2, geom.r4, geom.L1, geom.L2, geom.L3,
+               geom.D1, geom.d1, geom.D2, geom.d2, 0.5 * h)
+    ratios = [float(x).as_integer_ratio() for x in lengths]
+    S = max(d for _, d in ratios)
+    R1, r1, R2, r4, L1, L2, L3, D1, d1, D2, d2, half_h = (n * (S // d) for n, d in ratios)
+    gap = (D1 - d1) - (D2 - d2)
+    span = (D1 - d1) + (D2 - d2)
     # rho1 = h v1, rho3 - rho2 = h v2 and rho2 + rho3 = 0
-    p1_, d32 = h * np.eye(_STRIDE + 1)[[_STRIDE, 1]]
-    p2_ = -0.5 * d32
-    t = _in_t([0.0, 1.0])
-    T = _in_t([1.0, 0.0, 1.0])
-    P1 = _in_t([R1 - r1, 0.0, -(R1 + r1)])
-    W = _in_t([R2 - r4, 0.0, -(R2 + r4)])
-    Q = _add(_mul(d32, P1), 4.0 * geom.C1 * t)
-    K = geom.L1**2 - R1**2 - r1**2
-    Na = _in_t([K + 2.0 * R1 * r1, 0.0, K - 2.0 * R1 * r1])
+    p1_ = _Exact({(0, 1, 0): 2 * half_h})
+    d32 = _Exact({(0, 0, 1): 2 * half_h})
+    p2_ = _Exact({(0, 0, 1): -half_h})
+    t = _in_t(0, 1)
+    T = _in_t(1, 0, 1)
+    P1 = _in_t(R1 - r1, 0, -(R1 + r1))
+    W = _in_t(R2 - r4, 0, -(R2 + r4))
+    Q = d32 * P1 + 4 * (r1 * R2 - r4 * R1) * t
+    K = L1**2 - R1**2 - r1**2
+    Na = _in_t(K + 2 * R1 * r1, 0, K - 2 * R1 * r1)
 
-    TP1 = _mul(T, P1)
-    Nz = _add(_mul(8.0 * R1 * _mul(p1_, t), W), (geom.L2**2 - geom.L3**2) * TP1)
-    TQ = _mul(T, Q)
-    M = _add(2.0 * _mul(p1_, TQ), -Nz)
-    U = _add(_mul(_add(p2_, -p1_), T), 2.0 * R2 * t)
-    V = _add(Nz, -_mul(_add(p1_, p2_), TQ), _mul(-2.0 * R2 * t, Q))
+    TP1 = T * P1
+    Nz = 8 * R1 * p1_ * t * W + (L2**2 - L3**2) * TP1
+    TQ = T * Q
+    M = 2 * p1_ * TQ - Nz
+    U = (p2_ - p1_) * T + 2 * R2 * t
+    V = Nz - (p1_ + p2_) * TQ - 2 * R2 * t * Q
 
-    TP1Q = _mul(TP1, Q)
-    T2P1Q = _mul(T, TP1Q)
-    Nx = _add(_mul(Na, TP1Q),
-              -geom.L2**2 * T2P1Q,
-              _mul(_mul(W, W), _mul(P1, Q)),
-              _mul(-2.0 * R1 * t, _mul(M, W)),
-              -_mul(_mul(U, V), P1))
-    NX1 = _add(Nx, gap * (2.0 * (geom.D1 - geom.d1) - span) * T2P1Q)
+    TP1Q = TP1 * Q
+    T2P1Q = T * TP1Q
+    Nx = Na * TP1Q - L2**2 * T2P1Q + W * W * P1 * Q - 2 * R1 * t * M * W - U * V * P1
+    NX1 = Nx + gap * (2 * (D1 - d1) - span) * T2P1Q
 
-    MT = _mul(M, T)
-    tMT = _mul(t, MT)
-    P1P1 = _mul(P1, P1)
-    return _add(_mul(NX1, NX1),
-                4.0 * gap**2 * R1**2 * _mul(tMT, tMT),
-                gap**2 * _mul(_mul(MT, MT), P1P1),
-                -4.0 * gap**2 * _mul(Na, _mul(P1P1, _mul(_mul(_mul(T, T), T), _mul(Q, Q)))))
+    tMT = t * M * T
+    P1P1 = P1 * P1
+    T2 = T * T
+    N = (NX1 * NX1 + 4 * gap**2 * R1**2 * tMT * tMT + gap**2 * M * M * T2 * P1P1
+         - 4 * gap**2 * Na * P1P1 * T2 * T * Q * Q)
+    factor = T2 * P1P1
+    return N, [factor.get((k, 0, 0), 0) for k in range(9)], S
 
 
-def _deflate(columns, factor, rel_tol):
-    """Each column (ascending in t) divided by the t-only factor; raises
-    InterpolationError when a remainder is non-negligible against the
-    largest coefficient of all columns."""
-    out = np.zeros((columns.shape[0], columns.shape[1] - factor.size + 1))
-    remainder = 0.0
-    for row, col in zip(out, columns):
-        quot, rem = _divmod(col, factor)
-        row[:quot.size] = quot
-        remainder = max(remainder, *np.abs(rem).tolist())
-    if remainder > rel_tol * max(np.max(np.abs(columns)), 1.0):
-        raise InterpolationError(
-            "spurious-factor deflation left a non-negligible remainder")
-    return out
+def _deflate(N, factor):
+    """(lead^n N / factor, lead^n) for a factor in t alone, ascending, with
+    lead its leading coefficient and n the number of long-division steps:
+    scaled by lead^n, every step divides exactly in integers.  Raises
+    InterpolationError on any nonzero remainder."""
+    *low, lead = factor
+    n = len(low)
+    top = max(k for k, _, _ in N)
+    scale = lead ** (top - n + 1)
+    columns = {}
+    for (k, e1, e2), c in N.items():
+        columns.setdefault((e1, e2), [0] * (top + 1))[k] = c * scale
+    quot = {}
+    for (e1, e2), col in columns.items():
+        for j in range(top, n - 1, -1):
+            q = quot[j - n, e1, e2] = col[j] // lead
+            for i, f in enumerate(low, j - n):
+                col[i] -= q * f
+        if any(col[:n]):
+            raise InterpolationError(
+                "the cleared numerator does not contain the spurious factor (1 + t^2)^2 P1(t)^2")
+    return quot, scale
 
 
 def _probe_nodes(geom, P1):
@@ -229,25 +266,29 @@ def compile_octic(geom):
 
     Row k of the matrix holds the coefficients of t^k over the monomials
     v1^e1 v2^e2 of degree <= 6, in the column order of _MONOMIALS.  The
-    cleared numerator is deflated by the geometry-only spurious factor
-    (1 + t^2)^2 P1(t)^2, returned with the probe nodes (_probe_nodes) for
-    the per-call certificate.  Raises InterpolationError when the factor
-    does not divide out.  Computed once per geometry instance, as
-    MachineGeometry.compiled_octic; the geometry must have distinct
-    offsets (octic_from_joints checks).
+    cleared numerator is divided exactly by the geometry-only spurious
+    factor (1 + t^2)^2 P1(t)^2, in integers, and each entry is rounded to
+    the nearest float once; the factor, also rounded once, comes back with
+    the probe nodes (_probe_nodes) for the per-call certificate.  Raises
+    InterpolationError when the factor does not divide out.  Computed once
+    per geometry instance, as MachineGeometry.compiled_octic; the geometry
+    must have distinct offsets (octic_from_joints checks).
     """
     # the largest power of two within the slider half-stroke (1024 on the
     # synthetic geometry): scaling by h is then exact, and rho2 = rho3 gives
     # v2 = 0 exactly; frexp never raises, whatever the limits
     h = math.ldexp(1.0, math.frexp(0.5 * (geom.rho_max - geom.rho_min))[1] - 1)
-    N = _cleared_numerator(geom, h)
-    # one row per power of t (at most 16), one column per monomial
-    columns = np.pad(N, (0, -N.size % _BLOCK)).reshape(-1, _BLOCK)[:, _COLUMNS].T
-    T2 = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
-    P1 = np.array([geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)])
-    P1P1 = _mul(P1, P1)
-    quot = _deflate(_deflate(columns, T2, 1e-9), P1P1, 1e-8)
-    return h, np.ascontiguousarray(quot.T), (_mul(T2, P1P1), _probe_nodes(geom, P1.tolist()))
+    N, factor, S = _cleared_numerator(geom, h)
+    quot, scale = _deflate(N, factor)
+    # N carries S^10 and the factor S^2; int / int rounds once
+    den = scale * S**8
+    matrix = np.zeros((9, _MONOMIALS.shape[1]))
+    column = {e: j for j, e in enumerate(zip(*_MONOMIALS.tolist()))}
+    for (k, e1, e2), c in quot.items():
+        matrix[k, column[e1, e2]] = c / den
+    factor = np.array([c / S**2 for c in factor])
+    P1 = [geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)]
+    return h, matrix, (factor, _probe_nodes(geom, P1))
 
 
 def _probe_samples(geom, joints, nodes):
@@ -451,15 +492,32 @@ def _dedup(items, key, tol):
     return kept
 
 
+def _even_roots(coeffs):
+    """Real roots, ascending, of c2 t^2 + c4 t^4 + c6 t^6 (c6 != 0): t = 0
+    and t = +-sqrt(u) for each positive root u of c2 + c4 u + c6 u^2."""
+    _, _, c2, _, c4, _, c6 = coeffs
+    disc = c4 * c4 - 4.0 * c6 * c2
+    roots = {0.0}
+    # the root of larger magnitude without cancellation, the other from
+    # the product of the two; q = 0 leaves u = 0 alone
+    q = -0.5 * (c4 + math.copysign(math.sqrt(disc), c4)) if disc >= 0.0 else 0.0
+    for u in (q / c6, c2 / q) if q else ():
+        if u > 0.0:
+            roots.update((math.sqrt(u), -math.sqrt(u)))
+    return sorted(roots)
+
+
 def enumerate_fk(geom, joints):
     """All assembly modes for one slider triple, sorted by orientation.
 
     Real roots of the characteristic polynomial are back-substituted by
     sphere intersection; the axis orientations the half-angle substitution
     cannot reach are tried the same way; every candidate is Newton-polished
-    and kept only if all four constraints hold to 1e-7 * max(L^2).  Empty
-    when the sliders admit no assembly; InterpolationError when the octic
-    fails its probe certificate.
+    and kept only if all four constraints hold to 1e-7 * max(L^2).  An
+    octic with only c2, c4 and c6 nonzero (rho2 = rho3 with L2 = L3) has
+    its roots in closed form (_even_roots).  Empty when the sliders admit
+    no assembly; InterpolationError when the octic fails its probe
+    certificate.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
@@ -468,11 +526,15 @@ def enumerate_fk(geom, joints):
         roots = []
     else:
         octic = octic_from_joints(geom, joints)
-        roots = real_roots(octic) if octic.degree >= 1 else []
+        coeffs = octic.coeffs
+        if len(coeffs) == 7 and coeffs[0] == coeffs[1] == coeffs[3] == coeffs[5] == 0.0:
+            roots = _even_roots(coeffs)
+        else:
+            roots = real_roots(octic) if octic.degree >= 1 else []
     # alpha = pi is invisible to t = tan(alpha/2); alpha = 0 drops out of
-    # the characteristic polynomial when rho2 = rho3 (its equation becomes
-    # the vanishing denominator there)
-    alphas = [2.0 * math.atan(t) for t in roots] + [math.pi, 0.0]
+    # the characteristic polynomial when rho2 = rho3 and L2 != L3 (its
+    # equation becomes the vanishing denominator there)
+    alphas = [2.0 * math.atan(t) for t in roots] + [math.pi] + ([] if 0.0 in roots else [0.0])
     scale = geom.residual_scale
     tols = FK_PREFILTER_REL_TOL * scale, 1e-14 * scale
     modes = []

@@ -162,6 +162,12 @@ def coupling_residual(geom, x_p, y_p, alpha):
     return t1 + t2 - t3
 
 
+def _term_scale(t1, t2, t3):
+    """The scale of the coupling terms, the reference of every relative
+    coupling test."""
+    return max(1.0, t1, abs(t2), abs(t3))
+
+
 def coupling_scale(geom, x_p, y_p, alpha):
     """Largest coupling-term magnitude; reference for relative residuals.
 
@@ -170,14 +176,13 @@ def coupling_scale(geom, x_p, y_p, alpha):
     boundary-clamped cosine roots from just outside [-1, 1] cannot sneak in
     as candidates on the strength of an unrelated global scale.
     """
-    t1, t2, t3 = _coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha))
-    return max(1.0, t1, abs(t2), abs(t3))
+    return _term_scale(*_coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha)))
 
 
 def _coupling_holds(geom, x_p, y_p, alpha):
     """The coupling test of every orientation candidate, from one evaluation."""
     t1, t2, t3 = _coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha))
-    return abs(t1 + t2 - t3) <= COUPLING_REL_TOL * max(1.0, t1, abs(t2), abs(t3))
+    return abs(t1 + t2 - t3) <= COUPLING_REL_TOL * _term_scale(t1, t2, t3)
 
 
 def coupling_cubic(geom, x_p, y_p):

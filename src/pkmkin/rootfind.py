@@ -47,10 +47,10 @@ def _trim(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# coefficient kernel for the exactly assembled characteristic polynomials:
-# ascending float arrays, each operation done in the order of numpy's
-# polymul / polyadd / polydiv, exact trailing zeros trimmed from every
-# operand and result as they are, so the coefficients match theirs bit for bit
+# coefficient kernel of the tilt polynomial's assembly and the octic's
+# certificate: ascending float arrays, each operation done in the order of
+# numpy's polymul / polyadd, exact trailing zeros trimmed from every operand
+# and result as they are, so the coefficients match theirs bit for bit
 
 def _trim_zeros(c):
     """c without its exact trailing zeros, at least one coefficient kept."""
@@ -98,22 +98,6 @@ def _horner_slope(coeffs, x):
         acc = acc * x + coeffs[k]
         slope = slope * x + k * coeffs[k]
     return acc * x + coeffs[0], slope
-
-
-def _divmod(num, den):
-    """Quotient and remainder of num / den by long division from the top,
-    in Python floats; den has degree >= 1."""
-    num, den = _trim_zeros(num).tolist(), _trim_zeros(den).tolist()
-    n = len(den) - 1
-    if len(num) <= n:
-        return np.array(num[:1]) * 0.0, np.array(num)
-    lead = den[-1]
-    low = [d / lead for d in den[:-1]]
-    for j in range(len(num) - 1, n - 1, -1):
-        q = num[j]
-        for k, d in enumerate(low, j - n):
-            num[k] -= d * q
-    return np.array(num[n:]) / lead, _trim_zeros(np.array(num[:n]))
 
 
 def _certify(coeffs, samples, degree, name):

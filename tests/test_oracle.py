@@ -336,8 +336,16 @@ def test_newton_deterministic(geom):
 
 
 def test_newton_rejects_bad_starts(geom):
-    with pytest.raises(ValueError):
-        newton_fk(geom, ParallelJoints(400.0, 380.0, 390.0), starts=0)
+    # a float or bool start count is a ValueError naming it, not a TypeError
+    # from deep inside the solve
+    joints = ParallelJoints(400.0, 380.0, 390.0)
+    for starts in (0, -3, 100.0, True, False, "100", None):
+        with pytest.raises(ValueError, match="starts"):
+            newton_fk(geom, joints, starts=starts)
+        with pytest.raises(ValueError, match="starts"):
+            newton_fk_batch(geom, [joints], starts, [0])
+    # an integer of another type is a start count
+    assert newton_fk(geom, joints, starts=np.int64(5), seed=3) == newton_fk(geom, joints, 5, 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -11,7 +11,7 @@ from pkmkin import (CoincidentOffsetError, DegenerateDenominatorError,
                     octic_from_joints, select_assembly_mode,
                     select_working_solution, serialize_geometry, xp_from,
                     yp_from, zp_from)
-from pkmkin import parallel_fk
+from pkmkin import parallel_fk, real_roots, rootfind
 from pkmkin.cli import main
 from pkmkin.parallel_fk import AssemblyMode
 from pkmkin.parallel_ik import ConfigurationIndices, PlatformPose
@@ -256,14 +256,19 @@ def exact_octic(geom, h):
     # the cleared numerator is residual * (2 gap P1 T^2 Q)^2; without its
     # spurious factor T^2 P1^2 it is this, a polynomial
     octic = residual * (2 * gap * Q)**2 * T**2
-    assert octic.denom == 1
+    # a polynomial: its denominator is a number
+    assert octic.denom.is_ground
+    den = octic.denom.LC
     terms = octic.numer.terms()
     assert all(e[3] == 0 for e, _ in terms)
-    return {e[:3]: float(coeff) for e, coeff in terms}
+    return {e[:3]: float(sp.Rational(coeff) / sp.Rational(den)) for e, coeff in terms}
 
 
-@pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])
+@pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0},
+                                  {"R1": 300.3, "r1": 119.9, "L1": 490.05, "D2": 280.125}])
 def test_compiled_octic_matches_exact_compile(geom, dims):
+    # every entry is the exact one rounded once; the lengths of dims2 are
+    # not integers, so the compile's common power-of-two scale is not 1
     g = replace(geom, **dims)
     h, matrix, _ = g.compiled_octic
     exact = np.zeros_like(matrix)
@@ -271,8 +276,28 @@ def test_compiled_octic_matches_exact_compile(geom, dims):
     for (k, *e), value in exact_octic(g, h).items():
         exact[k, column[tuple(e)]] = value
     assert h == 1024.0 and matrix.shape == (9, 28)
-    for k in range(9):
-        assert np.max(np.abs(matrix[k] - exact[k])) <= 1e-13 * np.max(np.abs(exact[k])), k
+    assert matrix.tobytes() == exact.tobytes()
+
+
+def test_compile_rejects_a_factor_that_does_not_divide(geom, monkeypatch):
+    h = geom.compiled_octic[0]
+    N, factor, _ = parallel_fk._cleared_numerator(geom, h)
+    quot, scale = parallel_fk._deflate(N, factor)
+    assert scale > 1 and any(quot.values())
+    # off by one unit in the constant term, or by a factor of t
+    for wrong in ([factor[0] + 1, *factor[1:]], [0, *factor]):
+        with pytest.raises(InterpolationError, match="spurious factor"):
+            parallel_fk._deflate(N, wrong)
+    # and the compile says so, for a fresh geometry instance
+    cleared = parallel_fk._cleared_numerator
+
+    def off_by_one(g, h):
+        N, factor, S = cleared(g, h)
+        return N, [factor[0] + 1, *factor[1:]], S
+
+    monkeypatch.setattr(parallel_fk, "_cleared_numerator", off_by_one)
+    with pytest.raises(InterpolationError):
+        enumerate_fk(replace(geom), ParallelJoints(500.0, 400.0, 420.0))
 
 
 def test_octic_compiled_once_per_geometry(geom, monkeypatch):
@@ -308,6 +333,92 @@ def test_octic_degree_drops_exactly_for_equal_legs_II_III(geom):
         v1 = (joints.rho1 - joints.rho2) / h
         degree = max(k for (k, e1, e2), c in exact.items() if e2 == 0 and c * v1**e1 != 0.0)
         assert octic_from_joints(geom, joints).degree == degree == 6
+
+
+def census_plane_triples():
+    """The rho2 = rho3 triples of the joint-census benchmark pools of seeds
+    0-3: rho ~ U(-200, 1500)^3, every fourth from the fourth with
+    rho3 = rho2 (600 triples)."""
+    triples = []
+    for seed in range(4):
+        rho = np.random.default_rng(seed).uniform(-200.0, 1500.0, size=(600, 3))
+        triples += [ParallelJoints(r1, r2, r2) for r1, r2, _ in rho[3::4].tolist()]
+    return triples
+
+
+@pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])
+def test_plane_octic_is_even_exactly_when_L2_equals_L3(geom, dims, monkeypatch):
+    # on rho2 = rho3 (v2 = 0) the octic is c2 t^2 + c4 t^4 + c6 t^6 for
+    # L2 = L3: the matrix columns without a v2 factor are exact zeros in
+    # rows 0, 1, 3, 5, 7 and 8, and enumerate_fk takes the roots in closed
+    # form.  With L2 != L3 they are not, and the octic keeps the
+    # eigenvalue path
+    g = replace(geom, **dims)
+    even = not dims
+    without_v2 = g.compiled_octic[1][:, parallel_fk._MONOMIALS[1] == 0]
+    assert (without_v2[[0, 1, 3, 5, 7, 8]] == 0.0).all() == even
+    assert (without_v2[[2, 4, 6]] != 0.0).any(axis=1).all()
+    calls = []
+    monkeypatch.setattr(parallel_fk, "real_roots", lambda p: calls.append(p) or real_roots(p))
+    rng = np.random.default_rng(71)
+    for r1, r2 in rng.uniform(-200.0, 1500.0, size=(50, 2)).tolist():
+        joints = ParallelJoints(r1, r2, r2)
+        c = octic_from_joints(g, joints).coeffs
+        assert (len(c) == 7 and c[0] == c[1] == c[3] == c[5] == 0.0) == even
+        enumerate_fk(g, joints)
+    assert len(calls) == (0 if even else 50)
+
+
+def test_plane_modes_need_no_imaginary_tolerance(geom, monkeypatch):
+    # the exact compile makes t = 0 an exact double root on the plane, so
+    # neither the closed form nor the eigenvalue path on the same octics
+    # depends on IMAG_REL_TOL keeping a complex pair
+    triples = census_plane_triples()
+    modes = [enumerate_fk(geom, joints) for joints in triples]
+    roots = [real_roots(octic_from_joints(geom, joints)) for joints in triples]
+    assert all(0.0 in r for r in roots)
+    monkeypatch.setattr(rootfind, "IMAG_REL_TOL", 0.0)
+    assert [enumerate_fk(geom, joints) for joints in triples] == modes
+    assert [real_roots(octic_from_joints(geom, joints)) for joints in triples] == roots
+
+
+def test_plane_axis_modes_sit_at_alpha_zero_in_pose_order(geom):
+    # the octic's t = 0 root gives alpha = 0.0 exactly, never +-4e-16, so
+    # two modes at alpha = 0 sort by (x_p, y_p, z_p)
+    pairs = 0
+    for joints in census_plane_triples():
+        modes = enumerate_fk(geom, joints)
+        axis = [m.pose for m in modes if abs(m.pose.alpha) <= 1e-9]
+        assert all(p.alpha == 0.0 for p in axis), joints
+        assert axis == sorted(axis, key=lambda p: (p.x_p, p.y_p, p.z_p)), joints
+        pairs += len(axis) == 2
+    assert pairs >= 100
+
+
+def test_working_region_modes_need_no_polish_step(geom, monkeypatch):
+    # from the exactly rounded matrix, the octic's roots give candidates
+    # already within the converged residual: at most 1 % of the accepted
+    # candidates take a Newton step in _polish_pose
+    polish, jacobian = parallel_fk._polish_pose, parallel_fk._jacobian
+    steps, accepted = [], []
+
+    def counting_jacobian(*args):
+        steps.append(args)
+        return jacobian(*args)
+
+    def recording_polish(g, joints, v, prefilter, converged):
+        before = len(steps)
+        pose, residual = polish(g, joints, v, prefilter, converged)
+        if residual <= parallel_fk.FK_RESIDUAL_REL_TOL * g.residual_scale:
+            accepted.append(len(steps) > before)
+        return pose, residual
+
+    monkeypatch.setattr(parallel_fk, "_jacobian", counting_jacobian)
+    monkeypatch.setattr(parallel_fk, "_polish_pose", recording_polish)
+    rng = np.random.default_rng(83)
+    for x, y, z in region_points(rng, 300):
+        enumerate_fk(geom, working_joints(geom, x, y, z).joints)
+    assert len(accepted) >= 300 and sum(accepted) <= 0.01 * len(accepted)
 
 
 @pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])

@@ -9,10 +9,10 @@ from numpy.polynomial import polynomial as npoly
 
 from pkmkin import (DEFAULT_SYNTHETIC, ParallelJoints, Polynomial, PlatformPose,
                     coupling_cubic, enumerate_ik, octic_from_joints,
-                    orientation_candidates, real_roots, real_roots_in_unit_interval,
-                    rootfind, select_working_solution, tilt_polynomial,
-                    tool_pose_from_platform)
-from pkmkin.rootfind import (CLUSTER_REL_TOL, _add, _divmod, _horner, _horner_slope,
+                    orientation_candidates, parallel_fk, real_roots,
+                    real_roots_in_unit_interval, rootfind, select_working_solution,
+                    tilt_polynomial, tool_pose_from_platform)
+from pkmkin.rootfind import (CLUSTER_REL_TOL, _add, _horner, _horner_slope,
                              _mul, _polish)
 
 from conftest import locus_points, region_points
@@ -203,8 +203,9 @@ def test_real_root_counts_match_sturm():
 
 
 def test_octic_real_root_counts_match_sturm():
-    # FK octics off the rho2 = rho3 plane, where no round-off double root
-    # at t = 0 blurs the count
+    # FK octics off the rho2 = rho3 plane, and on it, where t = 0 is an
+    # exact double root: there both real_roots and the closed form that
+    # enumerate_fk takes must count every distinct real root
     sp = pytest.importorskip("sympy")
     x = sp.Symbol("x")
     rng = np.random.default_rng(67)
@@ -217,6 +218,20 @@ def test_octic_real_root_counts_match_sturm():
             skipped += 1
             continue
         assert len(real_roots(p)) == sturm_count(sp, exact), rho
+    assert skipped < 0.05 * 200
+    skipped = 0
+    for rho1, rho2 in rng.uniform(-200.0, 1500.0, size=(200, 2)).tolist():
+        p = octic_from_joints(DEFAULT_SYNTHETIC, ParallelJoints(rho1, rho2, rho2))
+        assert p.degree == 6 and p.coeffs[0] == p.coeffs[1] == 0.0
+        exact = sp.Poly([sp.Rational(c) for c in reversed(p.coeffs)], x, domain="QQ")
+        # the cluster screen looks at the roots besides the double t = 0
+        if has_root_cluster(exact.quo(sp.Poly(x**2, x)), p.coeffs[2:]):
+            skipped += 1
+            continue
+        roots, closed = real_roots(p), parallel_fk._even_roots(p.coeffs)
+        assert len(roots) == len(closed) == sturm_count(sp, exact), (rho1, rho2)
+        assert 0.0 in roots and 0.0 in closed
+        assert all(abs(a - b) <= 1e-15 * (1.0 + abs(a)) for a, b in zip(roots, closed))
     assert skipped < 0.05 * 200
 
 
@@ -281,23 +296,6 @@ def test_kernel_horner_matches_polyval():
     for c in kernel_operands():
         for x in (0.0, -0.0, 0.3317, -1.2113, 4.17, -250.0):
             assert same_bits(_horner(c.tolist(), x), npoly.polyval(x, c)), (c, x)
-
-
-def test_kernel_divmod_matches_polydiv():
-    ops = kernel_operands()
-    # the spurious factors deflated from the FK numerator: (1 + t^2)^2, P1^2
-    divisors = [npoly.polymul([1.0, 0.0, 1.0], [1.0, 0.0, 1.0]),
-                npoly.polymul([180.0, 0.0, -420.0], [180.0, 0.0, -420.0]),
-                np.array([1.0, -3.0]), np.array([0.5, 0.0, 2.0, 0.0])]
-    for num in ops:
-        for den in divisors:
-            quot, rem = _divmod(num, den)
-            ref_quot, ref_rem = npoly.polydiv(num, den)
-            assert same_bits(quot, ref_quot), (num, den)
-            assert same_bits(rem, ref_rem), (num, den)
-    num = ops[-1].copy()
-    _divmod(num, divisors[0])
-    assert same_bits(num, ops[-1])
 
 
 # ---------------------------------------------------------------------------
