@@ -50,17 +50,19 @@ def digests(seed):
     geom = DEFAULT_SYNTHETIC
     rng = np.random.default_rng(seed)
     points, tools, triples, mix = _inputs(geom, rng)
+    tilts = [tilt_polynomial(geom, tool) for tool in tools]
+    octics = [octic_from_joints(geom, joints) for joints in triples]
     # real_roots on the characteristic polynomials of those inputs and on
     # random ones of degree 1-12, every third with a root at +0.0 or -0.0
-    polys = [coupling_cubic(geom, x, y) for x, y, _ in points]
-    polys += [tilt_polynomial(geom, tool) for tool in tools]
-    polys += [octic_from_joints(geom, joints) for joints in triples]
+    polys = [coupling_cubic(geom, x, y) for x, y, _ in points] + tilts + octics
     for k in range(600):
         coeffs = rng.normal(size=k % 12 + 2) * 10.0 ** rng.integers(-3, 6)
         if k % 3 == 2:
             coeffs[0] = (0.0, -0.0)[k % 2]
         polys.append(Polynomial(coeffs))
     outputs = {
+        "tilt_polynomial": tilts,
+        "octic_from_joints": octics,
         "real_roots": [real_roots(p) for p in polys],
         "enumerate_ik": [enumerate_ik(geom, *p) for p in points],
         "tool_ik": [tool_ik(geom, tool) for tool in tools],

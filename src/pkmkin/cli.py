@@ -234,6 +234,9 @@ def cmd_ellipse(geom, args):
     if args.step <= 0.0:
         print("pkmkin ellipse: error: step must be positive", file=sys.stderr)
         return 1
+    if args.points < 0:
+        print("pkmkin ellipse: error: points must be >= 0", file=sys.stderr)
+        return 1
     step = _angle_arg(args.step, args.deg)
     lo = _angle_arg(args.alpha_min, args.deg)
     hi = _angle_arg(args.alpha_max, args.deg)

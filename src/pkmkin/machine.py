@@ -151,8 +151,11 @@ def tilt_polynomial(geom, tool):
     R1^2 X1^2 S^2 T + [(r1^2 + R1^2) T - 2 R1 r1 C] E^2
     - R1^2 S^2 [(L1^2 - R1^2 - r1^2) T + 2 R1 r1 C].
     Verified at probe nodes against the tilt relation, sampled as the
-    coupling residual at the platform pose each tilt implies.
+    coupling residual at the platform pose each tilt implies.  Raises
+    OverflowError when a tool coordinate is not finite.
     """
+    if not all(map(math.isfinite, (tool.x_u, tool.y_u, tool.z_u))):
+        raise OverflowError("tilt polynomial: tool position out of float range")
     R1, r1 = geom.R1, geom.r1
     cp1, sp1 = math.cos(tool.phi1), math.sin(tool.phi1)
     cp2, sp2 = math.cos(tool.phi2), math.sin(tool.phi2)

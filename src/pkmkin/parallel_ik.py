@@ -57,7 +57,7 @@ class PlatformPose:
     def solved(cls, geom, x_p, y_p, z_p, alpha):
         """Construct a pose that must satisfy the coupling relation."""
         pose = cls(x_p, y_p, z_p, alpha)
-        if abs(coupling_residual(geom, x_p, y_p, pose.alpha)) > POSE_COUPLING_REL_TOL * geom.L1**2:
+        if not abs(coupling_residual(geom, x_p, y_p, pose.alpha)) <= POSE_COUPLING_REL_TOL * geom.L1**2:
             raise InconsistentPoseError(
                 f"pose does not satisfy the orientation coupling at alpha={pose.alpha:.9f}")
         return pose

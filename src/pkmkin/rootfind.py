@@ -48,36 +48,22 @@ def _trim(coeffs):
 
 # ---------------------------------------------------------------------------
 # coefficient kernel of the tilt polynomial's assembly and the octic's
-# certificate: ascending float arrays, each operation done in the order of
-# numpy's polymul / polyadd, exact trailing zeros trimmed from every operand
-# and result as they are, so the coefficients match theirs bit for bit
-
-def _trim_zeros(c):
-    """c without its exact trailing zeros, at least one coefficient kept."""
-    if c.item(-1) != 0.0:
-        return c
-    k = c.size - 1
-    while k > 1 and c.item(k - 1) == 0.0:
-        k -= 1
-    return c[:max(k, 1)]
-
+# certificate: ascending float arrays, trailing zeros kept (Polynomial trims
+# them, and the certificate only evaluates)
 
 def _mul(a, b):
     """Product of two coefficient arrays."""
-    return _trim_zeros(np.convolve(_trim_zeros(a), _trim_zeros(b)))
+    return np.convolve(a, b)
 
 
 def _add(*polys):
-    """Sum, left to right: overlapping coefficients added, the longer
-    operand's own beyond the overlap, exact trailing zeros dropped at
-    every step."""
-    acc = _trim_zeros(polys[0]).copy()
+    """Sum, left to right, of the operands zero-padded to the longest; the
+    first is copied in, not added to zeros, which would turn its -0.0 into
+    0.0."""
+    acc = np.zeros(max(p.size for p in polys))
+    acc[:polys[0].size] = polys[0]
     for p in polys[1:]:
-        p = _trim_zeros(p)
-        if p.size > acc.size:
-            acc, p = p.copy(), acc
         acc[:p.size] += p
-        acc = _trim_zeros(acc)
     return acc
 
 

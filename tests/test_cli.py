@@ -291,6 +291,13 @@ def test_ellipse_bad_step_exit_1(geom_file, capsys):
     assert "step" in err
 
 
+def test_ellipse_negative_points_exit_1(geom_file, capsys):
+    code, out, err = run_cli(capsys, "ellipse", geom_file, "--points", "-2")
+    assert code == 1
+    assert out == ""
+    assert err == "pkmkin ellipse: error: points must be >= 0\n"
+
+
 def test_roundtrip_report(geom_file, capsys):
     code, out, _ = run_cli(capsys, "roundtrip", geom_file, "--count", "25",
                            "--seed", "3")

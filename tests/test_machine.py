@@ -402,6 +402,16 @@ def test_tool_ik_numpy_scalar_inputs_match_python_floats(geom, tool):
     assert expected is OverflowError or "np." not in expected
 
 
+@pytest.mark.parametrize("coordinate", [0, 1, 2], ids=["x_u", "y_u", "z_u"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_tool_ik_non_finite_position_raises_once(geom, coordinate, value):
+    # one OverflowError from tilt_polynomial's entry, no numpy warning first
+    position = [120.0, -80.0, -150.0]
+    position[coordinate] = value
+    with pytest.raises(OverflowError, match="tilt polynomial: tool position"):
+        tool_ik(geom, ToolPose(*position, 0.3, 1.1))
+
+
 def test_select_machine_solution_roundtrip(geom):
     rng = np.random.default_rng(13)
     for _ in range(30):

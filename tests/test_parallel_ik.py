@@ -275,6 +275,14 @@ def test_solved_pose_rejects_inconsistent_alpha(geom):
         PlatformPose.solved(geom, *POINT, 0.5)
 
 
+@pytest.mark.parametrize("pose", [(math.nan, 0.0, 900.0, 0.3), (*POINT, math.nan)],
+                         ids=["x-nan", "alpha-nan"])
+def test_solved_pose_rejects_nan(geom, pose):
+    # a NaN residual fails the coupling bound, as in enumerate_fk
+    with pytest.raises(InconsistentPoseError):
+        PlatformPose.solved(geom, *pose)
+
+
 def test_allowed_s1_table(geom):
     z = 900.0
     # axis-aligned orientations leave both branches open
