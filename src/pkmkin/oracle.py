@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-# the LAPACK gufuncs numpy.linalg.det and numpy.linalg.solve dispatch to
+# the LAPACK gufuncs behind numpy.linalg.det and .solve; private API, so numpy < 2.5
 from numpy.linalg._umath_linalg import det as _det, solve as _solve
 
 NEWTON_REL_TOL = 1e-10

@@ -20,8 +20,8 @@ of the certificate.  On rho2 = rho3 with L2 = L3 the octic is even with a
 double root at t = 0, and its other roots come from a quadratic.
 Each root's platform position is recovered by intersecting the three
 constraint spheres directly (division free, so exact even next to the
-degenerate orientations), with the axis orientations the half-angle map
-cannot represent injected as extra candidates.  The elimination-chain
+degenerate orientations); alpha = pi (t = oo) and alpha = 0 are tried
+where the octic's end coefficients allow them.  The elimination-chain
 formulas themselves are exposed as yp_from / zp_from / xp_from.
 """
 
@@ -30,13 +30,15 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
+# the LAPACK gufunc behind numpy.linalg.solve for a vector; private API, so numpy < 2.5
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
                      DegenerateOrientationError, InterpolationError)
 from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
                           PlatformPose, _on_working_branch, _unique,
                           constraint_residuals)
-from .rootfind import Polynomial, _certify, _horner, _mul, real_roots
+from .rootfind import TRIM_REL_TOL, Polynomial, _certify, _horner, _mul, real_roots
 
 FK_RESIDUAL_REL_TOL = 1e-7
 FK_PREFILTER_REL_TOL = 1e-3
@@ -333,7 +335,11 @@ def octic_from_joints(geom, joints):
     floats.
     """
     _require_distinct_offsets(geom)
-    joints = _as_joints(joints)
+    return _octic(geom, _as_joints(joints))
+
+
+def _octic(geom, joints):
+    """octic_from_joints on checked offsets and _as_joints sliders."""
     h, matrix, (factor, nodes) = geom.compiled_octic
     r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
     v = ((r1_ - 0.5 * (r2_ + r3_)) / h, (r3_ - r2_) / h)
@@ -431,10 +437,10 @@ def _jacobian(geom, x, y, z, a, joints):
     y2, z2 = y - R2 * c + r4, z - R2 * s - joints.rho2
     y3, z3 = y + R2 * c - r4, z + R2 * s - joints.rho3
     return np.array([
-        [2 * X1, 2 * y1p, 2 * z1p, -2 * y1p * R1 * s + 2 * z1p * R1 * c],
-        [2 * X1, 2 * y1m, 2 * z1m, 2 * y1m * R1 * s - 2 * z1m * R1 * c],
-        [2 * X2, 2 * y2, 2 * z2, 2 * y2 * R2 * s - 2 * z2 * R2 * c],
-        [2 * X2, 2 * y3, 2 * z3, -2 * y3 * R2 * s + 2 * z3 * R2 * c],
+        2 * X1, 2 * y1p, 2 * z1p, -2 * y1p * R1 * s + 2 * z1p * R1 * c,
+        2 * X1, 2 * y1m, 2 * z1m, 2 * y1m * R1 * s - 2 * z1m * R1 * c,
+        2 * X2, 2 * y2, 2 * z2, 2 * y2 * R2 * s - 2 * z2 * R2 * c,
+        2 * X2, 2 * y3, 2 * z3, -2 * y3 * R2 * s + 2 * z3 * R2 * c,
     ])
 
 
@@ -450,13 +456,14 @@ def _polish_pose(geom, joints, v, prefilter, converged):
     if norm > prefilter:
         return v, norm
     while norm > converged:
-        try:
-            step = np.linalg.solve(_jacobian(geom, *v, joints), -np.array(f))
-        except np.linalg.LinAlgError:
+        with np.errstate(all="ignore"):
+            step = _solve1(_jacobian(geom, *v, joints).reshape(4, 4), -np.array(f),
+                           signature="dd->d").tolist()
+        if not all(map(math.isfinite, step)):
             break
         lam = 1.0
         for _ in range(20):
-            vn = tuple(float(c + lam * d) for c, d in zip(v, step))
+            vn = tuple(c + lam * d for c, d in zip(v, step))
             fn = constraint_residuals(geom, *vn, *rho)
             norm_n = max(abs(r) for r in fn)
             if norm_n < norm:
@@ -511,30 +518,35 @@ def enumerate_fk(geom, joints):
     """All assembly modes for one slider triple, sorted by orientation.
 
     Real roots of the characteristic polynomial are back-substituted by
-    sphere intersection; the axis orientations the half-angle substitution
-    cannot reach are tried the same way; every candidate is Newton-polished
-    and kept only if all four constraints hold to 1e-7 * max(L^2).  An
-    octic with only c2, c4 and c6 nonzero (rho2 = rho3 with L2 = L3) has
-    its roots in closed form (_even_roots).  Empty when the sliders admit
-    no assembly; InterpolationError when the octic fails its probe
-    certificate.
+    sphere intersection, and so are alpha = pi where the trimmed octic has
+    degree < 8 and alpha = 0 where rho2 = rho3 or |c0| <= TRIM_REL_TOL *
+    max|c|, unless the root t = 0 gave it (both where C1 = 0 voids the
+    octic).  Every candidate is Newton-polished and kept only if all four
+    constraints hold to 1e-7 * max(L^2).  An octic with only c2, c4 and c6
+    nonzero (rho2 = rho3 with L2 = L3) has its roots in closed form
+    (_even_roots).  Empty when the sliders admit no assembly;
+    InterpolationError when the octic fails its probe certificate.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
+    plane = joints.rho2 == joints.rho3
     # C1 = 0 with rho2 = rho3 voids the elimination (Q = 0): axis modes only
-    if geom.C1 == 0.0 and joints.rho2 == joints.rho3:
-        roots = []
+    if geom.C1 == 0.0 and plane:
+        roots, axes = [], [math.pi, 0.0]
     else:
-        octic = octic_from_joints(geom, joints)
+        octic = _octic(geom, joints)
         coeffs = octic.coeffs
         if len(coeffs) == 7 and coeffs[0] == coeffs[1] == coeffs[3] == coeffs[5] == 0.0:
             roots = _even_roots(coeffs)
         else:
             roots = real_roots(octic) if octic.degree >= 1 else []
-    # alpha = pi is invisible to t = tan(alpha/2); alpha = 0 drops out of
-    # the characteristic polynomial when rho2 = rho3 and L2 != L3 (its
-    # equation becomes the vanishing denominator there)
-    alphas = [2.0 * math.atan(t) for t in roots] + [math.pi] + ([] if 0.0 in roots else [0.0])
+        # alpha = pi is the root t = oo, a mode only where the t^8 term
+        # vanishes, and alpha = 0 one only where c0 does or, through the
+        # vanishing z_p denominator, on rho2 = rho3
+        axes = [math.pi] if octic.degree < 8 else []
+        if 0.0 not in roots and (plane or abs(coeffs[0]) <= TRIM_REL_TOL * max(map(abs, coeffs))):
+            axes.append(0.0)
+    alphas = [2.0 * math.atan(t) for t in roots] + axes
     scale = geom.residual_scale
     tols = FK_PREFILTER_REL_TOL * scale, 1e-14 * scale
     modes = []

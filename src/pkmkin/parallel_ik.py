@@ -34,7 +34,10 @@ RHO1_PINNED = "rho1 = z_p"
 
 
 def wrap_angle(a):
-    """Normalize an angle to (-pi, pi], with -pi canonicalized to +pi."""
+    """Normalize an angle to (-pi, pi], with -pi canonicalized to +pi;
+    ValueError, naming the value, for an infinite or NaN angle."""
+    if not math.isfinite(a):
+        raise ValueError(f"angle must be finite, got {a}")
     w = math.fmod(a + math.pi, 2.0 * math.pi)
     if w <= 0.0:
         w += 2.0 * math.pi
@@ -56,7 +59,10 @@ class PlatformPose:
     @classmethod
     def solved(cls, geom, x_p, y_p, z_p, alpha):
         """Construct a pose that must satisfy the coupling relation."""
-        pose = cls(x_p, y_p, z_p, alpha)
+        try:
+            pose = cls(x_p, y_p, z_p, alpha)
+        except ValueError as exc:
+            raise InconsistentPoseError(f"no orientation coupling holds: {exc}") from None
         if not abs(coupling_residual(geom, x_p, y_p, pose.alpha)) <= POSE_COUPLING_REL_TOL * geom.L1**2:
             raise InconsistentPoseError(
                 f"pose does not satisfy the orientation coupling at alpha={pose.alpha:.9f}")

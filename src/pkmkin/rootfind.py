@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# the LAPACK gufunc numpy.linalg.eigvals dispatches to (numpy 1.24 to 2.4)
+# the LAPACK gufunc behind numpy.linalg.eigvals; private API, so numpy < 2.5
 from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .errors import InterpolationError

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -410,6 +411,17 @@ def test_tool_ik_non_finite_position_raises_once(geom, coordinate, value):
     position[coordinate] = value
     with pytest.raises(OverflowError, match="tilt polynomial: tool position"):
         tool_ik(geom, ToolPose(*position, 0.3, 1.1))
+
+
+@pytest.mark.parametrize("angle", ["phi1", "phi2"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_tool_ik_non_finite_angle_is_one_value_error(geom, angle, value):
+    # a NaN phi1 used to reach the tilt polynomial and fail there as an
+    # OverflowError; tool_ik rebuilds its ToolPose from the five fields
+    fields = {"x_u": 120.0, "y_u": -80.0, "z_u": -150.0, "phi1": 0.3, "phi2": 1.1, angle: value}
+    for solve in (lambda f: ToolPose(**f), lambda f: tool_ik(geom, SimpleNamespace(**f))):
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {value}$"):
+            solve(fields)
 
 
 def test_select_machine_solution_roundtrip(geom):

@@ -1,14 +1,15 @@
 import math
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from pkmkin import (CoincidentOffsetError, DegenerateDenominatorError,
                     DegenerateOrientationError, InterpolationError,
-                    ParallelJoints, enumerate_fk, enumerate_ik, newton_fk,
-                    octic_from_joints, select_assembly_mode,
+                    ParallelJoints, enumerate_fk, enumerate_ik, joints_from_pose,
+                    newton_fk, octic_from_joints, select_assembly_mode,
                     select_working_solution, serialize_geometry, xp_from,
                     yp_from, zp_from)
 from pkmkin import parallel_fk, real_roots, rootfind
@@ -586,6 +587,58 @@ def test_fk_symmetric_joints_cover_axis_modes(geom):
         assert m.pose.y_p == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])
+def test_fk_axis_poses_come_back_on_every_sign_branch(geom, dims):
+    # enumerate_fk tries alpha = pi only where the octic's t^8 term vanishes
+    # and alpha = 0 only where c0 does or rho2 = rho3: the sliders of an
+    # axis pose (x, 0, z, alpha in {0, pi}) on each of the eight sign
+    # branches must still give that pose back, on its branch.  On
+    # rho2 = rho3 the octic's t = 0 root is exact, so an alpha = 0 mode is
+    # 0.0; elsewhere the mode from the eigenvalue root next to t = 0 may sort
+    # first (|alpha| <= 2.7e-12 over 4800 such triples per geometry)
+    g = replace(geom, **dims)
+    rng = np.random.default_rng(37)
+    for x, z in rng.uniform((-500.0, 500.0), (0.0, 1200.0), size=(12, 2)).tolist():
+        for alpha in (0.0, math.pi):
+            for signs in product((-1, 1), repeat=3):
+                indices = ConfigurationIndices(*signs)
+                joints = joints_from_pose(g, PlatformPose(x, 0.0, z, alpha), indices)
+                axis = [m.pose for m in enumerate_fk(g, joints) if m.indices == indices
+                        and max(abs(m.pose.x_p - x), abs(m.pose.y_p), abs(m.pose.z_p - z)) <= 1e-7
+                        and angle_delta(m.pose.alpha, alpha) <= 1e-10]
+                assert axis, (x, z, alpha, signs)
+                if alpha == 0.0 and joints.rho2 == joints.rho3:
+                    assert [p.alpha for p in axis] == [0.0], (x, z, signs)
+
+
+def test_working_region_fk_tries_no_axis_orientation(geom, monkeypatch):
+    # off the axis loci the octic has degree 8 and c0 well away from 0, so
+    # neither alpha = pi nor alpha = 0 is back-substituted
+    tried = []
+    sphere = parallel_fk._sphere_candidates
+    monkeypatch.setattr(parallel_fk, "_sphere_candidates",
+                        lambda g, joints, alpha: tried.append(alpha) or sphere(g, joints, alpha))
+    for x, y, z in region_points(np.random.default_rng(41), 100):
+        assert select_assembly_mode(enumerate_fk(geom, working_joints(geom, x, y, z).joints))
+    assert len(tried) >= 200
+    assert not {0.0, math.pi} & set(tried)
+
+
+def test_polish_stops_quietly_on_a_singular_jacobian(geom, monkeypatch):
+    # a singular Jacobian gives the solve gufunc a zero pivot: NaN step, no
+    # exception and no RuntimeWarning, and the candidate comes back as it is
+    sol = working_joints(geom, -250.0, 60.0, 900.0)
+    candidate = (-250.0 + 1e-4, 60.0, 900.0, sol.alpha)
+    scale = geom.residual_scale
+    monkeypatch.setattr(parallel_fk, "_jacobian", lambda *args: np.zeros(16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pose, residual = parallel_fk._polish_pose(geom, sol.joints, candidate,
+                                                  1e-3 * scale, 1e-14 * scale)
+    assert pose == candidate
+    assert 1e-14 * scale < residual <= 1e-3 * scale
+
+
 def test_fk_unassemblable_joints_empty(geom):
     assert enumerate_fk(geom, ParallelJoints(2000.0, -1900.0, 200.0)) == []
 
@@ -652,7 +705,6 @@ def test_fk_perpendicular_leg_fallback(geom):
     x = geom.center_x + math.sqrt(geom.a_sq(geom.r1 / geom.R1))
     z = 900.0
     pose = PlatformPose.solved(geom, x, 0.0, z, alpha)
-    from pkmkin import joints_from_pose
     joints = joints_from_pose(geom, pose, ConfigurationIndices(-1, -1, -1))
     modes = enumerate_fk(geom, joints)
     assert any(abs(m.pose.x_p - x) <= 1e-5 and abs(m.pose.alpha - alpha) <= 1e-7

@@ -32,6 +32,14 @@ def test_wrap_angle_convention():
     assert wrap_angle(-0.3 + 2 * math.pi) == pytest.approx(-0.3)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_angle_is_one_value_error(value):
+    # math.fmod said "math domain error" for +-inf, and a NaN passed through
+    for wrap in (wrap_angle, lambda a: PlatformPose(1.0, 2.0, 3.0, a)):
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {value}$"):
+            wrap(value)
+
+
 # ---------------------------------------------------------------------------
 # coupling cubic
 
