@@ -230,16 +230,18 @@ def _polish_alpha(geom, x_p, y_p, alpha):
 def orientation_candidates(geom, x_p, y_p):
     """All orientations alpha admissible at (x_p, y_p), sorted ascending.
 
-    Both signs of each arccos root are kept (the cubic is stated in
-    cos(alpha)); the sign of sin(alpha) is paired with y_p only later,
-    through the rho1 branch rule.  The coupling relation and its polish are
-    even in alpha, so each cosine root is polished and coupling-tested once,
-    and its pair +-alpha stands or falls together.  Empty when the point
-    lies outside every coupling ellipse.
+    The cosine roots are coupling_cubic's in [-1, 1], in closed form.  Both
+    signs of each arccos root are kept (the cubic is stated in cos(alpha));
+    the sign of sin(alpha) is paired with y_p only later, through the rho1
+    branch rule.  The coupling relation and its polish are even in alpha,
+    so each cosine root is polished and coupling-tested once, and its pair
+    +-alpha stands or falls together.  On y_p = 0, alpha = 0 and pi are
+    always kept.  Empty when the point lies outside every coupling ellipse.
     """
     x_p, y_p = float(x_p), float(y_p)
     cubic = coupling_cubic(geom, x_p, y_p)
-    out = []
+    # a third root next to +-1 can merge the cubic's root +-1 away
+    out = [0.0, math.pi] if y_p == 0.0 else []
     for c in real_roots_in_unit_interval(cubic):
         # axis roots come back as +-(1 - O(eps)); arccos would amplify the
         # noise into a spurious +-alpha pair (or split pi across the wrap),

@@ -1,9 +1,8 @@
 """Real-root extraction for the univariate characteristic polynomials.
 
-Roots are computed as eigenvalues of the balanced companion matrix of the
-monic, degree-trimmed polynomial, polished with a few Newton steps, then
-accepted against a scaled residual bound and merged when closer than
-1e-9 * (1 + |root|).
+Candidate roots come in closed form up to degree 3 and as companion
+eigenvalues above.  Each is polished with a few Newton steps, then accepted
+against a scaled residual bound and merged when closer than 1e-9 * (1 + |root|).
 """
 
 import cmath
@@ -26,15 +25,18 @@ MAX_DEGREE = 12
 # companion eigenvalues of a real polynomial carry O(sqrt(eps)) imaginary
 # noise on clustered real roots; the residual bound is the real filter
 IMAG_REL_TOL = 1e-6
-# companion subdiagonals, one per degree; real_roots fills a copy
+# companion subdiagonals, one per degree; _candidates fills a copy
 _SHIFTS = [np.eye(n, k=-1) for n in range(MAX_DEGREE + 1)]
+_THIRDS = (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)  # Viete: theta/3 + these
 
 
-def _trim(coeffs):
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a non-empty 1-D sequence")
-    c = c.tolist()
+def _trim(c):
+    # a tuple of Python floats (coupling_cubic's) needs no numpy conversion
+    if not (type(c) is tuple and c and all(type(v) is float for v in c)):
+        c = np.asarray(c, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("coefficients must be a non-empty 1-D sequence")
+        c = c.tolist()
     if not all(map(math.isfinite, c)):
         raise ValueError("non-finite coefficient")
     scale = max(map(abs, c))
@@ -150,35 +152,67 @@ def _polish(coeffs, r):
     return r, _horner(coeffs, r)
 
 
-def real_roots(p):
-    """All real roots of p (multiplicity collapsed), sorted ascending.
-
-    Raises ValueError on degree-0 input or non-finite coefficients, and
-    numpy.linalg.LinAlgError when the companion eigenvalues do not converge.
-    """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
-    if p.degree < 1:
+def _candidates(p):
+    """p's trimmed coefficients (ValueError below degree 1) and its unpolished
+    real-root candidates: the real parts of the roots whose imaginary part
+    is within IMAG_REL_TOL, one per conjugate pair.  Up to degree 3 the roots
+    of the monic polynomial come in closed form (the quotient, the stable
+    quadratic formula; Viete's form where the cubic has three real roots,
+    R^2 < Q^3, else Cardano's with a cancellation-free cube root), above as
+    companion eigenvalues.  Monic coefficients are within 1e12 (_trim), so
+    nothing overflows; a non-finite root still raises, OverflowError in
+    closed form, numpy.linalg.LinAlgError for unconverged eigenvalues."""
+    coeffs = (p if isinstance(p, Polynomial) else Polynomial(p)).coeffs
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    if n < 1:
         raise ValueError("degree-0 polynomial has no well-defined roots")
-    n = p.degree
-    comp = _SHIFTS[n].copy()
-    comp[:, -1] = [-(c / p.coeffs[-1]) for c in p.coeffs[:-1]]
-    # _trim keeps a leading coefficient above TRIM_REL_TOL times the largest,
-    # so every companion entry is finite and at most 1e12: numpy.linalg.eigvals'
-    # finite check would be redundant.  Its gufunc reports non-convergence as
-    # NaN eigenvalues (and the invalid flag, silenced here), raised, not dropped
-    with np.errstate(invalid="ignore"):
-        eigenvalues = _eigvals(comp, signature="d->D").tolist()
-    if any(map(cmath.isnan, eigenvalues)):
-        raise np.linalg.LinAlgError("companion eigenvalues did not converge")
-    candidates = [z.real for z in eigenvalues
-                  if abs(z.imag) <= IMAG_REL_TOL * (1.0 + abs(z.real))]
+    if n == 1:
+        roots = [-(coeffs[0] / lead)]
+    elif n == 2:
+        c, half = coeffs[0] / lead, -0.5 * (coeffs[1] / lead)
+        disc = half * half - c
+        q = half + math.copysign(math.sqrt(abs(disc)), half)
+        roots = [complex(half, math.sqrt(-disc))] if disc < 0.0 else [q, c / q] if q else [0.0]
+    elif n == 3:
+        c, b, a = coeffs[0] / lead, coeffs[1] / lead, coeffs[2] / lead
+        shift = a / 3.0
+        Q = shift * shift - b / 3.0
+        R = shift * shift * shift - a * b / 6.0 + 0.5 * c
+        Q3 = Q * Q * Q
+        if R * R < Q3:
+            root = math.sqrt(Q)
+            third = math.acos(max(-1.0, min(1.0, R / (Q * root)))) / 3.0
+            roots = [-2.0 * root * math.cos(third + k) - shift for k in _THIRDS]
+        else:
+            A = -math.copysign((abs(R) + math.sqrt(R * R - Q3)) ** (1.0 / 3.0), R)
+            B = Q / A if A else 0.0
+            roots = [A + B - shift, complex(-0.5 * (A + B) - shift, 0.75**0.5 * (A - B))]
+    else:
+        comp = _SHIFTS[n].copy()
+        comp[:, -1] = [-(c / lead) for c in coeffs[:-1]]
+        # numpy.linalg.eigvals' gufunc: non-convergence gives NaN eigenvalues
+        # (and the invalid flag, silenced here), raised below, not dropped
+        with np.errstate(invalid="ignore"):
+            roots = _eigvals(comp, signature="d->D").tolist()
+    if not all(map(cmath.isfinite, roots)):
+        raise (np.linalg.LinAlgError("companion eigenvalues did not converge") if n > 3
+               else OverflowError("closed-form roots out of float range"))
+    return coeffs, [z.real for z in roots if abs(z.imag) <= IMAG_REL_TOL * (1.0 + abs(z.real))]
+
+
+def _refine(coeffs, candidates):
+    """Polish, acceptance and merge of candidate roots of trimmed
+    coefficients, ascending: the one path both candidate sources take."""
+    n = len(coeffs) - 1
     # acceptance bound: RESIDUAL_REL_TOL * max|coeff| * max(1, |root|)^degree
-    bound = RESIDUAL_REL_TOL * max(abs(c) for c in p.coeffs)
+    bound = RESIDUAL_REL_TOL * max(map(abs, coeffs))
     accepted = []
     for r in candidates:
-        r, value = _polish(p.coeffs, r)
-        if abs(value) <= bound * max(1.0, abs(r)) ** n:
+        polished, value = _polish(coeffs, r)
+        if abs(value) <= bound * max(1.0, abs(polished)) ** n:
+            accepted.append(polished)
+        # Newton can walk off a multiple root; the candidate itself may pass
+        elif abs(_horner(coeffs, r)) <= bound * max(1.0, abs(r)) ** n:
             accepted.append(r)
     accepted.sort()
     merged = []
@@ -189,15 +223,24 @@ def real_roots(p):
                 continue
             mid = 0.5 * (r + merged[-1])
             if (gap <= CLUSTER_REL_TOL * (1.0 + abs(r))
-                    and abs(p(mid)) <= bound * max(1.0, abs(mid)) ** n):
+                    and abs(_horner(coeffs, mid)) <= bound * max(1.0, abs(mid)) ** n):
                 continue
         merged.append(r)
     return merged
 
 
+def real_roots(p):
+    """All real roots of p (multiplicity collapsed), sorted ascending.  Raises
+    ValueError on degree-0 input or non-finite coefficients, and
+    numpy.linalg.LinAlgError when the companion eigenvalues do not converge."""
+    return _refine(*_candidates(p))
+
+
 def real_roots_in_unit_interval(p):
     """Real roots filtered to [-1-1e-9, 1+1e-9] and clamped into [-1, 1],
-    ascending.  No merge beyond real_roots' own: orientation_candidates
+    ascending, raising as real_roots does; only candidates within 1.5 of 0
+    are polished.  No merge beyond real_roots' own: orientation_candidates
     merges the orientations they give, at DEDUP_TOL."""
-    return [min(1.0, max(-1.0, r)) for r in real_roots(p)
-            if -1.0 - 1e-9 <= r <= 1.0 + 1e-9]
+    coeffs, candidates = _candidates(p)
+    near = [r for r in candidates if abs(r) <= 1.5]
+    return [min(1.0, max(-1.0, r)) for r in _refine(coeffs, near) if -1.0 - 1e-9 <= r <= 1.0 + 1e-9]

@@ -1,5 +1,7 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from pkmkin import (AmbiguousSelectionError, ConfigurationIndices,
                     NegativeRadicandError, PlatformPose, SignRuleViolation,
                     UnreachableOrientationError, allowed_s1, coupling_cubic,
                     enumerate_ik, iso_ellipse, joints_from_pose,
-                    orientation_candidates, residuals_parallel,
-                    select_working_solution, wrap_angle)
-from pkmkin import parallel_ik
+                    orientation_candidates, real_roots_in_unit_interval,
+                    residuals_parallel, select_working_solution, wrap_angle)
+from pkmkin import parallel_ik, rootfind
 from pkmkin.parallel_ik import (DEDUP_TOL, RHO1_PINNED, coupling_residual,
                                 coupling_scale, constraint_residuals)
 
@@ -185,6 +187,99 @@ def test_ellipse_unreachable_orientation(geom):
     short = replace(geom, L1=400.0)
     with pytest.raises(UnreachableOrientationError):
         iso_ellipse(short, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# the cubic's fragile loci: orientation and branch counts against a route
+# through numpy.roots on the same coefficients
+
+def numpy_unit_roots(p):
+    """real_roots_in_unit_interval with numpy.roots' eigenvalues as the
+    candidates, through rootfind's imaginary-part filter, polish, acceptance
+    and merge."""
+    candidates = [z.real for z in np.roots(p.coeffs[::-1]).tolist()
+                  if abs(z.imag) <= rootfind.IMAG_REL_TOL * (1.0 + abs(z.real))]
+    return [min(1.0, max(-1.0, r)) for r in rootfind._refine(p.coeffs, candidates)
+            if -1.0 - 1e-9 <= r <= 1.0 + 1e-9]
+
+
+def counts_match_numpy_roots(geom, points, monkeypatch):
+    """(orientations, branches) per point, asserted equal on both routes."""
+    def counts():
+        return [(len(orientation_candidates(geom, x, y)), len(enumerate_ik(geom, x, y, z)))
+                for x, y, z in points]
+    got = counts()
+    with monkeypatch.context() as m:
+        m.setattr(parallel_ik, "real_roots_in_unit_interval", numpy_unit_roots)
+        assert counts() == got
+    return got
+
+
+def test_axis_roots_come_back_exactly(geom, monkeypatch):
+    # on y_p = 0 the cubic is (1 - c^2) (R1^2 (X1^2 - K) - 2 R1^3 r1 c):
+    # c = +-1 come back as +-1.0 and alpha = 0.0, pi exactly, with the third
+    # root inside (-1, 1) at x in {-680, -600, 150}
+    xs = (-900.0, -680.0, -600.0, -450.0, geom.center_x, 0.0, 150.0, 400.0)
+    for x in xs:
+        roots = real_roots_in_unit_interval(coupling_cubic(geom, x, 0.0))
+        assert roots[0] == -1.0 and roots[-1] == 1.0
+        cands = orientation_candidates(geom, x, 0.0)
+        assert 0.0 in cands and math.pi in cands
+    counts = counts_match_numpy_roots(geom, [(x, 0.0, 900.0) for x in xs], monkeypatch)
+    assert {n for n, _ in counts} == {2, 4}
+
+
+def test_axis_orientations_survive_a_third_root_at_one(geom):
+    # where the third root meets c = +-1 a cosine root +-1 can merge with it
+    # and leave [-1, 1]; alpha = 0 and pi are still orientations on y_p = 0
+    K = geom.L1**2 - geom.R1**2 - geom.r1**2
+    for sign, side in product((1, -1), repeat=2):
+        x = side * math.sqrt(K + sign * 2.0 * geom.R1 * geom.r1) - geom.D1 + geom.d1
+        for dx in (0.0, 1e-9, -1e-9, 1e-6, -1e-6):
+            cands = orientation_candidates(geom, x + dx, 0.0)
+            assert 0.0 in cands and math.pi in cands, (x, dx)
+
+
+def test_perpendicular_leg_circle_counts(geom, monkeypatch):
+    # R1 cos(alpha) = r1: the iso-ellipse is a circle, and r1 / R1 a root
+    alpha = math.acos(geom.r1 / geom.R1)
+    circle = iso_ellipse(geom, alpha)
+    points = [(*circle.point(phi), 900.0) for phi in np.linspace(0.0, 2.0 * math.pi, 13)[:-1]]
+    for x, y, _ in points:
+        assert min(abs(a - alpha) for a in orientation_candidates(geom, x, y)) <= 1e-12
+    assert set(counts_match_numpy_roots(geom, points, monkeypatch)) == {(4, 16)}
+
+
+def discriminant_edge(geom, x, inside, outside):
+    """The y between inside (three real cosine roots) and outside (one)
+    where the cubic's discriminant, exact on the float coefficients,
+    changes sign: two cosine roots merge there."""
+    def disc(y):
+        d, c, b, a = map(Fraction, coupling_cubic(geom, x, y).coeffs)
+        return 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+    assert disc(inside) > 0 > disc(outside)
+    while True:
+        mid = 0.5 * (inside + outside)
+        if mid in (inside, outside):
+            return inside
+        inside, outside = (mid, outside) if disc(mid) > 0 else (inside, mid)
+
+
+def test_workspace_edge_where_cosine_roots_merge(geom, monkeypatch):
+    # 1e-9 mm inside the edge the two roots lie ~3e-6 apart; on the edge's
+    # two ulps they are a double root, kept or not alike by both routes
+    for x, inside, outside in ((-600.0, 100.0, 400.0), (-400.0, 300.0, 500.0),
+                               (geom.center_x, 300.0, 500.0), (-100.0, 300.0, 500.0),
+                               (100.0, 200.0, 300.0)):
+        edge = discriminant_edge(geom, x, inside, outside)
+        for sign in (1.0, -1.0):
+            near = [(x, sign * (edge - d), 900.0) for d in (1e-3, 1e-6, 1e-9)]
+            beyond = [(x, sign * (edge + d), 900.0) for d in (1e-6, 1e-3)]
+            assert set(counts_match_numpy_roots(geom, near, monkeypatch)) == {(4, 16)}
+            assert set(counts_match_numpy_roots(geom, beyond, monkeypatch)) == {(0, 0)}
+            counts_match_numpy_roots(geom, [(x, sign * edge, 900.0),
+                                            (x, sign * math.nextafter(edge, outside), 900.0)],
+                                     monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,8 @@ def eigenvalue_inputs():
 
 def test_eigenvalue_call_matches_numpy_linalg_eigvals(monkeypatch):
     # real_roots calls the LAPACK gufunc behind numpy.linalg.eigvals without
-    # the wrapper; a numpy whose private gufunc differs fails here
+    # the wrapper, from degree 4 up; a numpy whose private gufunc differs
+    # fails here.  Degrees 1-3 (the coupling cubics among them) never call it
     seen = []
 
     def recording(comp, signature):
@@ -317,8 +318,13 @@ def test_eigenvalue_call_matches_numpy_linalg_eigvals(monkeypatch):
     eigvals = rootfind._eigvals
     monkeypatch.setattr(rootfind, "_eigvals", recording)
     for p in polys:
+        if p.degree <= 3:
+            real_roots(p)
+    assert seen == []
+    polys = [p for p in polys if p.degree >= 4]
+    for p in polys:
         real_roots(p)
-    assert {p.degree for p in polys} == set(range(1, 13))
+    assert {p.degree for p in polys} == set(range(4, 13))
     assert len(seen) == len(polys)
     for comp, w in seen:
         ref = np.linalg.eigvals(comp)
@@ -337,11 +343,89 @@ def test_eigenvalue_call_matches_numpy_linalg_eigvals(monkeypatch):
 ], ids=["all-nan", "one-nan", "invalid-flag"])
 def test_eigenvalue_failure_raises_linalg_error(monkeypatch, stub):
     monkeypatch.setattr(rootfind, "_eigvals", stub)
-    for p in (Polynomial(poly_from_roots([1.0, 2.0, 3.0])), Polynomial((1.0, 2.0))):
+    for p in (Polynomial(poly_from_roots([1.0, 2.0, 3.0, 4.0])),
+              Polynomial((1.0, 2.0, 0.0, 0.0, 0.0, 0.0, -3.0))):
         with pytest.raises(np.linalg.LinAlgError):
             real_roots(p)
-    with pytest.raises(np.linalg.LinAlgError):
-        orientation_candidates(DEFAULT_SYNTHETIC, -250.0, 60.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            real_roots_in_unit_interval(p)
+    # the coupling cubic no longer reaches LAPACK; a non-finite coefficient
+    # still raises, never gives an empty list
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        orientation_candidates(DEFAULT_SYNTHETIC, math.nan, 60.0)
+
+
+# ---------------------------------------------------------------------------
+# closed form up to degree 3: numpy.roots is the reference
+
+def test_closed_form_cubics_match_numpy_roots(monkeypatch):
+    # seeded random cubics scaled 1e-3..1e6, as eigenvalue_inputs draws them;
+    # none reaches the eigenvalue gufunc
+    monkeypatch.setattr(rootfind, "_eigvals", None)
+    rng = np.random.default_rng(79)
+    real_counts = set()
+    for _ in range(2000):
+        p = Polynomial(rng.normal(size=4) * 10.0 ** rng.integers(-3, 6))
+        assert p.degree == 3
+        got = real_roots(p)
+        ref = sorted(z.real for z in np.roots(p.coeffs[::-1]).tolist() if z.imag == 0.0)
+        assert len(got) == len(ref), p.coeffs
+        assert all(abs(a - b) <= 1e-12 * (1.0 + abs(b)) for a, b in zip(got, ref)), p.coeffs
+        real_counts.add(len(got))
+    assert real_counts == {1, 3}
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 2.0), (0.1, -3.0), (1 / 3, 1 / 7), (0.3, 5.0),
+                                  (-0.7, 0.2), (7.0, -0.25), (-1.5, 1e-3)])
+def test_closed_form_double_root_once(a, b):
+    # Newton from next to the double root, where the value is round-off, can
+    # walk away; the unpolished candidate then stands
+    found = real_roots(Polynomial(poly_from_roots([a, a, b])))
+    assert len(found) == 2
+    assert found == pytest.approx(sorted([a, b]), rel=1e-7, abs=1e-7)
+
+
+@pytest.mark.parametrize("a", [0.5, -1.5, 2.0, 0.25, -3.0, 0.0])
+def test_closed_form_triple_root_once(a):
+    # a dyadic: the coefficients are exact, so the float cubic has the
+    # triple root.  For a = 0.1 the rounded coefficients are a cubic whose
+    # roots lie eps^(1/3) apart, and real_roots may report two
+    found = real_roots(Polynomial(poly_from_roots([a, a, a])))
+    assert found == [a]
+
+
+@pytest.mark.parametrize("imag, kept", [(1e-9, True), (1e-3, False)])
+def test_closed_form_complex_pair_real_part(imag, kept):
+    # (x - 3) ((x - u)^2 + imag^2): the pair's real part u is a candidate
+    # exactly when imag passes IMAG_REL_TOL, as the eigenvalue filter has it
+    u = 1e-3
+    coeffs = poly_from_roots([3.0])
+    coeffs = np.convolve(coeffs, [u * u + imag * imag, -2.0 * u, 1.0]).tolist()
+    candidates = sorted(rootfind._candidates(coeffs)[1])
+    assert candidates == pytest.approx([u, 3.0] if kept else [3.0], rel=1e-9)
+    assert real_roots(Polynomial(coeffs)) == pytest.approx([u, 3.0] if kept else [3.0], rel=1e-9)
+    # a quadratic pair takes the same filter
+    assert len(rootfind._candidates((u * u + imag * imag, -2.0 * u, 1.0))[1]) == int(kept)
+
+
+def test_trimmed_cubic_is_solved_as_quadratic_or_line(monkeypatch):
+    monkeypatch.setattr(rootfind, "_eigvals", None)
+    quadratic = Polynomial((-6.0, 1.0, 1.0, 1e-15))
+    assert quadratic.degree == 2
+    assert real_roots(quadratic) == pytest.approx([-3.0, 2.0], rel=1e-15)
+    line = Polynomial((2.0, 1.0, 1e-14, 1e-15))
+    assert line.degree == 1 and real_roots(line) == [-2.0]
+    assert real_roots(Polynomial((1.0, 0.0, 1.0, 1e-13))) == []
+    assert real_roots(Polynomial((0.0, 0.0, 1.0, 0.0))) == [0.0]
+
+
+def test_closed_form_raises_on_non_finite_intermediates(monkeypatch):
+    # trimmed coefficients keep every monic coefficient within 1e12; with the
+    # trim off, a leading coefficient of 1e-320 overflows, and raises
+    monkeypatch.setattr(rootfind, "TRIM_REL_TOL", 0.0)
+    for coeffs in ((1.0, 1e-320), (1.0, 0.0, 1e-320), (1.0, 0.0, 0.0, 1e-320)):
+        with pytest.raises(OverflowError, match="closed-form roots out of float range"):
+            real_roots(coeffs)
 
 
 # ---------------------------------------------------------------------------
