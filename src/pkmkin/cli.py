@@ -8,6 +8,10 @@ arguments and seed; machine-readable modes use '.' decimals via repr.
 Exit codes: 0 solutions found (or report produced), 1 usage/input error,
 2 no solution.  A reader that closes stdout early ends the output quietly,
 with the command's exit code if it had finished and 0 otherwise.
+
+Each command imports the solver modules it runs when it runs: `ik` and
+`ellipse` load neither numpy nor the FK, tool and oracle modules, and only
+`roundtrip` loads the oracle.
 """
 
 import argparse
@@ -18,13 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry as geo
-from . import machine as mk
-from . import oracle
-from . import parallel_fk as pfk
-from . import parallel_ik as pik
 from .errors import AmbiguousSelectionError, KinematicsError
 
 MODE_LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -184,6 +182,7 @@ def _angle_arg(value, deg):
 
 
 def cmd_ik(geom, args):
+    from . import parallel_ik as pik
     return _emit_solutions(
         args, pik.enumerate_ik(geom, args.x_p, args.y_p, args.z_p),
         lambda sols: pik.select_working_solution(sols, geom), IK_COLUMNS,
@@ -193,6 +192,8 @@ def cmd_ik(geom, args):
 
 
 def cmd_fk(geom, args):
+    from . import parallel_fk as pfk
+    from . import parallel_ik as pik
     return _emit_solutions(
         args, pfk.enumerate_fk(geom, pik.ParallelJoints(args.rho1, args.rho2, args.rho3)),
         pfk.select_assembly_mode, FK_COLUMNS,
@@ -202,6 +203,7 @@ def cmd_fk(geom, args):
 
 
 def cmd_tool_ik(geom, args):
+    from . import machine as mk
     tool = mk.ToolPose(args.x_u, args.y_u, args.z_u,
                        _angle_arg(args.phi1, args.deg),
                        _angle_arg(args.phi2, args.deg))
@@ -217,6 +219,9 @@ def cmd_tool_ik(geom, args):
 
 
 def cmd_tool_fk(geom, args):
+    from . import machine as mk
+    from . import parallel_fk as pfk
+    from . import parallel_ik as pik
     theta1 = _angle_arg(args.theta1, args.deg)
     theta2 = _angle_arg(args.theta2, args.deg)
 
@@ -231,6 +236,7 @@ def cmd_tool_fk(geom, args):
 
 
 def cmd_ellipse(geom, args):
+    from . import parallel_ik as pik
     if args.step <= 0.0:
         print("pkmkin ellipse: error: step must be positive", file=sys.stderr)
         return 1
@@ -270,6 +276,11 @@ def cmd_ellipse(geom, args):
 
 
 def cmd_roundtrip(geom, args):
+    import numpy as np
+
+    from . import oracle
+    from . import parallel_fk as pfk
+    from . import parallel_ik as pik
     if args.count < 0:
         print("pkmkin roundtrip: error: count must be >= 0", file=sys.stderr)
         return 1

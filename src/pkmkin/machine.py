@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel_fk import enumerate_fk
 from .parallel_ik import (ConfigurationIndices, ParallelJoints, _branches,
                           _coupling_holds, _on_working_branch, _unique,
                           coupling_residual, wrap_angle)
@@ -133,6 +132,8 @@ def platform_from_tool(geom, tool, theta1):
 
 def tool_fk(geom, machine_joints):
     """Tool poses for every assembly mode of the parallel module."""
+    # imported here, so that tool IK alone never loads the FK module
+    from .parallel_fk import enumerate_fk
     modes = enumerate_fk(geom, machine_joints.joints)
     return [tool_pose_from_platform(geom, m.pose, machine_joints.theta1,
                                     machine_joints.theta2)

@@ -209,7 +209,10 @@ def coupling_cubic(geom, x_p, y_p):
 def _polish_alpha(geom, x_p, y_p, alpha):
     """Newton-polish alpha against the coupling residual (arccos of a cubic
     root loses accuracy near cos(alpha) = +-1), one evaluation of the
-    coupling terms per step."""
+    coupling terms per step, at most 3 steps.  As in rootfind._polish, the
+    polish stops at a fixed point, a step that leaves alpha unchanged, since
+    the steps left would repeat it; alpha is in (0, pi), never a signed zero,
+    so == compares its bits."""
     R1, r1 = geom.R1, geom.r1
     R1_sq, X1_sq, y_sq = R1**2, (x_p + geom.D1 - geom.d1)**2, y_p**2
     k1, k3 = 2.0 * R1 * r1, 2.0 * R1**3 * r1
@@ -221,7 +224,7 @@ def _polish_alpha(geom, x_p, y_p, alpha):
         if dg == 0.0:
             break
         step = g / dg
-        if not math.isfinite(step) or abs(step) > 0.1:
+        if not math.isfinite(step) or abs(step) > 0.1 or alpha - step == alpha:
             break
         alpha -= step
     return alpha
@@ -235,14 +238,22 @@ def orientation_candidates(geom, x_p, y_p):
     the sign of sin(alpha) is paired with y_p only later, through the rho1
     branch rule.  The coupling relation and its polish are even in alpha,
     so each cosine root is polished and coupling-tested once, and its pair
-    +-alpha stands or falls together.  On y_p = 0, alpha = 0 and pi are
-    always kept.  Empty when the point lies outside every coupling ellipse.
+    +-alpha stands or falls together.  On y_p = 0 the cubic factors exactly
+    as (c^2 - 1) (2 R1^3 r1 c + R1^2 (K - X1^2)), K = L1^2 - R1^2 - r1^2:
+    alpha = 0 and pi are always kept, and the third root, the cosine whose
+    iso-ellipse has a_sq(c) = K + 2 R1 r1 c = X1^2, is taken directly, so no
+    root finder merges it with +-1 where the two lie within round-off.
+    Empty when the point lies outside every coupling ellipse.
     """
     x_p, y_p = float(x_p), float(y_p)
+    # built on y_p = 0 too: it rejects non-finite and overflowing input
     cubic = coupling_cubic(geom, x_p, y_p)
-    # a third root next to +-1 can merge the cubic's root +-1 away
-    out = [0.0, math.pi] if y_p == 0.0 else []
-    for c in real_roots_in_unit_interval(cubic):
+    if y_p == 0.0:
+        r3 = ((x_p + geom.D1 - geom.d1)**2 - geom.a_sq(0.0)) / (2.0 * geom.R1 * geom.r1)
+        out, cosines = [0.0, math.pi], [r3] if -1.0 <= r3 <= 1.0 else []
+    else:
+        out, cosines = [], real_roots_in_unit_interval(cubic)
+    for c in cosines:
         # axis roots come back as +-(1 - O(eps)); arccos would amplify the
         # noise into a spurious +-alpha pair (or split pi across the wrap),
         # and polishing would walk off the axis, so they stay exact

@@ -3,15 +3,15 @@
 Candidate roots come in closed form up to degree 3 and as companion
 eigenvalues above.  Each is polished with a few Newton steps, then accepted
 against a scaled residual bound and merged when closer than 1e-9 * (1 + |root|).
+
+numpy is imported the first time a companion eigenproblem or the
+coefficient kernel runs (or a caller reads `np`, `_eigvals` or `_SHIFTS`),
+so the closed forms up to degree 3 run without it.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
-# the LAPACK gufunc behind numpy.linalg.eigvals; private API, so numpy < 2.5
-from numpy.linalg._umath_linalg import eigvals as _eigvals
 
 from .errors import InterpolationError
 
@@ -25,15 +25,36 @@ MAX_DEGREE = 12
 # companion eigenvalues of a real polynomial carry O(sqrt(eps)) imaginary
 # noise on clustered real roots; the residual bound is the real filter
 IMAG_REL_TOL = 1e-6
-# companion subdiagonals, one per degree; _candidates fills a copy
-_SHIFTS = [np.eye(n, k=-1) for n in range(MAX_DEGREE + 1)]
 _THIRDS = (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)  # Viete: theta/3 + these
+
+
+def _numpy():
+    """numpy, imported on first use.  It binds np together with _eigvals,
+    the LAPACK gufunc behind numpy.linalg.eigvals (private API, so
+    numpy < 2.5), and _SHIFTS, the companion subdiagonals, one per degree,
+    of which _candidates fills a copy.  The three are added to the module
+    then and never rebound, so no attribute changes under a caller."""
+    global np, _eigvals, _SHIFTS
+    if "np" not in globals():
+        import numpy
+        from numpy.linalg._umath_linalg import eigvals as _eigvals
+        _SHIFTS = [numpy.eye(n, k=-1) for n in range(MAX_DEGREE + 1)]
+        np = numpy
+    return np
+
+
+def __getattr__(name):
+    # a read (or a test's patch) of the numpy bindings before their first use
+    if name in ("np", "_eigvals", "_SHIFTS"):
+        _numpy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _trim(c):
     # a tuple of Python floats (coupling_cubic's) needs no numpy conversion
     if not (type(c) is tuple and c and all(type(v) is float for v in c)):
-        c = np.asarray(c, dtype=float)
+        c = _numpy().asarray(c, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
         c = c.tolist()
@@ -55,14 +76,14 @@ def _trim(c):
 
 def _mul(a, b):
     """Product of two coefficient arrays."""
-    return np.convolve(a, b)
+    return _numpy().convolve(a, b)
 
 
 def _add(*polys):
     """Sum, left to right, of the operands zero-padded to the longest; the
     first is copied in, not added to zeros, which would turn its -0.0 into
     0.0."""
-    acc = np.zeros(max(p.size for p in polys))
+    acc = _numpy().zeros(max(p.size for p in polys))
     acc[:polys[0].size] = polys[0]
     for p in polys[1:]:
         acc[:p.size] += p
@@ -188,6 +209,7 @@ def _candidates(p):
             B = Q / A if A else 0.0
             roots = [A + B - shift, complex(-0.5 * (A + B) - shift, 0.75**0.5 * (A - B))]
     else:
+        _numpy()
         comp = _SHIFTS[n].copy()
         comp[:, -1] = [-(c / lead) for c in coeffs[:-1]]
         # numpy.linalg.eigvals' gufunc: non-convergence gives NaN eigenvalues

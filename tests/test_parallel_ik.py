@@ -215,7 +215,17 @@ def counts_match_numpy_roots(geom, points, monkeypatch):
     return got
 
 
-def test_axis_roots_come_back_exactly(geom, monkeypatch):
+def exact_axis_count(geom, x):
+    """The number of orientations at (x, 0): alpha = 0 and pi, and the pair
+    +-acos(r3) where the third root r3 = (X1^2 - K) / (2 R1 r1) of the
+    y_p = 0 cubic, exact on the float inputs, lies in (-1, 1)."""
+    R1, r1 = Fraction(geom.R1), Fraction(geom.r1)
+    X1 = Fraction(x) + Fraction(geom.D1) - Fraction(geom.d1)
+    r3 = (X1**2 - (Fraction(geom.L1)**2 - R1**2 - r1**2)) / (2 * R1 * r1)
+    return 4 if abs(r3) < 1 else 2
+
+
+def test_axis_roots_come_back_exactly(geom):
     # on y_p = 0 the cubic is (1 - c^2) (R1^2 (X1^2 - K) - 2 R1^3 r1 c):
     # c = +-1 come back as +-1.0 and alpha = 0.0, pi exactly, with the third
     # root inside (-1, 1) at x in {-680, -600, 150}
@@ -225,8 +235,8 @@ def test_axis_roots_come_back_exactly(geom, monkeypatch):
         assert roots[0] == -1.0 and roots[-1] == 1.0
         cands = orientation_candidates(geom, x, 0.0)
         assert 0.0 in cands and math.pi in cands
-    counts = counts_match_numpy_roots(geom, [(x, 0.0, 900.0) for x in xs], monkeypatch)
-    assert {n for n, _ in counts} == {2, 4}
+        assert len(cands) == exact_axis_count(geom, x), x
+    assert {exact_axis_count(geom, x) for x in xs} == {2, 4}
 
 
 def test_axis_orientations_survive_a_third_root_at_one(geom):
@@ -238,6 +248,21 @@ def test_axis_orientations_survive_a_third_root_at_one(geom):
         for dx in (0.0, 1e-9, -1e-9, 1e-6, -1e-6):
             cands = orientation_candidates(geom, x + dx, 0.0)
             assert 0.0 in cands and math.pi in cands, (x, dx)
+
+
+def test_near_axis_pair_follows_the_exact_third_root(geom):
+    # within 1e-6 mm of the four x where r3 meets +-1, r3 lies within ~1e-8
+    # of the axis root, where a root finder merges the two by round-off; the
+    # tilted pair +-acos(r3) is there exactly when |r3| < 1
+    K = geom.L1**2 - geom.R1**2 - geom.r1**2
+    seen = set()
+    for sign, side in product((1, -1), repeat=2):
+        x0 = side * math.sqrt(K + sign * 2.0 * geom.R1 * geom.r1) - geom.D1 + geom.d1
+        for dx in (1e-6, -1e-6, 3e-7, -3e-7, 1e-7, -1e-7, 3e-8, -3e-8, 1e-8, -1e-8):
+            count = len(orientation_candidates(geom, x0 + dx, 0.0))
+            assert count == exact_axis_count(geom, x0 + dx), (x0, dx)
+            seen.add(count)
+    assert seen == {2, 4}
 
 
 def test_perpendicular_leg_circle_counts(geom, monkeypatch):
