@@ -25,11 +25,9 @@ _EXPORTS = {
                "KinematicsError", "NegativeRadicandError", "SignRuleViolation",
                "UnreachableOrientationError"),
     "geometry": ("DEFAULT_SYNTHETIC", "SIXTEEN_BRANCH_REGION", "MachineGeometry",
-                 "load_geometry", "read_geometry_file", "serialize_geometry",
-                 "validate", "write_geometry_file"),
-    "machine": ("MachineIkSolution", "MachineJoints", "ToolPose",
-                "platform_from_tool", "select_machine_solution", "table_transform",
-                "tilt_candidates", "tilt_polynomial", "tool_fk", "tool_ik",
+                 "load_geometry", "read_geometry_file", "serialize_geometry", "validate"),
+    "machine": ("MachineIkSolution", "MachineJoints", "ToolPose", "select_machine_solution",
+                "table_transform", "tilt_candidates", "tilt_polynomial", "tool_ik",
                 "tool_pose_from_platform"),
     "oracle": ("ResidualVector", "newton_fk", "newton_fk_batch",
                "residuals_machine", "residuals_parallel"),

@@ -75,9 +75,6 @@ class MachineGeometry:
         """Squared semi-major axis of the iso-orientation ellipse."""
         return self.L1**2 - self.leg1_span_sq(cos_alpha)
 
-    def rho_within_limits(self, rho):
-        return all(self.rho_min <= v <= self.rho_max for v in rho)
-
     @cached_property
     def compiled_octic(self):
         """The forward-kinematics octic compiled for these dimensions (see
@@ -172,11 +169,6 @@ def read_geometry_file(path):
     except UnicodeDecodeError as exc:
         raise GeometryError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
     return load_geometry(text)
-
-
-def write_geometry_file(geom, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_geometry(geom))
 
 
 #: Synthetic benchmark dimensions.  These are NOT the dimensions of any real

@@ -62,20 +62,13 @@ class MachineIkSolution:
     within_limits: bool
 
 
-def _rot_x(angle):
+def _rotation(angle, i, j):
+    """Homogeneous rotation by angle in the (i, j) coordinate plane."""
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0, 0.0],
-                     [0.0, c, -s, 0.0],
-                     [0.0, s, c, 0.0],
-                     [0.0, 0.0, 0.0, 1.0]])
-
-
-def _rot_z(angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0, 0.0],
-                     [s, c, 0.0, 0.0],
-                     [0.0, 0.0, 1.0, 0.0],
-                     [0.0, 0.0, 0.0, 1.0]])
+    m = np.eye(4)
+    m[i, i] = m[j, j] = c
+    m[i, j], m[j, i] = -s, s
+    return m
 
 
 def _trans_z(d):
@@ -85,9 +78,12 @@ def _trans_z(d):
 
 
 def table_transform(geom, theta1, theta2):
-    """Rigid transform taking table-frame coordinates to the base frame."""
-    return (_trans_z(geom.d_a) @ _rot_x(theta1) @ _trans_z(geom.d_t)
-            @ _rot_x(math.pi) @ _rot_z(theta2))
+    """Rigid transform taking table-frame coordinates to the base frame: the
+    homogeneous-matrix reference, called by no solver, that the tests check
+    tool_pose_from_platform against (test_tool_map_matches_frame_chain and
+    the CLI's test_tool_fk_matches_fk_through_table_map)."""
+    return (_trans_z(geom.d_a) @ _rotation(theta1, 1, 2) @ _trans_z(geom.d_t)
+            @ _rotation(math.pi, 1, 2) @ _rotation(theta2, 0, 1))
 
 
 def tool_pose_from_platform(geom, pose, theta1, theta2):
@@ -106,38 +102,25 @@ def tool_pose_from_platform(geom, pose, theta1, theta2):
     )
 
 
-def _platform_coordinates(geom, tool, theta1):
-    """Platform (x_p, y_p, z_p, alpha) for one tilt, with alpha = theta1 + phi1
-    left unwrapped (the tilt relation only takes its cosine and sine)."""
-    theta2 = -tool.phi2
-    alpha = theta1 + tool.phi1
+def _rotary_frame(geom, tool):
+    """The tilt-free half of the inverse table chain, once per tool: the tool
+    position turned back by theta2 = -phi2 (cos and sin of phi2, the same
+    bits up to the sine's sign), as (x_p, swing, d_t - z_u), and phi1."""
+    c2, s2 = math.cos(tool.phi2), math.sin(tool.phi2)
+    return (c2 * tool.x_u + s2 * tool.y_u, s2 * tool.x_u - c2 * tool.y_u,
+            geom.d_t - tool.z_u, tool.phi1)
+
+
+def _platform_coordinates(geom, table, theta1):
+    """Platform (x_p, y_p, z_p, alpha) for one tilt of a tool in the rotary
+    frame (_rotary_frame), with alpha = theta1 + phi1 left unwrapped (the
+    tilt relation only takes its cosine and sine)."""
+    x_p, swing, depth, phi1 = table
+    alpha = theta1 + phi1
     c1, s1 = math.cos(theta1), math.sin(theta1)
-    c2, s2 = math.cos(theta2), math.sin(theta2)
-    x_p = c2 * tool.x_u - s2 * tool.y_u
-    swing = -s2 * tool.x_u - c2 * tool.y_u
-    depth = geom.d_t - tool.z_u
     y_p = c1 * swing - s1 * depth + geom.Delta * math.sin(alpha)
     z_p = s1 * swing + c1 * depth + geom.d_a - geom.Delta * math.cos(alpha)
     return x_p, y_p, z_p, alpha
-
-
-def platform_from_tool(geom, tool, theta1):
-    """Invert the table chain: platform (x_p, y_p, z_p, alpha) for one tilt.
-
-    Uses theta2 = -phi2; alpha = theta1 + phi1.
-    """
-    x_p, y_p, z_p, alpha = _platform_coordinates(geom, tool, theta1)
-    return x_p, y_p, z_p, wrap_angle(alpha)
-
-
-def tool_fk(geom, machine_joints):
-    """Tool poses for every assembly mode of the parallel module."""
-    # imported here, so that tool IK alone never loads the FK module
-    from .parallel_fk import enumerate_fk
-    modes = enumerate_fk(geom, machine_joints.joints)
-    return [tool_pose_from_platform(geom, m.pose, machine_joints.theta1,
-                                    machine_joints.theta2)
-            for m in modes]
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +141,16 @@ def tilt_polynomial(geom, tool):
     if not all(map(math.isfinite, (tool.x_u, tool.y_u, tool.z_u))):
         raise OverflowError("tilt polynomial: tool position out of float range")
     R1, r1 = geom.R1, geom.r1
-    cp1, sp1 = math.cos(tool.phi1), math.sin(tool.phi1)
-    cp2, sp2 = math.cos(tool.phi2), math.sin(tool.phi2)
-    lateral = sp2 * tool.x_u - cp2 * tool.y_u
-    X1c = cp2 * tool.x_u + sp2 * tool.y_u + geom.D1 - geom.d1
-    depth = tool.z_u - geom.d_t
+    x_p, swing, depth, phi1 = table = _rotary_frame(geom, tool)
+    cp1, sp1 = math.cos(phi1), math.sin(phi1)
+    X1c = x_p + geom.D1 - geom.d1
 
     T = np.array([1.0, 0.0, 1.0])
     S = np.array([sp1, 2.0 * cp1, -sp1])
     C = np.array([cp1, -2.0 * sp1, -cp1])
-    E = np.array([lateral + geom.Delta * sp1,
-                  2.0 * depth + 2.0 * geom.Delta * cp1,
-                  -lateral - geom.Delta * sp1])
+    E = np.array([swing + geom.Delta * sp1,
+                  2.0 * geom.Delta * cp1 - 2.0 * depth,
+                  -swing - geom.Delta * sp1])
     K = geom.L1**2 - R1**2 - r1**2
     S2 = _mul(S, S)
     coeffs = _add(R1**2 * X1c**2 * _mul(S2, T),
@@ -178,7 +159,7 @@ def tilt_polynomial(geom, tool):
 
     samples = []
     for u in (0.2183, -0.7341, 1.4127):
-        x_p, y_p, _, alpha = _platform_coordinates(geom, tool, 2.0 * math.atan(u))
+        x_p, y_p, _, alpha = _platform_coordinates(geom, table, 2.0 * math.atan(u))
         samples.append((u, coupling_residual(geom, x_p, y_p, alpha) * (1.0 + u * u)**3))
     _certify(coeffs, samples, 6, "tilt polynomial")
     return Polynomial(coeffs)
@@ -202,11 +183,12 @@ def tilt_candidates(geom, tool):
         # tilts are angles of order one, so the width serves in radians
         tilts.add(next((a for a in axis if abs(wrap_angle(theta1 - a)) <= CLUSTER_REL_TOL),
                        theta1))
+    table = _rotary_frame(geom, tool)
     out = []
     for theta1 in sorted(tilts):
         if not geom.theta1_min <= theta1 <= geom.theta1_max:
             continue
-        x_p, y_p, _, alpha = _platform_coordinates(geom, tool, theta1)
+        x_p, y_p, _, alpha = _platform_coordinates(geom, table, theta1)
         if _coupling_holds(geom, x_p, y_p, alpha):
             out.append(theta1)
     return out
@@ -229,9 +211,10 @@ def tool_ik(geom, tool):
     tool = ToolPose(float(tool.x_u), float(tool.y_u), float(tool.z_u), tool.phi1, tool.phi2)
     theta2 = -tool.phi2
     rotary_ok = geom.theta2_min <= theta2 <= geom.theta2_max
+    table = _rotary_frame(geom, tool)
     solutions = []
     for theta1 in tilt_candidates(geom, tool):
-        x_p, y_p, z_p, alpha = _platform_coordinates(geom, tool, theta1)
+        x_p, y_p, z_p, alpha = _platform_coordinates(geom, table, theta1)
         alpha = wrap_angle(alpha)
         solutions += [MachineIkSolution(MachineJoints(joints, theta1, theta2), indices, alpha,
                                         residual, within_limits and rotary_ok)

@@ -67,7 +67,7 @@ def yp_from(geom, alpha, z_p, rho1):
 
     Singular when the leg-I direction is perpendicular to the slider plane
     (R1 cos(alpha) = r1), which also makes the iso-orientation ellipse a
-    circle.
+    circle.  A reference that no solver calls, like xp_from (see there).
     """
     den = geom.R1 * math.cos(alpha) - geom.r1
     if abs(den) < PERPENDICULAR_LEG_REL_TOL * geom.R1:
@@ -81,7 +81,8 @@ def zp_from(geom, alpha, joints):
 
     The (L2^2 - L3^2) term vanishes for identical parallelogram legs.  The
     denominator vanishes when rho2 = rho3 meets sin(alpha) = 0; that case
-    is covered by the axis-aligned branch of enumerate_fk.
+    is covered by the axis-aligned branch of enumerate_fk.  A reference that
+    no solver calls, like xp_from (see there).
     """
     c, s = math.cos(alpha), math.sin(alpha)
     r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
@@ -102,7 +103,10 @@ def xp_from(geom, alpha, joints):
     """x_p from the difference of the leg-I midpoint and leg-II spheres.
 
     Requires the x-offset gap (D1 - d1) - (D2 - d2) to be nonzero; the
-    offsets make the squared x terms cancel, leaving x_p linear.
+    offsets make the squared x terms cancel, leaving x_p linear.  No solver
+    calls the three *_from formulas: they are the reference that
+    test_probe_node_table_matches_the_elimination_chain checks the compiled
+    octic's probe nodes against, which is why they stay.
     """
     _require_distinct_offsets(geom)
     z_p = zp_from(geom, alpha, joints)

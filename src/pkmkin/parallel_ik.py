@@ -180,7 +180,9 @@ def coupling_scale(geom, x_p, y_p, alpha):
     Intentionally built only from the terms the relation actually sums at
     this (point, alpha): near the axis orientations every term vanishes, so
     boundary-clamped cosine roots from just outside [-1, 1] cannot sneak in
-    as candidates on the strength of an unrelated global scale.
+    as candidates on the strength of an unrelated global scale.  No solver
+    calls it: it is the coupling test's own scale, kept for the tests that
+    bound residuals by it (test_cubic_roots_satisfy_coupling, criterion 6).
     """
     return _term_scale(*_coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha)))
 

@@ -52,8 +52,8 @@ def __getattr__(name):
 
 
 def _trim(c):
-    # a tuple of Python floats (coupling_cubic's) needs no numpy conversion
-    if not (type(c) is tuple and c and all(type(v) is float for v in c)):
+    # a tuple (coupling_cubic's) or list of Python floats needs no numpy conversion
+    if not (type(c) in (tuple, list) and c and all(type(v) is float for v in c)):
         c = _numpy().asarray(c, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")

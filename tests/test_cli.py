@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pkmkin import DEFAULT_SYNTHETIC, serialize_geometry
+from pkmkin import DEFAULT_SYNTHETIC, serialize_geometry, table_transform
 from pkmkin import parallel_ik as pik
 from pkmkin.cli import main
 from pkmkin.parallel_ik import coupling_residual, coupling_scale
@@ -97,25 +98,27 @@ def test_fk_unassemblable_exit_2(geom_file, capsys):
     assert code == 2
 
 
-def test_tool_fk_matches_fk_through_table_map(geom_file, capsys):
+@pytest.mark.parametrize("theta1, theta2", [(0.0, 0.0), (0.6, -2.2)], ids=["zero", "tilted"])
+def test_tool_fk_matches_fk_through_table_map(geom_file, capsys, theta1, theta2):
+    # every fk mode, carried through the homogeneous table chain
     code, fk_out, _ = run_cli(capsys, "fk", geom_file, "--format", "json-lines",
                               "400", "380", "390")
     assert code == 0
-    code, tfk_out, _ = run_cli(capsys, "tool-fk", geom_file, "--format",
-                               "json-lines", "400", "380", "390", "0", "0")
+    code, tfk_out, _ = run_cli(capsys, "tool-fk", geom_file, "--format", "json-lines",
+                               "400", "380", "390", repr(theta1), repr(theta2))
     assert code == 0
     fk_modes = [json.loads(line) for line in fk_out.splitlines()]
     tool_modes = [json.loads(line) for line in tfk_out.splitlines()]
-    assert len(fk_modes) == len(tool_modes)
+    assert len(tool_modes) == len(fk_modes) > 0
     g = DEFAULT_SYNTHETIC
+    table = table_transform(g, theta1, theta2)
     for fm, tm in zip(fk_modes, tool_modes):
-        assert tm["phi1"] == pytest.approx(fm["alpha"], abs=1e-12)
-        assert tm["phi2"] == 0.0
-        assert tm["x_u"] == pytest.approx(fm["x_p"], abs=1e-9)
-        assert tm["y_u"] == pytest.approx(
-            g.Delta * math.sin(fm["alpha"]) - fm["y_p"], abs=1e-9)
-        assert tm["z_u"] == pytest.approx(
-            g.d_a + g.d_t - fm["z_p"] - g.Delta * math.cos(fm["alpha"]), abs=1e-9)
+        assert tm["phi2"] == -theta2
+        assert tm["phi1"] == pytest.approx(pik.wrap_angle(fm["alpha"] - theta1), abs=1e-12)
+        spindle = [fm["x_p"], fm["y_p"] - g.Delta * math.sin(fm["alpha"]),
+                   fm["z_p"] + g.Delta * math.cos(fm["alpha"]), 1.0]
+        tool = np.linalg.solve(table, spindle)
+        assert [tm["x_u"], tm["y_u"], tm["z_u"]] == pytest.approx(tool[:3], abs=1e-9)
 
 
 def test_tool_ik_tool_fk_roundtrip(geom_file, capsys):

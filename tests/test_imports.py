@@ -80,6 +80,13 @@ def test_importing_the_package_imports_no_solver():
     assert json.loads(run.stdout) == ["pkmkin"]
 
 
+def test_real_roots_of_a_python_float_list_never_imports_numpy():
+    code = ("import json, sys; from pkmkin.rootfind import real_roots; "
+            "print(json.dumps([real_roots([1.0, -3.0, 2.0]), 'numpy' in sys.modules]))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == [[0.5, 1.0], False]
+
+
 def test_every_public_name_is_its_defining_modules_binding():
     for name in pkmkin.__all__:
         module = importlib.import_module(f"pkmkin.{pkmkin._ORIGIN[name]}")

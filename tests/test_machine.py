@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,13 +7,12 @@ import pytest
 
 from pkmkin import (ConfigurationIndices, MachineJoints, ParallelJoints, PlatformPose, ToolPose,
                     enumerate_fk, enumerate_ik, iso_ellipse, joints_from_pose,
-                    orientation_candidates, platform_from_tool,
-                    residuals_machine, residuals_parallel,
+                    orientation_candidates, residuals_machine, residuals_parallel,
                     select_machine_solution, select_working_solution,
                     table_transform, tilt_candidates, tilt_polynomial,
-                    tool_fk, tool_ik, tool_pose_from_platform, wrap_angle)
+                    tool_ik, tool_pose_from_platform, wrap_angle)
 from pkmkin import machine
-from pkmkin.machine import _platform_coordinates
+from pkmkin.machine import _platform_coordinates, _rotary_frame
 from pkmkin.parallel_ik import DEDUP_TOL, constraint_residuals, coupling_residual
 from pkmkin.rootfind import real_roots
 
@@ -32,6 +32,12 @@ def random_machine_state(geom, rng):
     theta2 = rng.uniform(-math.pi + 0.1, math.pi - 0.1)
     tool = tool_pose_from_platform(geom, pose, theta1, theta2)
     return pose, joints, theta1, theta2, tool
+
+
+def platform_at(geom, tool, theta1):
+    """tool_ik's inverse table chain: platform (x_p, y_p, z_p, alpha) for one
+    tilt, alpha unwrapped."""
+    return _platform_coordinates(geom, _rotary_frame(geom, tool), theta1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +95,9 @@ def test_platform_from_tool_inverts_map(geom):
     rng = np.random.default_rng(3)
     for _ in range(15):
         pose, joints, th1, th2, tool = random_machine_state(geom, rng)
-        x, y, z, alpha = platform_from_tool(geom, tool, th1)
+        x, y, z, alpha = platform_at(geom, tool, th1)
         assert (x, y, z) == pytest.approx((pose.x_p, pose.y_p, pose.z_p), abs=1e-9)
-        assert alpha == pytest.approx(pose.alpha, abs=1e-12)
+        assert wrap_angle(alpha) == pytest.approx(pose.alpha, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +181,7 @@ def test_tilt_candidates_match_orientation_candidates(geom):
     for _ in range(10):
         pose, joints, th1, th2, tool = random_machine_state(geom, rng)
         for cand in tilt_candidates(geom, tool):
-            x, y, z, alpha = platform_from_tool(geom, tool, cand)
+            x, y, _, _ = platform_at(geom, tool, cand)
             orientations = orientation_candidates(geom, x, y)
             assert any(abs(wrap_angle(cand + tool.phi1) - a) <= 1e-7
                        for a in orientations), (cand, orientations)
@@ -186,7 +192,7 @@ def test_tilt_residual_scaled_small_at_candidates(geom):
     pose, joints, th1, th2, tool = random_machine_state(geom, rng)
     for cand in tilt_candidates(geom, tool):
         # the tilt relation is the coupling relation at the implied pose
-        x, y, _, alpha = _platform_coordinates(geom, tool, cand)
+        x, y, _, alpha = platform_at(geom, tool, cand)
         assert abs(coupling_residual(geom, x, y, alpha)) <= 1e-6 * geom.R1**2 * geom.L1**2
 
 
@@ -234,9 +240,9 @@ def test_tool_ik_branches_mirror_parallel_module(geom):
         tool = tool_pose_from_platform(geom, pose, 0.0, 0.0)
         machine = tool_ik(geom, tool)
         for m in machine:
-            mx, my, mz, malpha = platform_from_tool(geom, tool, m.machine_joints.theta1)
+            mx, my, mz, malpha = platform_at(geom, tool, m.machine_joints.theta1)
             peers = enumerate_ik(geom, mx, my, mz)
-            assert any(abs(p.alpha - malpha) <= 1e-7
+            assert any(abs(p.alpha - wrap_angle(malpha)) <= 1e-7
                        and abs(p.joints.rho1 - m.machine_joints.joints.rho1) <= 1e-5
                        and abs(p.joints.rho2 - m.machine_joints.joints.rho2) <= 1e-5
                        and abs(p.joints.rho3 - m.machine_joints.joints.rho3) <= 1e-5
@@ -263,7 +269,7 @@ def test_tool_ik_branch_is_parallel_branch_bitwise(geom, phi1):
         tool = ToolPose(rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0),
                         rng.uniform(-400.0, 200.0), phi1, rng.uniform(-math.pi, math.pi))
         for m in tool_ik(geom, tool):
-            pose = PlatformPose(*_platform_coordinates(geom, tool, m.machine_joints.theta1))
+            pose = PlatformPose(*platform_at(geom, tool, m.machine_joints.theta1))
             assert m.machine_joints.joints == joints_from_pose(geom, pose, m.indices)
             assert m.alpha == pose.alpha
             branches += 1
@@ -282,11 +288,12 @@ def test_tool_ik_branch_residuals_per_leg_are_exact(geom):
                                            rng.uniform(-1.2, 1.2), rng.uniform(-math.pi, math.pi))
             for m in tool_ik(geom, tool):
                 mj = m.machine_joints
-                px, py, pz, _ = _platform_coordinates(geom, tool, mj.theta1)
+                px, py, pz, _ = platform_at(geom, tool, mj.theta1)
                 res = constraint_residuals(geom, px, py, pz, m.alpha, *mj.joints.as_tuple())
                 assert m.residual_norm == max(abs(r) for r in res)
-                assert m.within_limits == (geom.rho_within_limits(mj.joints.as_tuple())
-                                           and geom.theta2_min <= mj.theta2 <= geom.theta2_max)
+                assert m.within_limits == (
+                    all(geom.rho_min <= v <= geom.rho_max for v in mj.joints.as_tuple())
+                    and geom.theta2_min <= mj.theta2 <= geom.theta2_max)
                 branches += 1
     assert branches >= 1000
 
@@ -382,7 +389,7 @@ def test_tool_ik_grazing_leg_gives_its_minus_branch_once(geom, leg, theta1):
     k = 1 if leg == "II" else 2
     assert len(sols) == 2 and {m.indices.as_tuple()[k] for m in sols} == {-1}
     for m in sols:
-        pose = PlatformPose(*_platform_coordinates(geom, tool, m.machine_joints.theta1))
+        pose = PlatformPose(*platform_at(geom, tool, m.machine_joints.theta1))
         signs = list(m.indices.as_tuple())
         signs[k] = 1
         assert joints_from_pose(geom, pose, ConfigurationIndices(*signs)) == m.machine_joints.joints
@@ -436,15 +443,20 @@ def test_select_machine_solution_roundtrip(geom):
         assert chosen.indices.as_tuple() == (-1, -1, -1)
 
 
-def test_tool_fk_mode_count_and_phi2(geom):
-    rng = np.random.default_rng(14)
-    pose, joints, th1, th2, tool = random_machine_state(geom, rng)
-    mj = MachineJoints(joints=joints, theta1=th1, theta2=th2)
-    tools = tool_fk(geom, mj)
-    modes = enumerate_fk(geom, joints)
-    assert len(tools) == len(modes)
-    for tp in tools:
-        assert tp.phi2 == -th2
+def test_tilt_range_edge_keeps_the_working_tilt_and_one_ulp_inward_drops_it(geom):
+    # the tilt range is enforced on theta1 directly: a limit at the working
+    # tilt keeps it, bit for bit, and a limit one ulp inward drops it
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        tool = random_machine_state(geom, rng)[-1]
+        chosen = select_machine_solution(tool_ik(geom, tool), geom)
+        theta1 = chosen.machine_joints.theta1
+        for limit, inward in (("theta1_max", -math.inf), ("theta1_min", math.inf)):
+            edge = replace(geom, **{limit: theta1})
+            assert select_machine_solution(tool_ik(edge, tool), edge) == chosen
+            inside = replace(geom, **{limit: math.nextafter(theta1, inward)})
+            assert theta1 not in tilt_candidates(inside, tool)
+            assert all(m.machine_joints.theta1 != theta1 for m in tool_ik(inside, tool))
 
 
 def test_tool_fk_tool_ik_roundtrip(geom):
@@ -469,7 +481,7 @@ def test_machine_constraint_matches_oracle_route(geom):
     rng = np.random.default_rng(16)
     pose, joints, th1, th2, tool = random_machine_state(geom, rng)
     mj = MachineJoints(joints=joints, theta1=th1, theta2=th2)
-    internal = constraint_residuals(geom, *_platform_coordinates(geom, tool, th1),
+    internal = constraint_residuals(geom, *platform_at(geom, tool, th1),
                                     *joints.as_tuple())
     external = residuals_machine(geom, tool, mj)
     assert internal == pytest.approx(external.as_tuple(), abs=1e-12)

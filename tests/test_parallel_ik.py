@@ -496,7 +496,8 @@ def assert_branches_exact(geom, point, sols):
     for sol in sols:
         res = constraint_residuals(geom, *point, sol.alpha, *sol.joints.as_tuple())
         assert sol.residual_norm == max(abs(r) for r in res)
-        assert sol.within_limits == geom.rho_within_limits(sol.joints.as_tuple())
+        assert sol.within_limits == all(geom.rho_min <= v <= geom.rho_max
+                                        for v in sol.joints.as_tuple())
 
 
 def test_branch_residuals_per_leg_are_exact(geom):
