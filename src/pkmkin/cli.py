@@ -391,7 +391,11 @@ def main(argv=None):
         print(f"pkmkin: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:
-        print(f"pkmkin: numeric overflow: {exc}", file=sys.stderr)
+        # the library says which stage overflowed; a bare float operation
+        # raises Python's errno tuple, (34, 'Numerical result out of range')
+        stage = f" ({exc.args[0]})" if exc.args and isinstance(exc.args[0], str) else ""
+        print(f"pkmkin: numeric overflow: {args.command} input out of float range{stage}",
+              file=sys.stderr)
         return 1
     return code
 

@@ -22,6 +22,10 @@ from .parallel_ik import (ConfigurationIndices, ParallelJoints, _branches,
                           coupling_residual, wrap_angle)
 from .rootfind import CLUSTER_REL_TOL, Polynomial, _add, _certify, _mul, real_roots
 
+# relative widening of the tilt range, in u = tan(theta1/2), within which the
+# tilt polynomial's root candidates are polished
+TILT_WINDOW_REL = 1e-4
+
 
 @dataclass(frozen=True)
 class ToolPose:
@@ -33,9 +37,10 @@ class ToolPose:
     phi1: float
     phi2: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi1", wrap_angle(self.phi1))
-        object.__setattr__(self, "phi2", wrap_angle(self.phi2))
+    # one __dict__ store, as parallel_ik's per-call records
+    def __init__(self, x_u, y_u, z_u, phi1, phi2):
+        self.__dict__.update(x_u=x_u, y_u=y_u, z_u=z_u, phi1=wrap_angle(phi1),
+                             phi2=wrap_angle(phi2))
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,9 @@ class MachineJoints:
     joints: ParallelJoints
     theta1: float
     theta2: float
+
+    def __init__(self, joints, theta1, theta2):
+        self.__dict__.update(joints=joints, theta1=theta1, theta2=theta2)
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,10 @@ class MachineIkSolution:
     alpha: float
     residual_norm: float
     within_limits: bool
+
+    def __init__(self, machine_joints, indices, alpha, residual_norm, within_limits):
+        self.__dict__.update(machine_joints=machine_joints, indices=indices, alpha=alpha,
+                             residual_norm=residual_norm, within_limits=within_limits)
 
 
 def _rotation(angle, i, j):
@@ -178,7 +190,13 @@ def tilt_candidates(geom, tool):
     axis = (wrap_angle(-tool.phi1), wrap_angle(math.pi - tool.phi1))
     poly = tilt_polynomial(geom, tool)
     tilts = set(axis)
-    for u in real_roots(poly) if poly.degree >= 1 else []:
+    # only roots the tilt range can reach are polished: u = tan(theta1/2) on
+    # the range widened by TILT_WINDOW_REL, far more than a chain of merges
+    # CLUSTER_REL_TOL apart can span, so no kept root and no merge changes
+    lo, hi = (math.tan(0.5 * max(-math.pi, min(math.pi, t)))
+              for t in (geom.theta1_min, geom.theta1_max))
+    window = (lo - TILT_WINDOW_REL * (1.0 + abs(lo)), hi + TILT_WINDOW_REL * (1.0 + abs(hi)))
+    for u in real_roots(poly, *window) if poly.degree >= 1 else []:
         theta1 = 2.0 * math.atan(u)
         # tilts are angles of order one, so the width serves in radians
         tilts.add(next((a for a in axis if abs(wrap_angle(theta1 - a)) <= CLUSTER_REL_TOL),

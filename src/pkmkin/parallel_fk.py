@@ -55,6 +55,11 @@ class AssemblyMode:
     residual_norm: float
     reachable: bool
 
+    # one __dict__ store, as parallel_ik's per-call records
+    def __init__(self, pose, indices, residual_norm, reachable):
+        self.__dict__.update(pose=pose, indices=indices, residual_norm=residual_norm,
+                             reachable=reachable)
+
 
 def _require_distinct_offsets(geom):
     if geom.offset_gap == 0.0:
@@ -339,11 +344,7 @@ def octic_from_joints(geom, joints):
     floats.
     """
     _require_distinct_offsets(geom)
-    return _octic(geom, _as_joints(joints))
-
-
-def _octic(geom, joints):
-    """octic_from_joints on checked offsets and _as_joints sliders."""
+    joints = _as_joints(joints)
     h, matrix, (factor, nodes) = geom.compiled_octic
     r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
     v = ((r1_ - 0.5 * (r2_ + r3_)) / h, (r3_ - r2_) / h)
@@ -367,7 +368,11 @@ def _octic(geom, joints):
 
 def _as_joints(joints):
     """Sliders as Python floats, whose arithmetic raises OverflowError where
-    numpy scalars would warn first."""
+    numpy scalars would warn first; joints that are already Python floats
+    come back as they are (enumerate_fk passes its own to octic_from_joints)."""
+    if (type(joints) is ParallelJoints
+            and type(joints.rho1) is type(joints.rho2) is type(joints.rho3) is float):
+        return joints
     rho = joints.as_tuple() if isinstance(joints, ParallelJoints) else joints
     return ParallelJoints(*map(float, rho))
 
@@ -538,7 +543,7 @@ def enumerate_fk(geom, joints):
     if geom.C1 == 0.0 and plane:
         roots, axes = [], [math.pi, 0.0]
     else:
-        octic = _octic(geom, joints)
+        octic = octic_from_joints(geom, joints)
         coeffs = octic.coeffs
         if len(coeffs) == 7 and coeffs[0] == coeffs[1] == coeffs[3] == coeffs[5] == 0.0:
             roots = _even_roots(coeffs)

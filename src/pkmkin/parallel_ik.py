@@ -53,8 +53,11 @@ class PlatformPose:
     z_p: float
     alpha: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", wrap_angle(self.alpha))
+    # the records the solvers build on every call store their fields in one
+    # __dict__ update, not one frozen setattr each; fields(), ==, hash, repr,
+    # replace(), pickling and FrozenInstanceError stay the dataclass's
+    def __init__(self, x_p, y_p, z_p, alpha):
+        self.__dict__.update(x_p=x_p, y_p=y_p, z_p=z_p, alpha=wrap_angle(alpha))
 
     @classmethod
     def solved(cls, geom, x_p, y_p, z_p, alpha):
@@ -76,6 +79,9 @@ class ParallelJoints:
     rho1: float
     rho2: float
     rho3: float
+
+    def __init__(self, rho1, rho2, rho3):
+        self.__dict__.update(rho1=rho1, rho2=rho2, rho3=rho3)
 
     def as_tuple(self):
         return (self.rho1, self.rho2, self.rho3)
@@ -107,6 +113,10 @@ class IkSolution:
     indices: ConfigurationIndices
     residual_norm: float
     within_limits: bool
+
+    def __init__(self, joints, alpha, indices, residual_norm, within_limits):
+        self.__dict__.update(joints=joints, alpha=alpha, indices=indices,
+                             residual_norm=residual_norm, within_limits=within_limits)
 
 
 @dataclass(frozen=True)
@@ -437,7 +447,7 @@ def enumerate_ik(geom, x_p, y_p, z_p):
 def _on_working_branch(geom, indices, alpha):
     """The leg disposition the physical machine uses: every slider above the
     platform, s = (-1, -1, -1), and no rod crossing, R1 cos(alpha) > r1."""
-    return indices.as_tuple() == (-1, -1, -1) and geom.R1 * math.cos(alpha) > geom.r1
+    return indices.s1 == indices.s2 == indices.s3 == -1 and geom.R1 * math.cos(alpha) > geom.r1
 
 
 def _unique(survivors):

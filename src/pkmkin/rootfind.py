@@ -251,11 +251,16 @@ def _refine(coeffs, candidates):
     return merged
 
 
-def real_roots(p):
-    """All real roots of p (multiplicity collapsed), sorted ascending.  Raises
-    ValueError on degree-0 input or non-finite coefficients, and
+def real_roots(p, lo=-math.inf, hi=math.inf):
+    """All real roots of p (multiplicity collapsed), sorted ascending; with
+    lo or hi, only the candidates in [lo, hi] are polished and merged, so a
+    root near either end can fall on either side of it.  Raises ValueError
+    on degree-0 input or non-finite coefficients, and
     numpy.linalg.LinAlgError when the companion eigenvalues do not converge."""
-    return _refine(*_candidates(p))
+    coeffs, candidates = _candidates(p)
+    if lo > -math.inf or hi < math.inf:
+        candidates = [r for r in candidates if lo <= r <= hi]
+    return _refine(coeffs, candidates)
 
 
 def real_roots_in_unit_interval(p):

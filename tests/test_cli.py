@@ -219,13 +219,25 @@ def test_non_finite_number_exit_1(geom_file, capsys, argv):
     ("ik", "1e200", "60", "900"),
     ("fk", "1e200", "400", "380"),
     ("tool-ik", "1e200", "0", "0", "0", "0"),
-], ids=["ik", "fk", "tool-ik"])
+    ("tool-fk", "1e200", "0", "0", "0", "0"),
+    ("roundtrip", "--count", "2", "--box", "1e200", "1e201", "0", "1", "0", "1"),
+], ids=["ik", "fk", "tool-ik", "tool-fk", "roundtrip"])
 def test_numeric_overflow_exit_1(geom_file, capsys, argv):
+    # each overflows in a bare float operation, whose OverflowError carries
+    # Python's errno tuple, not a message
     command, *numbers = argv
     code, out, err = run_cli(capsys, command, geom_file, *numbers)
     assert code == 1
     assert out == ""
-    assert err.startswith("pkmkin: numeric overflow: ")
+    assert err == f"pkmkin: numeric overflow: {command} input out of float range\n"
+    assert "(34," not in err
+
+
+def test_numeric_overflow_keeps_the_library_message(geom_file, capsys):
+    code, out, err = run_cli(capsys, "fk", geom_file, "1e308", "1e308", "1e308")
+    assert code == 1
+    assert err == ("pkmkin: numeric overflow: fk input out of float range"
+                   " (characteristic polynomial: sliders out of float range)\n")
 
 
 @pytest.mark.parametrize("rho", [("1e200", "400", "380"), ("1e53", "-1e53", "1e53"),
@@ -239,7 +251,7 @@ def test_numeric_overflow_is_one_stderr_line(geom_file, rho):
                          capture_output=True, text=True)
     assert run.returncode == 1
     assert run.stdout == ""
-    assert run.stderr.startswith("pkmkin: numeric overflow: ")
+    assert run.stderr.startswith("pkmkin: numeric overflow: fk input out of float range")
     assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
 
 

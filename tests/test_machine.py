@@ -187,6 +187,27 @@ def test_tilt_candidates_match_orientation_candidates(geom):
                        for a in orientations), (cand, orientations)
 
 
+def test_tilt_window_changes_no_branch(geom, monkeypatch):
+    # polishing every root of the tilt polynomial, as an unbounded window
+    # does, gives the same branches bit for bit: on working states, on tilt
+    # ranges that end exactly at a root of the polynomial and on random ranges
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(30):
+        tool = random_machine_state(geom, rng)[-1]
+        cases.append((geom, tool))
+        for u in real_roots(tilt_polynomial(geom, tool)):
+            theta1 = 2.0 * math.atan(u)
+            cases.append((replace(geom, theta1_min=theta1, theta1_max=math.pi), tool))
+            cases.append((replace(geom, theta1_min=-math.pi, theta1_max=theta1), tool))
+        low, high = sorted(rng.uniform(-4.0, 4.0, size=2))
+        cases.append((replace(geom, theta1_min=low, theta1_max=high), tool))
+    windowed = [repr(tool_ik(g, tool)) for g, tool in cases]
+    monkeypatch.setattr(machine, "TILT_WINDOW_REL", math.inf)
+    assert [repr(tool_ik(g, tool)) for g, tool in cases] == windowed
+    assert sum(r != "[]" for r in windowed) > len(cases) // 2
+
+
 def test_tilt_residual_scaled_small_at_candidates(geom):
     rng = np.random.default_rng(9)
     pose, joints, th1, th2, tool = random_machine_state(geom, rng)

@@ -30,6 +30,16 @@ def test_simple_cubic():
     assert real_roots(p) == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
 
+@pytest.mark.parametrize("roots", [[-2.0, 0.5, 4.0], [-3.0, -1.0, 1.5, 2.5, 6.0]],
+                         ids=["closed-form", "eigenvalues"])
+def test_window_keeps_the_roots_inside_it_bit_for_bit(roots):
+    p = Polynomial(poly_from_roots(roots))
+    every = real_roots(p)
+    assert real_roots(p, -1.0, 3.0) == [r for r in every if -1.0 <= r <= 3.0]
+    assert real_roots(p, hi=0.0) == [r for r in every if r <= 0.0]
+    assert real_roots(p, 7.0, 9.0) == []
+
+
 def test_no_real_roots():
     assert real_roots(Polynomial((1.0, 0.0, 1.0))) == []
 
