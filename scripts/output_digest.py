@@ -10,12 +10,24 @@ on both sides of a change that claims the same bits.  The tool poses and
 the working joints come from iso-ellipse points and joints_from_pose, not
 from enumerate_ik, so a change to the IK alone moves only its own lines
 (enumerate_ik, select_working_solution, and real_roots through the cubics).
+
+The last line, `cli`, is the SHA-256 of the argv, exit code, stdout and
+stderr of a fixed battery of in-process pkmkin.cli.main calls on a temporary
+geometry file written from DEFAULT_SYNTHETIC: every solver command in each
+format, with and without --select and --deg, no-solution and overflow
+inputs, ellipse grids, roundtrip reports with and without failures, usage
+errors and --help.  Equal lines mean the same CLI bytes on those calls.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import math
+import os
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 
@@ -24,7 +36,8 @@ from pkmkin import (DEFAULT_SYNTHETIC, SIXTEEN_BRANCH_REGION, ConfigurationIndic
                     enumerate_fk, enumerate_ik, iso_ellipse, joints_from_pose,
                     newton_fk, newton_fk_batch, octic_from_joints, real_roots,
                     select_working_solution, tilt_polynomial, tool_ik,
-                    tool_pose_from_platform)
+                    serialize_geometry, tool_pose_from_platform)
+from pkmkin.cli import main as cli_main
 
 NEWTON_STARTS = 100
 WORKING = ConfigurationIndices(-1, -1, -1)
@@ -95,12 +108,100 @@ def digests(seed):
             for name, out in outputs.items()]
 
 
+# (command, numbers in radians, numbers in degrees, no-solution numbers,
+# overflow numbers) per solver command; a leading "--" lets negatives through
+SOLVER_INPUTS = (
+    ("ik", ("--", "-250", "60", "900"), ("--", "-250", "60", "900"),
+     ("5000", "50", "900"), ("1e200", "60", "900")),
+    ("fk", ("450", "400", "380"), ("450", "400", "380"),
+     ("--", "2000", "-1900", "200"), ("1e308", "1e308", "1e308")),
+    ("tool-ik", ("--", "-169.5", "157.4", "566.4", "-0.4", "-0.7"),
+     ("--", "-169.5", "157.4", "566.4", "-22.9", "-40.1"),
+     ("5000", "0", "0", "0", "0"), ("1e200", "0", "0", "0", "0")),
+    ("tool-fk", ("400", "380", "390", "0.3", "0.7"), ("400", "380", "390", "17.2", "40.1"),
+     ("--", "2000", "-1900", "200", "0", "0"), ("1e200", "0", "0", "0", "0")),
+)
+
+
+def cli_battery():
+    """argv lists of the `cli` line's calls; "{geom}" stands for the geometry
+    file and "{bad}" for an invalid one."""
+    calls = []
+    for command, rad, deg, none, overflow in SOLVER_INPUTS:
+        for fmt in ("table", "csv", "json-lines"):
+            for flags in ((), ("--select",), ("--deg",), ("--select", "--deg")):
+                numbers = deg if "--deg" in flags else rad
+                calls.append([command, "{geom}", "--format", fmt, *flags, *numbers])
+        calls += [[command, "{geom}", *none], [command, "{geom}", "--select", *none],
+                  [command, "{geom}", *overflow], [command, "--help"]]
+    for fmt in ("table", "csv", "json-lines"):
+        calls.append(["ellipse", "{geom}", "--format", fmt])
+    calls += [
+        ["ellipse", "{geom}", "--format", "json-lines", "--alpha-min", "0",
+         "--alpha-max", "0.6", "--step", "0.3"],
+        ["ellipse", "{geom}", "--format", "csv", "--deg", "--alpha-min=-30",
+         "--alpha-max", "30", "--step", "15", "--points", "3"],
+        ["ellipse", "{geom}", "--step", "0.7", "--points", "0"],
+        ["ellipse", "{geom}", "--step", "-1"],
+        ["ellipse", "{geom}", "--points", "-2"],
+        ["ellipse", "--help"],
+        ["roundtrip", "{geom}", "--count", "25", "--seed", "3"],
+        ["roundtrip", "{geom}", "--count", "3", "--box", "5000", "5001", "0", "1", "600", "601"],
+        ["roundtrip", "{geom}", "--count", "40", "--seed", "1", "--box",
+         "-900", "500", "0", "600", "600", "1200"],
+        ["roundtrip", "{geom}", "--count", "0"],
+        ["roundtrip", "{geom}", "--count", "-1"],
+        ["roundtrip", "{geom}", "--count", "2", "--timing", "--starts", "0"],
+        ["roundtrip", "{geom}", "--count", "2", "--box", "1e200", "1e201", "0", "1", "0", "1"],
+        ["roundtrip", "--help"],
+        ["--help"],
+        [],
+        ["solve", "{geom}"],
+        ["ik", "{geom}", "1.0"],
+        ["ik", "{geom}", "nan", "60", "900"],
+        ["ik", "{geom}", "--format", "xml", "--", "-250", "60", "900"],
+        ["fk", "{geom}", "--", "450", "-inf", "380"],
+        ["tool-ik", "{geom}", "160", "-120", "-240", "0.2", "nan"],
+        ["ellipse", "{geom}", "--step", "nan"],
+        ["ellipse", "{geom}", "--points", "2.5"],
+        ["roundtrip", "{geom}", "--box", "-330", "-170", "30", "150", "700", "inf"],
+        ["roundtrip", "{geom}", "--count", "many"],
+        ["ik", "{bad}", "0", "0", "0"],
+        ["ik", "{geom}.missing", "0", "0", "0"],
+    ]
+    return calls
+
+
+def cli_digest():
+    """Hex digest of (argv, exit code, stdout, stderr) over cli_battery(),
+    with the temporary directory's path replaced by "<tmp>"."""
+    calls = []
+    # argparse wraps --help to the terminal width
+    with mock.patch.dict(os.environ, COLUMNS="80"), tempfile.TemporaryDirectory() as tmp:
+        paths = {"geom": os.path.join(tmp, "machine.cfg"), "bad": os.path.join(tmp, "bad.cfg")}
+        with open(paths["geom"], "w") as f:
+            f.write(serialize_geometry(DEFAULT_SYNTHETIC))
+        with open(paths["bad"], "w") as f:
+            f.write("D1 = not-a-number\n")
+        for argv in cli_battery():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli_main([a.format(**paths) for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            calls.append((argv, code, out.getvalue().replace(tmp, "<tmp>"),
+                          err.getvalue().replace(tmp, "<tmp>")))
+    return hashlib.sha256(repr(calls).encode()).hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     for name, digest in digests(args.seed):
         print(f"{name} {digest}")
+    print(f"cli {cli_digest()}")
     return 0
 
 

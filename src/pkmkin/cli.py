@@ -20,56 +20,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import geometry as geo
 from .errors import AmbiguousSelectionError, KinematicsError
 
 MODE_LABELS = "abcdefghijklmnopqrstuvwxyz"
 
-IK_COLUMNS = ("label", "rho1", "rho2", "rho3", "alpha",
-              "s1", "s2", "s3", "residual_norm", "within_limits")
-FK_COLUMNS = ("label", "alpha", "x_p", "y_p", "z_p",
-              "s1", "s2", "s3", "residual_norm", "reachable")
-TOOL_IK_COLUMNS = ("label", "rho1", "rho2", "rho3", "theta1", "theta2",
-                   "s1", "s2", "s3", "residual_norm", "within_limits")
-TOOL_FK_COLUMNS = ("label", "phi1", "phi2", "x_u", "y_u", "z_u",
-                   "s1", "s2", "s3", "residual_norm", "reachable")
-ELLIPSE_COLUMNS = ("record", "alpha", "center_x", "a", "b", "phi", "x", "y", "reason")
-
-ANGLE_FIELDS = frozenset(("alpha", "theta1", "theta2", "phi1", "phi2"))
-
-# (command, help, float arguments, --select help) of the four solver commands
-SOLVER_COMMANDS = (
-    ("ik", "inverse kinematics of the parallel module",
-     ("x_p", "y_p", "z_p"), "print only the working solution"),
-    ("fk", "forward kinematics of the parallel module",
-     ("rho1", "rho2", "rho3"), "print only the reachable assembly mode"),
-    ("tool-ik", "inverse kinematics of the full machine",
-     ("x_u", "y_u", "z_u", "phi1", "phi2"), "print only the working solution"),
-    ("tool-fk", "forward kinematics of the full machine",
-     ("rho1", "rho2", "rho3", "theta1", "theta2"), "print only the reachable assembly mode"),
-)
-
-
-@dataclass(frozen=True)
-class SolutionRecord:
-    """One output row: a label plus a field/value mapping."""
-
-    label: str
-    values: dict
-
-    def row(self, columns, deg=False):
-        out = []
-        for col in columns:
-            if col == "label":
-                out.append(self.label)
-                continue
-            v = self.values.get(col, "")
-            if deg and col in ANGLE_FIELDS and isinstance(v, float):
-                v = math.degrees(v)
-            out.append(v)
-        return out
+# the angle arguments and output columns, which --deg reads and prints in degrees
+ANGLE_FIELDS = frozenset(("alpha", "theta1", "theta2", "phi1", "phi2",
+                          "alpha_min", "alpha_max", "step"))
 
 
 def _fmt_cell(v, human):
@@ -80,45 +39,105 @@ def _fmt_cell(v, human):
     return str(v)
 
 
-def emit_records(records, columns, fmt, deg):
+def emit_rows(rows, columns, fmt, deg):
+    """Print rows, dicts from column to value with a "label" key, as a table,
+    csv or json-lines; with deg, angle values in degrees.  Table and csv
+    cells of columns that a row lacks are empty."""
     if fmt == "table":
         widths = [max(len(c), 14) for c in columns]
         header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
         print(header)
         print("-" * len(header))
-        for rec in records:
-            cells = [_fmt_cell(v, True).rjust(w) if not isinstance(v, str) else v.ljust(w)
-                     for v, w in zip(rec.row(columns, deg), widths)]
-            print("  ".join(cells))
     elif fmt == "csv":
         print(",".join(columns))
-        for rec in records:
-            print(",".join(_fmt_cell(v, False) for v in rec.row(columns, deg)))
-    elif fmt == "json-lines":
-        for rec in records:
-            obj = {col: v for col, v in zip(columns, rec.row(columns, deg))
-                   if col in rec.values}
-            obj["label"] = rec.label
-            print(json.dumps(obj, sort_keys=True))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown format {fmt!r}")
+    for row in rows:
+        if deg:
+            row = {c: math.degrees(v) if c in ANGLE_FIELDS and isinstance(v, float) else v
+                   for c, v in row.items()}
+        cells = [row.get(c, "") for c in columns]
+        if fmt == "table":
+            print("  ".join(v.ljust(w) if isinstance(v, str) else _fmt_cell(v, True).rjust(w)
+                            for v, w in zip(cells, widths)))
+        elif fmt == "csv":
+            print(",".join(_fmt_cell(v, False) for v in cells))
+        else:
+            print(json.dumps(row, sort_keys=True))
 
 
-def _emit_solutions(args, items, select, columns, values):
-    """Emit one labelled row (a), (b), ... per item, in the solver's order;
-    with --select only the item `select` picks.  `values` fills one row."""
+# Each solver command's function returns its solutions in the solver's
+# order, its --select rule and the values of one solution's row in the
+# order of the command's columns.
+def _ik(geom, args):
+    from . import parallel_ik as pik
+    return (pik.enumerate_ik(geom, args.x_p, args.y_p, args.z_p),
+            lambda sols: pik.select_working_solution(sols, geom),
+            lambda sol: (*sol.joints.as_tuple(), sol.alpha, *sol.indices.as_tuple(),
+                         sol.residual_norm, sol.within_limits))
+
+
+def _fk(geom, args):
+    from . import parallel_fk as pfk
+    from . import parallel_ik as pik
+    return (pfk.enumerate_fk(geom, pik.ParallelJoints(args.rho1, args.rho2, args.rho3)),
+            pfk.select_assembly_mode,
+            lambda mode: (mode.pose.alpha, mode.pose.x_p, mode.pose.y_p, mode.pose.z_p,
+                          *mode.indices.as_tuple(), mode.residual_norm, mode.reachable))
+
+
+def _tool_ik(geom, args):
+    from . import machine as mk
+    tool = mk.ToolPose(args.x_u, args.y_u, args.z_u, args.phi1, args.phi2)
+    return (mk.tool_ik(geom, tool), lambda sols: mk.select_machine_solution(sols, geom),
+            lambda sol: (*sol.machine_joints.joints.as_tuple(), sol.machine_joints.theta1,
+                         sol.machine_joints.theta2, *sol.indices.as_tuple(),
+                         sol.residual_norm, sol.within_limits))
+
+
+def _tool_fk(geom, args):
+    from . import machine as mk
+    modes, select, _ = _fk(geom, args)
+
+    def values(mode):
+        tp = mk.tool_pose_from_platform(geom, mode.pose, args.theta1, args.theta2)
+        return (tp.phi1, tp.phi2, tp.x_u, tp.y_u, tp.z_u, *mode.indices.as_tuple(),
+                mode.residual_norm, mode.reachable)
+
+    return modes, select, values
+
+
+# command: (function, help, float arguments, --select help, columns after "label")
+SOLVER_COMMANDS = {
+    "ik": (_ik, "inverse kinematics of the parallel module", ("x_p", "y_p", "z_p"),
+           "print only the working solution",
+           ("rho1", "rho2", "rho3", "alpha", "s1", "s2", "s3", "residual_norm",
+            "within_limits")),
+    "fk": (_fk, "forward kinematics of the parallel module", ("rho1", "rho2", "rho3"),
+           "print only the reachable assembly mode",
+           ("alpha", "x_p", "y_p", "z_p", "s1", "s2", "s3", "residual_norm", "reachable")),
+    "tool-ik": (_tool_ik, "inverse kinematics of the full machine",
+                ("x_u", "y_u", "z_u", "phi1", "phi2"), "print only the working solution",
+                ("rho1", "rho2", "rho3", "theta1", "theta2", "s1", "s2", "s3",
+                 "residual_norm", "within_limits")),
+    "tool-fk": (_tool_fk, "forward kinematics of the full machine",
+                ("rho1", "rho2", "rho3", "theta1", "theta2"),
+                "print only the reachable assembly mode",
+                ("phi1", "phi2", "x_u", "y_u", "z_u", "s1", "s2", "s3", "residual_norm",
+                 "reachable")),
+}
+
+
+def cmd_solver(geom, args):
+    """Print one labelled row (a), (b), ... per solution, in the solver's
+    order; with --select only the solution the command's rule picks."""
+    solve, _, _, _, columns = SOLVER_COMMANDS[args.command]
+    items, select, values = solve(geom, args)
     if args.select:
         chosen = select(items)
         items = [chosen] if chosen is not None else []
-    records = [SolutionRecord(label=f"({MODE_LABELS[i]})", values=values(item))
-               for i, item in enumerate(items)]
-    emit_records(records, columns, args.format, args.deg)
-    return 0 if records else 2
-
-
-def _branch_fields(item):
-    return dict(s1=item.indices.s1, s2=item.indices.s2, s3=item.indices.s3,
-                residual_norm=item.residual_norm)
+    rows = [{"label": f"({MODE_LABELS[i]})", **dict(zip(columns, values(item)))}
+            for i, item in enumerate(items)]
+    emit_rows(rows, ("label", *columns), args.format, args.deg)
+    return 0 if rows else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,30 +160,30 @@ def build_parser():
     parser = _Parser(prog="pkmkin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text, run):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("geometry", help="geometry file (key = value lines)")
         p.add_argument("--format", choices=("table", "csv", "json-lines"),
                        default="table")
         p.add_argument("--deg", action="store_true",
                        help="angles in degrees on input and output")
+        return p
 
-    for name, help_text, floats, select_help in SOLVER_COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        common(p)
+    for name, (_, help_text, floats, select_help, _) in SOLVER_COMMANDS.items():
+        p = command(name, help_text, cmd_solver)
         for arg in floats:
             p.add_argument(arg, type=finite)
         p.add_argument("--select", action="store_true", help=select_help)
 
-    p_ell = sub.add_parser("ellipse", help="iso-orientation ellipse plot data")
-    common(p_ell)
+    p_ell = command("ellipse", "iso-orientation ellipse plot data", cmd_ellipse)
     p_ell.add_argument("--alpha-min", type=finite, default=-math.pi)
     p_ell.add_argument("--alpha-max", type=finite, default=math.pi)
     p_ell.add_argument("--step", type=finite, default=2.0 * math.pi / 45.0)
     p_ell.add_argument("--points", type=int, default=16,
                        help="sample points per ellipse")
 
-    p_rt = sub.add_parser("roundtrip", help="IK->FK consistency benchmark")
-    common(p_rt)
+    p_rt = command("roundtrip", "IK->FK consistency benchmark", cmd_roundtrip)
     p_rt.add_argument("--count", type=int, default=1000)
     p_rt.add_argument("--seed", type=int, default=0)
     p_rt.add_argument("--starts", type=int, default=20,
@@ -177,64 +196,6 @@ def build_parser():
     return parser
 
 
-def _angle_arg(value, deg):
-    return math.radians(value) if deg else value
-
-
-def cmd_ik(geom, args):
-    from . import parallel_ik as pik
-    return _emit_solutions(
-        args, pik.enumerate_ik(geom, args.x_p, args.y_p, args.z_p),
-        lambda sols: pik.select_working_solution(sols, geom), IK_COLUMNS,
-        lambda sol: dict(rho1=sol.joints.rho1, rho2=sol.joints.rho2,
-                         rho3=sol.joints.rho3, alpha=sol.alpha, **_branch_fields(sol),
-                         within_limits=sol.within_limits))
-
-
-def cmd_fk(geom, args):
-    from . import parallel_fk as pfk
-    from . import parallel_ik as pik
-    return _emit_solutions(
-        args, pfk.enumerate_fk(geom, pik.ParallelJoints(args.rho1, args.rho2, args.rho3)),
-        pfk.select_assembly_mode, FK_COLUMNS,
-        lambda mode: dict(alpha=mode.pose.alpha, x_p=mode.pose.x_p,
-                          y_p=mode.pose.y_p, z_p=mode.pose.z_p, **_branch_fields(mode),
-                          reachable=mode.reachable))
-
-
-def cmd_tool_ik(geom, args):
-    from . import machine as mk
-    tool = mk.ToolPose(args.x_u, args.y_u, args.z_u,
-                       _angle_arg(args.phi1, args.deg),
-                       _angle_arg(args.phi2, args.deg))
-    return _emit_solutions(
-        args, mk.tool_ik(geom, tool),
-        lambda sols: mk.select_machine_solution(sols, geom), TOOL_IK_COLUMNS,
-        lambda sol: dict(rho1=sol.machine_joints.joints.rho1,
-                         rho2=sol.machine_joints.joints.rho2,
-                         rho3=sol.machine_joints.joints.rho3,
-                         theta1=sol.machine_joints.theta1,
-                         theta2=sol.machine_joints.theta2, **_branch_fields(sol),
-                         within_limits=sol.within_limits))
-
-
-def cmd_tool_fk(geom, args):
-    from . import machine as mk
-    from . import parallel_fk as pfk
-    from . import parallel_ik as pik
-    theta1 = _angle_arg(args.theta1, args.deg)
-    theta2 = _angle_arg(args.theta2, args.deg)
-
-    def values(mode):
-        tp = mk.tool_pose_from_platform(geom, mode.pose, theta1, theta2)
-        return dict(phi1=tp.phi1, phi2=tp.phi2, x_u=tp.x_u, y_u=tp.y_u,
-                    z_u=tp.z_u, **_branch_fields(mode), reachable=mode.reachable)
-
-    return _emit_solutions(
-        args, pfk.enumerate_fk(geom, pik.ParallelJoints(args.rho1, args.rho2, args.rho3)),
-        pfk.select_assembly_mode, TOOL_FK_COLUMNS, values)
-
-
 def cmd_ellipse(geom, args):
     from . import parallel_ik as pik
     if args.step <= 0.0:
@@ -243,13 +204,11 @@ def cmd_ellipse(geom, args):
     if args.points < 0:
         print("pkmkin ellipse: error: points must be >= 0", file=sys.stderr)
         return 1
-    step = _angle_arg(args.step, args.deg)
-    lo = _angle_arg(args.alpha_min, args.deg)
-    hi = _angle_arg(args.alpha_max, args.deg)
+    lo, hi, step = args.alpha_min, args.alpha_max, args.step
     n = int(round((hi - lo) / step))
     emitted = 0
 
-    def records():
+    def rows():
         nonlocal emitted
         for k in range(n + 1):
             alpha = lo + k * step
@@ -258,20 +217,20 @@ def cmd_ellipse(geom, args):
             try:
                 ell = pik.iso_ellipse(geom, alpha)
             except KinematicsError as exc:
-                yield SolutionRecord(label="", values=dict(
-                    record="warning", alpha=alpha, reason=type(exc).__name__))
+                yield {"label": "", "record": "warning", "alpha": alpha,
+                       "reason": type(exc).__name__}
                 continue
             emitted += 1
-            yield SolutionRecord(label="", values=dict(
-                record="ellipse", alpha=ell.alpha, center_x=ell.center_x,
-                a=ell.semi_major_a, b=ell.semi_minor_b))
+            yield {"label": "", "record": "ellipse", "alpha": ell.alpha,
+                   "center_x": ell.center_x, "a": ell.semi_major_a, "b": ell.semi_minor_b}
             for k in range(args.points):
                 phi = 2.0 * math.pi * k / args.points
                 x, y = ell.point(phi)
-                yield SolutionRecord(label="", values=dict(
-                    record="point", alpha=ell.alpha, phi=phi, x=x, y=y))
+                yield {"label": "", "record": "point", "alpha": ell.alpha, "phi": phi,
+                       "x": x, "y": y}
 
-    emit_records(records(), ELLIPSE_COLUMNS, args.format, args.deg)
+    emit_rows(rows(), ("record", "alpha", "center_x", "a", "b", "phi", "x", "y", "reason"),
+              args.format, args.deg)
     return 0 if emitted else 2
 
 
@@ -298,6 +257,7 @@ def cmd_roundtrip(geom, args):
     recovered = 0
     t_sym = 0.0
     t_newton = 0.0
+    clock = time.perf_counter if args.timing else lambda: 0.0
     for _ in range(args.count):
         x = rng.uniform(box[0], box[1])
         y = rng.uniform(box[2], box[3]) * (1.0 if rng.uniform() < 0.5 else -1.0)
@@ -311,9 +271,9 @@ def cmd_roundtrip(geom, args):
         if working is None:
             failures += 1
             continue
-        t0 = time.perf_counter()
+        t0 = clock()
         modes = pfk.enumerate_fk(geom, working.joints)
-        t_sym += time.perf_counter() - t0
+        t_sym += clock() - t0
         fk_hist[len(modes)] = fk_hist.get(len(modes), 0) + 1
         if args.timing:
             t0 = time.perf_counter()
@@ -366,19 +326,16 @@ def read_geometry_or_report(path):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.deg:
+        for name in ANGLE_FIELDS & vars(args).keys():
+            setattr(args, name, math.radians(getattr(args, name)))
     geom = read_geometry_or_report(args.geometry)
     if geom is None:
         return 1
-    handler = {
-        "ik": cmd_ik, "fk": cmd_fk, "tool-ik": cmd_tool_ik,
-        "tool-fk": cmd_tool_fk, "ellipse": cmd_ellipse,
-        "roundtrip": cmd_roundtrip,
-    }[args.command]
     code = 0
     try:
-        code = handler(geom, args)
+        code = args.run(geom, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (`| head`): stop without a message,

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -301,9 +302,12 @@ def test_ellipse_streams_rows(geom_file, monkeypatch):
 
 
 def test_ellipse_bad_step_exit_1(geom_file, capsys):
-    code, _, err = run_cli(capsys, "ellipse", geom_file, "--step", "-1")
-    assert code == 1
-    assert "step" in err
+    # --deg converts before the check: 1e-323 degrees is 0.0 rad
+    for step in (("--step", "-1"), ("--deg", "--step", "1e-323")):
+        code, out, err = run_cli(capsys, "ellipse", geom_file, *step)
+        assert code == 1
+        assert out == ""
+        assert err == "pkmkin ellipse: error: step must be positive\n"
 
 
 def test_ellipse_negative_points_exit_1(geom_file, capsys):
@@ -334,6 +338,58 @@ def test_roundtrip_zero_starts_exit_1(geom_file, capsys):
     assert code == 1
     assert out == ""
     assert "pkmkin roundtrip: error: starts must be >= 1" in err
+
+
+def test_roundtrip_negative_count_exit_1(geom_file, capsys):
+    code, out, err = run_cli(capsys, "roundtrip", geom_file, "--count", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "pkmkin roundtrip: error: count must be >= 0\n"
+
+
+def test_roundtrip_box_outside_the_workspace_fails_every_sample(geom_file, capsys):
+    code, out, _ = run_cli(capsys, "roundtrip", geom_file, "--count", "3",
+                           "--box", "5000", "5001", "0", "1", "600", "601")
+    assert code == 0
+    # no error statistics without a recovered sample, and no FK histogram
+    assert out == ("samples            3\n"
+                   "seed               0\n"
+                   "recovered          0\n"
+                   "failures           3\n"
+                   "ik-branch-count   0      3\n")
+
+
+def test_roundtrip_failures_and_histograms_add_up(geom_file, capsys):
+    code, out, _ = run_cli(capsys, "roundtrip", geom_file, "--count", "40", "--seed", "1",
+                           "--box", "-900", "500", "0", "600", "600", "1200")
+    assert code == 0
+    lines = out.splitlines()
+    report = {name: int(value) for name, value in (line.rsplit(None, 1) for line in lines[:4])}
+    hists = {"ik-branch-count": {}, "fk-mode-count": {}}
+    for line in lines:
+        name, *fields = line.split()
+        if name in hists:
+            hists[name][int(fields[0])] = int(fields[1])
+    assert (report["samples"], report["recovered"], report["failures"]) == (40, 11, 29)
+    assert report["recovered"] + report["failures"] == report["samples"]
+    assert "max position error" in out
+    # every sample is solved by the IK; in this box each sample with an IK
+    # branch has a working one and reaches the FK, which the rest never do
+    assert sum(hists["ik-branch-count"].values()) == report["samples"]
+    reached_fk = report["samples"] - hists["ik-branch-count"][0]
+    assert sum(hists["fk-mode-count"].values()) == reached_fk >= report["recovered"]
+
+
+def test_roundtrip_timing_appends_two_lines(geom_file, capsys):
+    _, untimed, _ = run_cli(capsys, "roundtrip", geom_file, "--count", "2", "--starts", "2")
+    code, timed, err = run_cli(capsys, "roundtrip", geom_file, "--count", "2",
+                               "--timing", "--starts", "2")
+    assert code == 0 and err == ""
+    assert timed.startswith(untimed)
+    extra = timed[len(untimed):].splitlines()
+    assert len(extra) == 2
+    assert re.fullmatch(r"symbolic fk time   \d+\.\d{3} s", extra[0])
+    assert re.fullmatch(r"newton fk time     \d+\.\d{3} s \(2 starts/sample\)", extra[1])
 
 
 def test_roundtrip_deterministic_bytes(geom_file):

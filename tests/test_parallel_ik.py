@@ -42,6 +42,11 @@ def test_non_finite_angle_is_one_value_error(value):
             wrap(value)
 
 
+def test_branch_sign_outside_plus_minus_one_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^s1 must be -1 or \+1$"):
+        ConfigurationIndices(0, -1, -1)
+
+
 # ---------------------------------------------------------------------------
 # coupling cubic
 

@@ -79,8 +79,10 @@ def test_multiplicity_collapsed():
 
 
 def test_degree_zero_rejected():
-    with pytest.raises(ValueError):
-        real_roots(Polynomial((3.0,)))
+    # the all-zero polynomial trims to one zero coefficient
+    for coeffs in ((3.0,), (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            real_roots(Polynomial(coeffs))
 
 
 def test_non_finite_coefficient_rejected():
