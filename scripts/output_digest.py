@@ -142,6 +142,8 @@ def cli_battery():
         ["ellipse", "{geom}", "--format", "csv", "--deg", "--alpha-min=-30",
          "--alpha-max", "30", "--step", "15", "--points", "3"],
         ["ellipse", "{geom}", "--step", "0.7", "--points", "0"],
+        ["ellipse", "{geom}", "--alpha-min", "0.1", "--alpha-max", "1.1", "--step", "0.6",
+         "--points", "0"],
         ["ellipse", "{geom}", "--step", "-1"],
         ["ellipse", "{geom}", "--points", "-2"],
         ["ellipse", "--help"],
@@ -166,6 +168,8 @@ def cli_battery():
         ["ellipse", "{geom}", "--points", "2.5"],
         ["roundtrip", "{geom}", "--box", "-330", "-170", "30", "150", "700", "inf"],
         ["roundtrip", "{geom}", "--count", "many"],
+        ["roundtrip", "{geom}", "--count", "2", "--format", "json-lines"],
+        ["roundtrip", "{geom}", "--count", "2", "--deg"],
         ["ik", "{bad}", "0", "0", "0"],
         ["ik", "{geom}.missing", "0", "0", "0"],
     ]

@@ -160,14 +160,15 @@ def build_parser():
     parser = _Parser(prog="pkmkin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, run):
+    def command(name, help_text, run, prints_rows=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         p.add_argument("geometry", help="geometry file (key = value lines)")
-        p.add_argument("--format", choices=("table", "csv", "json-lines"),
-                       default="table")
-        p.add_argument("--deg", action="store_true",
-                       help="angles in degrees on input and output")
+        if prints_rows:
+            p.add_argument("--format", choices=("table", "csv", "json-lines"),
+                           default="table")
+            p.add_argument("--deg", action="store_true",
+                           help="angles in degrees on input and output")
         return p
 
     for name, (_, help_text, floats, select_help, _) in SOLVER_COMMANDS.items():
@@ -183,7 +184,7 @@ def build_parser():
     p_ell.add_argument("--points", type=int, default=16,
                        help="sample points per ellipse")
 
-    p_rt = command("roundtrip", "IK->FK consistency benchmark", cmd_roundtrip)
+    p_rt = command("roundtrip", "IK->FK consistency benchmark", cmd_roundtrip, prints_rows=False)
     p_rt.add_argument("--count", type=int, default=1000)
     p_rt.add_argument("--seed", type=int, default=0)
     p_rt.add_argument("--starts", type=int, default=20,
@@ -327,7 +328,7 @@ def read_geometry_or_report(path):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.deg:
+    if getattr(args, "deg", False):
         for name in ANGLE_FIELDS & vars(args).keys():
             setattr(args, name, math.radians(getattr(args, name)))
     geom = read_geometry_or_report(args.geometry)

@@ -13,12 +13,11 @@ on legs II and III.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .parallel_ik import (ConfigurationIndices, ParallelJoints, _branches,
-                          _coupling_holds, _on_working_branch, _unique,
+                          _coupling_holds, _on_working_branch, _record, _unique,
                           coupling_residual, wrap_angle)
 from .rootfind import CLUSTER_REL_TOL, Polynomial, _add, _certify, _mul, real_roots
 
@@ -27,7 +26,7 @@ from .rootfind import CLUSTER_REL_TOL, Polynomial, _add, _certify, _mul, real_ro
 TILT_WINDOW_REL = 1e-4
 
 
-@dataclass(frozen=True)
+@_record("phi1", "phi2")
 class ToolPose:
     """Tool centre point (mm) and orientation (rad) in the table frame."""
 
@@ -37,13 +36,8 @@ class ToolPose:
     phi1: float
     phi2: float
 
-    # one __dict__ store, as parallel_ik's per-call records
-    def __init__(self, x_u, y_u, z_u, phi1, phi2):
-        self.__dict__.update(x_u=x_u, y_u=y_u, z_u=z_u, phi1=wrap_angle(phi1),
-                             phi2=wrap_angle(phi2))
 
-
-@dataclass(frozen=True)
+@_record()
 class MachineJoints:
     """Slider coordinates plus tilting-table angles in the base frame."""
 
@@ -51,11 +45,8 @@ class MachineJoints:
     theta1: float
     theta2: float
 
-    def __init__(self, joints, theta1, theta2):
-        self.__dict__.update(joints=joints, theta1=theta1, theta2=theta2)
 
-
-@dataclass(frozen=True)
+@_record()
 class MachineIkSolution:
     """One machine-level IK branch: joints, branch signs, residual, limits.
 
@@ -68,10 +59,6 @@ class MachineIkSolution:
     alpha: float
     residual_norm: float
     within_limits: bool
-
-    def __init__(self, machine_joints, indices, alpha, residual_norm, within_limits):
-        self.__dict__.update(machine_joints=machine_joints, indices=indices, alpha=alpha,
-                             residual_norm=residual_norm, within_limits=within_limits)
 
 
 def _rotation(angle, i, j):

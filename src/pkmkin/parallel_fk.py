@@ -26,7 +26,6 @@ formulas themselves are exposed as yp_from / zp_from / xp_from.
 """
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -36,7 +35,7 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
                      DegenerateOrientationError, InterpolationError)
 from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
-                          PlatformPose, _on_working_branch, _unique,
+                          PlatformPose, _on_working_branch, _record, _unique,
                           constraint_residuals)
 from .rootfind import TRIM_REL_TOL, Polynomial, _certify, _horner, _mul, real_roots
 
@@ -46,7 +45,7 @@ FK_DEDUP_TOL = 1e-7
 PERPENDICULAR_LEG_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@_record()
 class AssemblyMode:
     """One forward-kinematic solution with back-derived branch signs."""
 
@@ -54,11 +53,6 @@ class AssemblyMode:
     indices: ConfigurationIndices
     residual_norm: float
     reachable: bool
-
-    # one __dict__ store, as parallel_ik's per-call records
-    def __init__(self, pose, indices, residual_norm, reachable):
-        self.__dict__.update(pose=pose, indices=indices, residual_norm=residual_norm,
-                             reachable=reachable)
 
 
 def _require_distinct_offsets(geom):

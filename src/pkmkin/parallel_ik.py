@@ -10,7 +10,7 @@ sign branches on the three sliders, for at most 16 branches in total.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from .errors import (AmbiguousSelectionError, DegenerateOrientationError,
@@ -44,7 +44,26 @@ def wrap_angle(a):
     return w - math.pi
 
 
-@dataclass(frozen=True)
+def _record(*angles):
+    """Frozen dataclass for a record the solvers build on every call, with an
+    __init__ generated from its fields, as dataclasses generates its own,
+    that stores them in one __dict__ update, not one frozen setattr each;
+    the fields named in angles go through wrap_angle."""
+    def decorate(cls):
+        cls = dataclass(frozen=True, init=False)(cls)
+        names = [f.name for f in fields(cls)]
+        stores = ", ".join(f"{n}=wrap_angle({n})" if n in angles else f"{n}={n}"
+                           for n in names)
+        namespace = {}
+        exec(f"def __init__(self, {', '.join(names)}):\n"
+             f"    self.__dict__.update({stores})\n", globals(), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        return cls
+    return decorate
+
+
+@_record("alpha")
 class PlatformPose:
     """Platform position (mm) and coupled orientation (rad, in (-pi, pi])."""
 
@@ -52,12 +71,6 @@ class PlatformPose:
     y_p: float
     z_p: float
     alpha: float
-
-    # the records the solvers build on every call store their fields in one
-    # __dict__ update, not one frozen setattr each; fields(), ==, hash, repr,
-    # replace(), pickling and FrozenInstanceError stay the dataclass's
-    def __init__(self, x_p, y_p, z_p, alpha):
-        self.__dict__.update(x_p=x_p, y_p=y_p, z_p=z_p, alpha=wrap_angle(alpha))
 
     @classmethod
     def solved(cls, geom, x_p, y_p, z_p, alpha):
@@ -72,16 +85,13 @@ class PlatformPose:
         return pose
 
 
-@dataclass(frozen=True)
+@_record()
 class ParallelJoints:
     """Actuated prismatic coordinates of the three sliders (mm)."""
 
     rho1: float
     rho2: float
     rho3: float
-
-    def __init__(self, rho1, rho2, rho3):
-        self.__dict__.update(rho1=rho1, rho2=rho2, rho3=rho3)
 
     def as_tuple(self):
         return (self.rho1, self.rho2, self.rho3)
@@ -104,7 +114,7 @@ class ConfigurationIndices:
         return (self.s1, self.s2, self.s3)
 
 
-@dataclass(frozen=True)
+@_record()
 class IkSolution:
     """One inverse-kinematic branch with its residual and limit flag."""
 
@@ -113,10 +123,6 @@ class IkSolution:
     indices: ConfigurationIndices
     residual_norm: float
     within_limits: bool
-
-    def __init__(self, joints, alpha, indices, residual_norm, within_limits):
-        self.__dict__.update(joints=joints, alpha=alpha, indices=indices,
-                             residual_norm=residual_norm, within_limits=within_limits)
 
 
 @dataclass(frozen=True)

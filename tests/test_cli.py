@@ -6,14 +6,17 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pkmkin import DEFAULT_SYNTHETIC, serialize_geometry, table_transform
+from pkmkin import parallel_fk as pfk
 from pkmkin import parallel_ik as pik
 from pkmkin.cli import main
+from pkmkin.errors import AmbiguousSelectionError
 from pkmkin.parallel_ik import coupling_residual, coupling_scale
 
 
@@ -301,6 +304,16 @@ def test_ellipse_streams_rows(geom_file, monkeypatch):
     assert len(out.getvalue().splitlines()) == 1 + 6284
 
 
+def test_ellipse_stops_past_alpha_max(geom_file, capsys):
+    # round(1.0 / 0.6) = 2 steps, but the second one, alpha = 1.3, is past 1.1
+    code, out, _ = run_cli(capsys, "ellipse", geom_file, "--format", "csv", "--alpha-min",
+                           "0.1", "--alpha-max", "1.1", "--step", "0.6", "--points", "0")
+    assert code == 0
+    rows = csv_rows(out)
+    assert [r["record"] for r in rows] == ["ellipse", "ellipse"]
+    assert [float(r["alpha"]) for r in rows] == [pik.wrap_angle(0.1), pik.wrap_angle(0.1 + 0.6)]
+
+
 def test_ellipse_bad_step_exit_1(geom_file, capsys):
     # --deg converts before the check: 1e-323 degrees is 0.0 rad
     for step in (("--step", "-1"), ("--deg", "--step", "1e-323")):
@@ -392,6 +405,58 @@ def test_roundtrip_timing_appends_two_lines(geom_file, capsys):
     assert re.fullmatch(r"newton fk time     \d+\.\d{3} s \(2 starts/sample\)", extra[1])
 
 
+def _ambiguous_selection(solutions, geom):
+    raise AmbiguousSelectionError(solutions[:2])
+
+
+def test_roundtrip_counts_an_ambiguous_ik_selection_as_a_failure(geom_file, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(pik, "select_working_solution", _ambiguous_selection)
+    code, out, err = run_cli(capsys, "roundtrip", geom_file, "--count", "2")
+    assert code == 0 and err == ""
+    assert out == ("samples            2\n"
+                   "seed               0\n"
+                   "recovered          0\n"
+                   "failures           2\n"
+                   "ik-branch-count  16      2\n")
+
+
+def _moved(mode, dx=0.0, dalpha=0.0):
+    return replace(mode, pose=replace(mode.pose, x_p=mode.pose.x_p + dx,
+                                      alpha=mode.pose.alpha + dalpha))
+
+
+@pytest.mark.parametrize("edit, mode_count", [
+    (lambda mode: [], 0),
+    (lambda mode: [mode, mode], 2),
+    (lambda mode: [_moved(mode, dx=1e-3)], 1),
+    (lambda mode: [_moved(mode, dalpha=1e-6)], 1),
+], ids=["no-mode", "ambiguous-mode", "position-miss", "angle-miss"])
+def test_roundtrip_counts_each_fk_stage_failure(geom_file, capsys, monkeypatch, edit,
+                                               mode_count):
+    # every sample reaches the FK, whose reachable mode is replaced by edit(mode)
+    enumerate_fk = pfk.enumerate_fk
+    monkeypatch.setattr(pfk, "enumerate_fk", lambda geom, joints: edit(
+        pfk.select_assembly_mode(enumerate_fk(geom, joints))))
+    code, out, err = run_cli(capsys, "roundtrip", geom_file, "--count", "2")
+    assert code == 0 and err == ""
+    assert out == ("samples            2\n"
+                   "seed               0\n"
+                   "recovered          0\n"
+                   "failures           2\n"
+                   "ik-branch-count  16      2\n"
+                   f"fk-mode-count   {mode_count}      2\n")
+
+
+def test_ambiguous_selection_is_one_stderr_line(geom_file, capsys, monkeypatch):
+    monkeypatch.setattr(pik, "select_working_solution", _ambiguous_selection)
+    code, out, err = run_cli(capsys, "ik", geom_file, "--select", "--", "-250", "60", "900")
+    assert code == 1
+    assert out == ""
+    assert err == ("pkmkin: ambiguous selection: "
+                   "2 branches survive the working-solution filters\n")
+
+
 def test_roundtrip_deterministic_bytes(geom_file):
     cmd = [sys.executable, "-m", "pkmkin.cli", "roundtrip", geom_file,
            "--count", "20", "--seed", "11"]
@@ -463,9 +528,19 @@ def test_mode_census_reads_a_geometry_file(mode_census, geom_file, capsys):
 
 
 def test_usage_error_exit_1(geom_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ik", geom_file, "1.0"])
-    assert exc.value.code == 1
+    # roundtrip prints no rows, so it takes neither --format nor --deg
+    for argv, error in ((["ik", geom_file, "1.0"], "the following arguments are required"),
+                        (["roundtrip", geom_file, "--count", "2", "--format", "json-lines"],
+                         "unrecognized arguments: --format json-lines"),
+                        (["roundtrip", geom_file, "--count", "2", "--deg"],
+                         "unrecognized arguments: --deg")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: pkmkin ")
+        assert error in err.splitlines()[-1]
 
 
 def test_table_format_prints_header(geom_file, capsys):

@@ -93,6 +93,22 @@ def test_nan_table_limit_rejected_by_name(key):
         load_geometry(_set_key(VALID_DOC, key, "nan"))
 
 
+@pytest.mark.parametrize("line, edited, message", [
+    ("D1 = 400.0", "D1 = inf", "non-finite value D1"),
+    ("rho_max = 2000.0", "rho_max = nan", "non-finite slider limits rho_min/rho_max"),
+    ("theta1_min = -1.35", "theta1_min = 1.5",
+     "table tilt limits reversed: theta1_min >= theta1_max"),
+    ("theta2_max = 3.141592653589793", "theta2_max = -3.2",
+     "table rotary limits reversed: theta2_min >= theta2_max"),
+    ("L1 = 490.0", "L1 490.0", "line 6: expected 'name = value', got 'L1 490.0'"),
+], ids=["D1-inf", "rho-max-nan", "tilt-reversed", "rotary-reversed", "no-equals"])
+def test_document_edit_gives_its_message(line, edited, message):
+    assert line in VALID_DOC
+    with pytest.raises(GeometryError) as exc:
+        load_geometry(VALID_DOC.replace(line, edited))
+    assert str(exc.value) == message
+
+
 def test_infinite_table_limits_mean_unbounded():
     doc = _set_key(_set_key(VALID_DOC, "theta1_min", "-inf"), "theta2_max", "inf")
     geom = load_geometry(doc)

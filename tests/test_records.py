@@ -1,8 +1,9 @@
 """Contract of the records the solvers build on every call.
 
-Each states its fields again in its own __init__, which stores them in one
-step; these tests pin that restatement to the dataclass fields and check
-that the records still behave as frozen dataclasses.
+Each is declared with parallel_ik._record, which generates from the
+dataclass fields an __init__ that stores them in one step; these tests pin
+that __init__ to the fields and check that the records still behave as
+frozen dataclasses.
 """
 
 import inspect
