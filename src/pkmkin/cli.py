@@ -141,7 +141,15 @@ def cmd_solver(geom, args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit code 2; this contract wants 1."""
+    """argparse maps usage errors to exit code 2; this contract wants 1.
+    Each parser, a subcommand's too, reports the arguments it does not know
+    itself, so the error carries that parser's usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -14,8 +14,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-# the LAPACK gufuncs behind numpy.linalg.det and .solve; private API, so numpy < 2.5
-from numpy.linalg._umath_linalg import det as _det, solve as _solve
+# the LAPACK gufunc behind numpy.linalg.solve; private API, so numpy < 2.5
+from numpy.linalg._umath_linalg import solve as _solve
 
 NEWTON_REL_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -36,7 +36,10 @@ class ResidualVector:
 
     @property
     def max_abs(self):
-        return max(abs(v) for v in self.as_tuple())
+        """The largest |residual|, NaN when any residual is NaN (`max` alone
+        keeps a NaN only when it comes first)."""
+        values = [abs(v) for v in self.as_tuple()]
+        return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _legs(geom, rho):
@@ -193,7 +196,10 @@ def _newton_columns(legs, block, tol, max_iter):
 
     Each iteration damps the Newton step of every active column by the
     first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm; a column
-    that no step improves stops, as do converged and singular columns.  The
+    that no step improves stops, as do converged and NaN columns.  A
+    singular column, one whose Jacobian's LU has an exactly zero pivot,
+    gets a NaN step from solve, which no length improves, so it stops too;
+    a column with |det J| <= 1e-300 and no zero pivot takes its step.  The
     accepted step's rods, (cos, sin), residuals and max-norm carry over to
     the next Jacobian.  Every line search works in one flat workspace, sized
     for the first, which has the most columns.  Returns the pose and index
@@ -204,18 +210,17 @@ def _newton_columns(legs, block, tol, max_iter):
     work = np.empty((_ROWS + 4) * len(_STEP_LENGTHS) * block.shape[1])
     done = []
     for _ in range(max_iter):
+        # converged and NaN columns (a NaN fails the test) stop
+        go = norm > tol
+        if not go.all():
+            done.append(block[:_INDEX + 1, norm <= tol])
+            block, norm = block[:, go], norm[go]
         if not block.shape[1]:
             break
         J = _jacobian(legs, block)
         # numpy.linalg.solve's own floating-point state, with the invalid
-        # flag ignored as well: a NaN column raises it in det.  solve only
-        # sees columns whose LU has no zero pivot, so it raises no flag
+        # flag ignored as well: a singular column raises it in solve
         with np.errstate(all="ignore"):
-            # converged and singular columns (NaN columns fail both tests) stop
-            go = (norm > tol) & (np.abs(_det(J, signature="d->d")) > 1e-300)
-            if not go.all():
-                done.append(block[:_INDEX + 1, norm <= tol])
-                block, J, norm = block[:, go], J[go], norm[go]
             step = _solve(J, -block[_RESIDUALS].T[..., None], signature="dd->d")[..., 0].T
         block, norm = _line_search(legs, block, step, norm, work)
     done.append(block[:_INDEX + 1, norm <= tol])
@@ -232,12 +237,16 @@ def _canonical(rows):
         alpha = alpha + 2.0 * math.pi if alpha <= 0.0 else alpha
         found.append((x, y, z, alpha - math.pi))
     found.sort(key=lambda p: (p[3], p[0], p[1], p[2]))
+    tol = NEWTON_DEDUP_TOL
     distinct = []
     for p in found:
-        if any(max(abs(p[i] - q[i]) for i in range(4)) <= NEWTON_DEDUP_TOL
-               for q in distinct):
-            continue
-        distinct.append(p)
+        x, y, z, alpha = p
+        for qx, qy, qz, qa in distinct:
+            if (abs(x - qx) <= tol and abs(y - qy) <= tol and abs(z - qz) <= tol
+                    and abs(alpha - qa) <= tol):
+                break
+        else:
+            distinct.append(p)
     return distinct
 
 
@@ -301,10 +310,11 @@ def newton_fk(geom, joints, starts=100, seed=0):
     the step that halving from 1 would pick.  All 30 lengths are tried in
     one batched pass, in a workspace allocated once per call for 30
     candidates per start: 31 floats each, about 740 KB at 100 starts.  A
-    start that no step improves stops, and every start stops after 100
-    iterations.  ValueError for starts not an integer >= 1 (a bool is not
-    one) or a non-finite slider, OverflowError when the sliders are too
-    large for floats.
+    start that no step improves stops, among them a singular start, one
+    whose Jacobian's LU has an exactly zero pivot (its step is NaN), and
+    every start stops after 100 iterations.  ValueError for starts not an
+    integer >= 1 (a bool is not one) or a non-finite slider, OverflowError
+    when the sliders are too large for floats.
     """
     [poses] = _newton(geom, [joints], starts, [seed])
     return poses

@@ -528,18 +528,20 @@ def test_mode_census_reads_a_geometry_file(mode_census, geom_file, capsys):
 
 
 def test_usage_error_exit_1(geom_file, capsys):
-    # roundtrip prints no rows, so it takes neither --format nor --deg
-    for argv, error in ((["ik", geom_file, "1.0"], "the following arguments are required"),
-                        (["roundtrip", geom_file, "--count", "2", "--format", "json-lines"],
-                         "unrecognized arguments: --format json-lines"),
-                        (["roundtrip", geom_file, "--count", "2", "--deg"],
-                         "unrecognized arguments: --deg")):
+    # roundtrip prints no rows, so it takes neither --format nor --deg; an
+    # unknown option is reported with the subcommand's own usage line
+    for argv, usage, error in (
+            (["ik", geom_file, "1.0"], "usage: pkmkin ik ", "the following arguments are required"),
+            (["roundtrip", geom_file, "--count", "2", "--format", "json-lines"],
+             "usage: pkmkin roundtrip ", "unrecognized arguments: --format json-lines"),
+            (["roundtrip", geom_file, "--count", "2", "--deg"],
+             "usage: pkmkin roundtrip ", "unrecognized arguments: --deg")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("usage: pkmkin ")
+        assert err.startswith(usage)
         assert error in err.splitlines()[-1]
 
 

@@ -10,7 +10,8 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose,
                     select_working_solution, tool_pose_from_platform)
 from pkmkin import oracle
 from pkmkin.oracle import (_INDEX, _POSE, _RESIDUALS, _ROWS, _SLIDERS, _STEP_LENGTHS,
-                          NEWTON_MAX_ITER, NEWTON_REL_TOL, _canonical, _evaluate,
+                          NEWTON_DEDUP_TOL, NEWTON_MAX_ITER, NEWTON_REL_TOL,
+                          ResidualVector, _canonical, _evaluate,
                           _jacobian, _legs, _line_search, _newton_columns, _residuals,
                           _rods, default_start_box)
 
@@ -24,6 +25,19 @@ def test_frozen_residuals_at_origin(geom):
     r = residuals_parallel(geom, PlatformPose(0.0, 0.0, 0.0, 0.0),
                            ParallelJoints(0.0, 0.0, 0.0))
     assert r.as_tuple() == (-145200.0, -145200.0, -234400.0, -234400.0)
+
+
+def test_max_abs_is_nan_when_any_residual_is_nan(geom):
+    # a NaN slider of leg II leaves legs I+ and I- finite
+    r = residuals_parallel(geom, PlatformPose(-250.0, 60.0, 900.0, 0.3),
+                           ParallelJoints(500.0, math.nan, 450.0))
+    assert math.isfinite(r.r_3a) and math.isnan(r.r_4)
+    assert math.isnan(r.max_abs)
+    for k in range(4):
+        values = [-3.0, 1.0, 2.0, -0.5]
+        values[k] = math.nan
+        assert math.isnan(ResidualVector(*values).max_abs)
+    assert ResidualVector(-3.0, 1.0, 2.0, -0.5).max_abs == 3.0
 
 
 def test_ik_solutions_have_tiny_residuals(geom):
@@ -224,6 +238,68 @@ def _plain_newton(geom, joints, starts, seed):
     return _canonical(v[:, converged].T.tolist())
 
 
+def _brute_canonical(rows):
+    """_canonical restated: the oracle's wrap of alpha, the sort by (alpha,
+    x, y, z), then each pose kept when its max-norm distance to every pose
+    kept before it exceeds NEWTON_DEDUP_TOL."""
+    poses = []
+    for x, y, z, a in rows:
+        alpha = math.fmod(a + math.pi, 2.0 * math.pi)
+        alpha = alpha + 2.0 * math.pi if alpha <= 0.0 else alpha
+        poses.append((x, y, z, alpha - math.pi))
+    kept = []
+    for p in sorted(poses, key=lambda p: (p[3], p[0], p[1], p[2])):
+        if all(np.max(np.abs(np.subtract(p, q))) > NEWTON_DEDUP_TOL for q in kept):
+            kept.append(p)
+    return kept
+
+
+def test_canonical_dedup_boundary():
+    tol = NEWTON_DEDUP_TOL
+    # offsets from x, y, z = 0 are exact, so the distance is the offset
+    # itself; an alpha near 0.5 on the grid of 2^-51 comes back from the
+    # wrap unchanged, and no grid offset equals tol: take the grid offsets
+    # either side of it
+    grid = 2.0 ** -51
+    cases = [(tol, math.nextafter(tol, math.inf))] * 3
+    cases.append((math.floor(tol / grid) * grid, math.ceil(tol / grid) * grid))
+    base = [0.0, 0.0, 0.0, 0.5]
+    assert _canonical([base]) == [tuple(base)]
+    for i, (inside, outside) in enumerate(cases):
+        for sign in (1.0, -1.0):
+            for offset, count in ((inside, 1), (outside, 2)):
+                row = list(base)
+                row[i] += sign * offset
+                assert abs(row[i] - base[i]) == offset
+                got = _canonical([base, row])
+                assert len(got) == count
+                assert got == _brute_canonical([base, row])
+
+
+def test_canonical_wraps_minus_pi_to_pi():
+    assert _canonical([[1.0, 2.0, 3.0, -math.pi]]) == [(1.0, 2.0, 3.0, math.pi)]
+    assert _canonical([[1.0, 2.0, 3.0, math.pi], [1.0, 2.0, 3.0, -math.pi]]) == \
+        [(1.0, 2.0, 3.0, math.pi)]
+
+
+def test_canonical_matches_brute_force_on_clusters():
+    # six clusters, alpha beyond (-pi, pi] too, with offsets inside, at and
+    # beyond the dedup tolerance on every coordinate; greedy merging in the
+    # canonical order decides which of a chain of near poses are kept
+    rng = np.random.default_rng(12)
+    tol = NEWTON_DEDUP_TOL
+    centers = rng.uniform(-500.0, 500.0, (6, 4))
+    centers[:, 3] = rng.uniform(-7.0, 7.0, 6)
+    centers[5, 3] = -math.pi
+    offsets = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 1.6, 3.0]) * tol
+    rows = (centers[rng.integers(6, size=300)] + rng.choice(offsets, (300, 4))).tolist()
+    got = _canonical(rows)
+    assert got == _brute_canonical(rows)
+    assert got == sorted(got, key=lambda p: (p[3], p[0], p[1], p[2]))
+    assert all(-math.pi < p[3] <= math.pi for p in got)
+    assert 6 < len(got) < 300
+
+
 @pytest.mark.parametrize("starts", [1, 100, 400])
 def test_newton_matches_plain_reference(geom, starts):
     # an independent restatement of the iteration: a change that moves any
@@ -238,8 +314,8 @@ def test_newton_matches_plain_reference(geom, starts):
 
 @pytest.mark.parametrize("m", [1, 22, 500])
 def test_direct_lapack_calls_match_numpy_linalg(geom, m):
-    # the oracle calls the gufuncs behind numpy.linalg.det and .solve without
-    # their wrappers; a numpy whose private gufuncs differ fails here
+    # the oracle calls the gufunc behind numpy.linalg.solve without its
+    # wrapper; a numpy whose private gufunc differs fails here
     rng = np.random.default_rng(m)
     rho = (400.0, 380.0, 390.0)
     legs = _legs(geom, rho)[..., None]
@@ -248,7 +324,6 @@ def test_direct_lapack_calls_match_numpy_linalg(geom, m):
     block = _state(legs, v)
     J = _jacobian(legs, block)
     b = -block[_RESIDUALS].T[..., None]
-    assert oracle._det(J, signature="d->d").tobytes() == np.linalg.det(J).tobytes()
     assert oracle._solve(J, b, signature="dd->d").tobytes() == np.linalg.solve(J, b).tobytes()
 
 
