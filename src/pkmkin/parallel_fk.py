@@ -14,15 +14,17 @@ R1 cos(alpha) - r1; dividing it out leaves the degree-8 polynomial whose
 real roots enumerate the assembly modes.  Its coefficients are polynomials
 of degree <= 6 in the slider differences, so the assembly and the division
 run once per geometry, on polynomial-valued differences, in exact integer
-arithmetic, with the probe certificate's slider-free terms; each slider
-triple then costs one matrix-vector product plus the slider-dependent rest
-of the certificate.  On rho2 = rho3 with L2 = L3 the octic is even with a
-double root at t = 0, and its other roots come from a quadratic.
+arithmetic, where a factor that does not divide raises; each slider triple
+then costs one matrix-vector product.  On rho2 = rho3 with L2 = L3 the
+octic is even with a double root at t = 0, and its other roots come from a
+quadratic.
 Each root's platform position is recovered by intersecting the three
 constraint spheres directly (division free, so exact even next to the
 degenerate orientations); alpha = pi (t = oo) and alpha = 0 are tried
-where the octic's end coefficients allow them.  The elimination-chain
-formulas themselves are exposed as yp_from / zp_from / xp_from.
+where the octic's end coefficients allow them, and every mode must pass
+the rod residual test.  The elimination-chain formulas themselves are
+exposed as yp_from / zp_from / xp_from, the reference the tests check the
+compiled octic against.
 """
 
 import math
@@ -37,7 +39,7 @@ from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
 from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
                           PlatformPose, _on_working_branch, _record, _unique,
                           constraint_residuals)
-from .rootfind import TRIM_REL_TOL, Polynomial, _certify, _horner, _mul, real_roots
+from .rootfind import TRIM_REL_TOL, Polynomial, real_roots
 
 FK_RESIDUAL_REL_TOL = 1e-7
 FK_PREFILTER_REL_TOL = 1e-3
@@ -105,7 +107,7 @@ def xp_from(geom, alpha, joints):
     offsets make the squared x terms cancel, leaving x_p linear.  No solver
     calls the three *_from formulas: they are the reference that
     test_probe_node_table_matches_the_elimination_chain checks the compiled
-    octic's probe nodes against, which is why they stay.
+    octic against, at six probe nodes, which is why they stay.
     """
     _require_distinct_offsets(geom)
     z_p = zp_from(geom, alpha, joints)
@@ -249,35 +251,17 @@ def _deflate(N, factor):
     return quot, scale
 
 
-def _probe_nodes(geom, P1):
-    """The certificate's probe nodes t where P1(t) and R1 cos(alpha) - r1
-    are not small, each with the chain's slider-free terms at alpha =
-    2 atan(t): (t, P1(t), sin, R1 cos - r1, R2 cos - r4, a_sq(cos))."""
-    nodes = []
-    for t in (0.3317, -1.2113, 2.4091, -0.5729, 4.17, 0.071):
-        alpha = 2.0 * math.atan(t)
-        c, s = math.cos(alpha), math.sin(alpha)
-        pv, lead = _horner(P1, t), geom.R1 * c - geom.r1
-        # the second test is yp_from's DegenerateOrientationError
-        if abs(pv) < 1e-3 or abs(lead) < PERPENDICULAR_LEG_REL_TOL * geom.R1:
-            continue
-        nodes.append((t, pv, s, lead, geom.R2 * c - geom.r4, geom.a_sq(c)))
-    return tuple(nodes)
-
-
 def compile_octic(geom):
-    """(h, (9, 28) matrix, (deflation factor, probe nodes)) of the
-    geometry's octic.
+    """(h, (9, 28) matrix) of the geometry's octic.
 
     Row k of the matrix holds the coefficients of t^k over the monomials
     v1^e1 v2^e2 of degree <= 6, in the column order of _MONOMIALS.  The
     cleared numerator is divided exactly by the geometry-only spurious
     factor (1 + t^2)^2 P1(t)^2, in integers, and each entry is rounded to
-    the nearest float once; the factor, also rounded once, comes back with
-    the probe nodes (_probe_nodes) for the per-call certificate.  Raises
-    InterpolationError when the factor does not divide out.  Computed once
-    per geometry instance, as MachineGeometry.compiled_octic; the geometry
-    must have distinct offsets (octic_from_joints checks).
+    the nearest float once.  Raises InterpolationError when the factor does
+    not divide out.  Computed once per geometry instance, as
+    MachineGeometry.compiled_octic; the geometry must have distinct offsets
+    (octic_from_joints checks).
     """
     # the largest power of two within the slider half-stroke (1024 on the
     # synthetic geometry): scaling by h is then exact, and rho2 = rho3 gives
@@ -291,56 +275,25 @@ def compile_octic(geom):
     column = {e: j for j, e in enumerate(zip(*_MONOMIALS.tolist()))}
     for (k, e1, e2), c in quot.items():
         matrix[k, column[e1, e2]] = c / den
-    factor = np.array([c / S**2 for c in factor])
-    P1 = [geom.R1 - geom.r1, 0.0, -(geom.R1 + geom.r1)]
-    return h, matrix, (factor, _probe_nodes(geom, P1))
-
-
-def _probe_samples(geom, joints, nodes):
-    """(t, directly sampled residual product) at the probe nodes where the
-    elimination chain is well defined, for the certificate of N(t).  Q(t),
-    z_p, y_p, x_p and the leg-I midpoint residual are zp_from, yp_from and
-    xp_from term for term, in their order of operations, so every sample
-    has the chain's bits."""
-    R1, r1, R2, C1 = geom.R1, geom.r1, geom.R2, geom.C1
-    gap, span = geom.offset_gap, (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
-    r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
-    d32 = r3_ - r2_
-    # Q = d32 P1(t) + 4 C1 t, by Horner on its coefficients
-    q0, q1, q2 = d32 * (R1 - r1), 4.0 * C1, d32 * -(R1 + r1)
-    sum_diff = (r2_ + r3_) * d32
-    twist = 2.0 * R2 * (r3_ + r2_ - 2.0 * r1_)
-    cross = 4.0 * C1 * r1_
-    den_floor = 1e-12 * (4.0 * abs(C1) + 2.0 * (R1 + r1) * (abs(d32) + 1.0))
-    L2_sq, legs = geom.L2**2, geom.L2**2 - geom.L3**2
-    for t, pv, s, lead, w2, a2 in nodes:
-        qv = (q2 * t + q1) * t + q0
-        den = 2.0 * (2.0 * C1 * s + lead * d32)
-        if abs(qv) < 1e-3 or abs(den) < den_floor:
-            continue
-        z_p = (lead * (sum_diff - twist * s) + cross * s + legs * lead) / den
-        y_p = R1 * s * (r1_ - z_p) / lead
-        rhs = (a2 - L2_sq + w2**2 - 2.0 * y_p * w2
-               - (R2 * s + r2_ - r1_) * (2.0 * z_p - r1_ - R2 * s - r2_))
-        x_p = rhs / (2.0 * gap) - span / 2.0
-        residual = (x_p + geom.D1 - geom.d1)**2 + y_p**2 + (z_p - r1_)**2 - a2
-        yield t, residual * (2.0 * gap * pv * (1.0 + t * t)**2 * qv)**2
+    return h, matrix
 
 
 def octic_from_joints(geom, joints):
     """Degree-<=8 characteristic polynomial in t = tan(alpha/2).
 
     The geometry's compiled matrix applied to the monomials of the scaled
-    slider differences.  Raises InterpolationError when the numerator it implies,
-    octic * (1 + t^2)^2 P1(t)^2, fails its probe certificate against the
-    elimination chain, or when the geometry's numerator does not contain
-    that spurious factor; OverflowError when the sliders are too large for
-    floats.
+    slider differences.  Raises InterpolationError when the geometry's
+    numerator does not contain the spurious factor (1 + t^2)^2 P1(t)^2, and
+    where C1 = 0 with rho2 = rho3 voids the elimination; OverflowError when
+    the sliders are too large for floats.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
-    h, matrix, (factor, nodes) = geom.compiled_octic
     r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
+    if geom.C1 == 0.0 and r2_ == r3_:
+        raise InterpolationError(
+            "C1 = 0 with rho2 = rho3 voids the elimination: no characteristic polynomial")
+    h, matrix = geom.compiled_octic
     v = ((r1_ - 0.5 * (r2_ + r3_)) / h, (r3_ - r2_) / h)
     if not all(map(math.isfinite, v)):
         raise OverflowError("characteristic polynomial: sliders out of float range")
@@ -352,8 +305,6 @@ def octic_from_joints(geom, joints):
             octic = matrix @ (f1 * f2)
     except FloatingPointError as exc:
         raise OverflowError(f"characteristic polynomial: {exc}") from None
-    _certify(_mul(octic, factor), _probe_samples(geom, joints, nodes), 16,
-             "characteristic numerator")
     return Polynomial(octic)
 
 
@@ -528,7 +479,7 @@ def enumerate_fk(geom, joints):
     constraints hold to 1e-7 * max(L^2).  An octic with only c2, c4 and c6
     nonzero (rho2 = rho3 with L2 = L3) has its roots in closed form
     (_even_roots).  Empty when the sliders admit no assembly;
-    InterpolationError when the octic fails its probe certificate.
+    InterpolationError when the geometry's octic fails its compile.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)

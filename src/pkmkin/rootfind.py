@@ -3,6 +3,8 @@
 Candidate roots come in closed form up to degree 3 and as companion
 eigenvalues above.  Each is polished with a few Newton steps, then accepted
 against a scaled residual bound and merged when closer than 1e-9 * (1 + |root|).
+The private coefficient kernel (_mul, _add, _horner) assembles the tilt
+sextic per call and evaluates every polynomial.
 
 numpy is imported the first time a companion eigenproblem or the
 coefficient kernel runs (or a caller reads `np`, `_eigvals` or `_SHIFTS`),
@@ -12,8 +14,6 @@ so the closed forms up to degree 3 run without it.
 import cmath
 import math
 from dataclasses import dataclass
-
-from .errors import InterpolationError
 
 TRIM_REL_TOL = 1e-12
 RESIDUAL_REL_TOL = 1e-10
@@ -70,9 +70,9 @@ def _trim(c):
 
 
 # ---------------------------------------------------------------------------
-# coefficient kernel of the tilt polynomial's assembly and the octic's
-# certificate: ascending float arrays, trailing zeros kept (Polynomial trims
-# them, and the certificate only evaluates)
+# coefficient kernel: the tilt polynomial's assembly (_mul, _add) and every
+# evaluation (_horner); ascending float arrays, trailing zeros kept
+# (Polynomial trims them)
 
 def _mul(a, b):
     """Product of two coefficient arrays."""
@@ -107,26 +107,6 @@ def _horner_slope(coeffs, x):
         acc = acc * x + coeffs[k]
         slope = slope * x + k * coeffs[k]
     return acc * x + coeffs[0], slope
-
-
-def _certify(coeffs, samples, degree, name):
-    """Probe certificate of an exactly assembled polynomial: at 3 or more
-    (node, sampled value) pairs its value must match the sampled relation it
-    clears, to 1e-9 relative; raises InterpolationError otherwise, and
-    OverflowError where a value, sample or bound is not finite."""
-    values = coeffs.tolist()
-    scale = max(1.0, *map(abs, values))
-    checked = 0
-    for x, sampled in samples:
-        value = _horner(values, x)
-        bound = 1e-9 * (scale * max(1.0, abs(x))**degree + abs(sampled))
-        if not (math.isfinite(value) and math.isfinite(bound)):
-            raise OverflowError(f"{name}: probe value out of float range at {x}")
-        if not abs(value - sampled) <= bound:
-            raise InterpolationError(f"assembled {name} disagrees with the sampled residual at {x}")
-        checked += 1
-    if checked < 3:
-        raise InterpolationError(f"too few usable probe nodes for the {name}")
 
 
 @dataclass(frozen=True)

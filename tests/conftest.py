@@ -26,16 +26,12 @@ def geom():
 
 def use_numpy_polynomial(monkeypatch, module):
     """Swap the rootfind coefficient kernel that `module` imported for
-    numpy.polynomial's polymul, polyadd and polyval.  _horner has polyval's
-    bits; _mul and _add keep the trailing zeros numpy trims, and a product
-    can differ from polymul's in its last bits or the sign of a zero, so
-    the callers compare the solver outputs built on the kernel."""
-    reference = {"_mul": npoly.polymul,
-                 "_add": lambda *polys: reduce(npoly.polyadd, polys),
-                 "_horner": lambda coeffs, x: npoly.polyval(x, coeffs)}
-    for name, func in reference.items():
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, func)
+    numpy.polynomial's polymul and polyadd.  _mul and _add keep the trailing
+    zeros numpy trims, and a product can differ from polymul's in its last
+    bits or the sign of a zero, so the callers compare the solver outputs
+    built on the kernel."""
+    monkeypatch.setattr(module, "_mul", npoly.polymul)
+    monkeypatch.setattr(module, "_add", lambda *polys: reduce(npoly.polyadd, polys))
 
 
 def angle_delta(a, b):

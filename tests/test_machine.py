@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -147,7 +148,8 @@ def test_tilt_polynomial_roundtrip_root(geom):
         assert any(abs(t - th1) <= 1e-8 for t in tilt_candidates(geom, tool))
 
 
-def test_tilt_polynomial_matches_numpy_polynomial(geom, monkeypatch):
+def kernel_tools(geom):
+    """48 seeded tools, phi1 on the axes and phi2 = 0 among them."""
     rng = np.random.default_rng(37)
     tools = []
     for k in range(48):
@@ -155,6 +157,11 @@ def test_tilt_polynomial_matches_numpy_polynomial(geom, monkeypatch):
         phi1 = (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi, tool.phi1)[k % 5]
         phi2 = 0.0 if k % 3 == 0 else tool.phi2
         tools.append(ToolPose(tool.x_u, tool.y_u, tool.z_u, phi1, phi2))
+    return tools
+
+
+def test_tilt_polynomial_matches_numpy_polynomial(geom, monkeypatch):
+    tools = kernel_tools(geom)
 
     def outputs():
         return [(tilt_polynomial(geom, tool).coeffs, tool_ik(geom, tool)) for tool in tools]
@@ -165,6 +172,24 @@ def test_tilt_polynomial_matches_numpy_polynomial(geom, monkeypatch):
     assert reference == ours
     # repr tells -0.0 from 0.0
     assert repr(reference) == repr(ours)
+
+
+def test_tilt_polynomial_matches_the_coupling_residual(geom):
+    # the sextic against the relation it clears: at three probe nodes u it
+    # equals the coupling residual at the platform pose the tilt
+    # theta1 = 2 atan(u) implies, times (1 + u^2)^3, to 1e-9 relative
+    compared = 0
+    for tool in kernel_tools(geom):
+        poly = tilt_polynomial(geom, tool)
+        scale = max(1.0, *map(abs, poly.coeffs))
+        table = _rotary_frame(geom, tool)
+        for u in (0.2183, -0.7341, 1.4127):
+            x_p, y_p, _, alpha = _platform_coordinates(geom, table, 2.0 * math.atan(u))
+            sample = coupling_residual(geom, x_p, y_p, alpha) * (1.0 + u * u)**3
+            bound = 1e-9 * (scale * max(1.0, abs(u))**6 + abs(sample))
+            assert abs(poly(u) - sample) <= bound, (tool, u)
+            compared += 1
+    assert compared == 144
 
 
 def test_tilt_candidates_at_most_four_in_range(geom):
@@ -439,6 +464,15 @@ def test_tool_ik_non_finite_position_raises_once(geom, coordinate, value):
     position[coordinate] = value
     with pytest.raises(OverflowError, match="tilt polynomial: tool position"):
         tool_ik(geom, ToolPose(*position, 0.3, 1.1))
+
+
+def test_tilt_polynomial_overflow_is_an_overflow_error(geom):
+    # a finite tool whose coefficients overflow: np.convolve gives inf
+    # without a warning, and the assembly says so
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="tilt polynomial: coefficients"):
+            tilt_polynomial(geom, ToolPose(0.0, 0.0, -1e200, 0.2, 0.0))
 
 
 @pytest.mark.parametrize("angle", ["phi1", "phi2"])
