@@ -8,8 +8,13 @@ and the SHA-256 of the `repr` of all its outputs.  Two source trees whose
 lines are equal give the same floats, bit for bit, on these inputs; run it
 on both sides of a change that claims the same bits.  The tool poses and
 the working joints come from iso-ellipse points and joints_from_pose, not
-from enumerate_ik, so a change to the IK alone moves only its own lines
-(enumerate_ik, select_working_solution, and real_roots through the cubics).
+from enumerate_ik.  So a change to the orientations alone moves only the
+enumerate_ik lines, select_working_solution and real_roots (through the
+cubics); a change to the branch construction moves tool_ik too, which
+builds its branches the same way; and a change to the slider formulas,
+which joints_from_pose shares, moves the FK and Newton lines as well,
+through the working joints.  The enumerate_ik_loci line runs enumerate_ik
+on the loci its branch construction special-cases (see _loci_points).
 
 The last line, `cli`, is the SHA-256 of the argv, exit code, stdout and
 stderr of a fixed battery of in-process pkmkin.cli.main calls on a temporary
@@ -77,6 +82,53 @@ def _inputs(geom, rng):
     return points, tools, triples, mix
 
 
+def _grazing_point(geom):
+    """(x, y) on the alpha = 0.3 iso-ellipse where leg III only just fails
+    to close: its radicand is about -1e-6 mm^2, inside the grazing clamp,
+    so both of its slider signs give one slider.  Bisection on phi in
+    (2.8, 3.0), where the radicand changes sign on the synthetic geometry."""
+    ell, w = iso_ellipse(geom, 0.3), geom.R2 * math.cos(0.3) - geom.r4
+
+    def radicand(phi):
+        x, y = ell.point(phi)
+        return geom.L3**2 - (x + geom.D2 - geom.d2)**2 - (y + w)**2
+
+    lo, hi = 2.8, 3.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radicand(mid) > -1e-6 else (lo, mid)
+    return ell.point(hi)
+
+
+def _loci_points(geom, rng):
+    """Points on the loci the IK branch construction special-cases: the
+    y_p = 0 axis, where alpha = 0 and pi carry 8 branches each, and its
+    points where leg I grazes; the
+    phi = 0 and pi edges of iso-ellipses, where the leg-I radicand is
+    round-off, and the R1 cos(alpha) = r1 ellipse, where rho1 is pinned to
+    z_p; a grazing leg III and, mirrored in y, leg II, and the arc of their
+    ellipse past them, where one of the two cannot close; and points
+    outside the workspace, where no orientation or no leg closes."""
+    def z():
+        return float(rng.uniform(600.0, 1200.0))
+
+    points = [(geom.center_x + dx, 0.0, z())
+              for dx in (-600.0, -400.0, -200.0, 0.0, 150.0, 400.0, 600.0)]
+    # the axis points where leg I grazes at alpha = 0 or pi
+    points += [(geom.center_x + sign * math.sqrt(geom.a_sq(c)), 0.0, z())
+               for c in (1.0, -1.0) for sign in (1.0, -1.0)]
+    for alpha in (0.3, -0.9, 1.2, 2.6, math.acos(geom.r1 / geom.R1)):
+        ell = iso_ellipse(geom, alpha)
+        points += [(*ell.point(phi), z()) for phi in (0.0, math.pi, 0.4, 1.9, 3.5, 5.1)]
+    x, y = _grazing_point(geom)
+    points += [(x, y, z()), (x, -y, z())]
+    points += [(*iso_ellipse(geom, 0.3).point(phi), z()) for phi in np.linspace(2.9, 3.4, 11)]
+    points += [(5000.0, 0.0, 900.0), (5000.0, 50.0, 900.0), (geom.center_x, 2000.0, 900.0)]
+    points += [tuple(map(float, rng.uniform((-900.0, -500.0, 0.0), (400.0, 500.0, 1500.0))))
+               for _ in range(40)]
+    return points
+
+
 def digests(seed):
     """(solver name, hex digest) per public solver."""
     geom = DEFAULT_SYNTHETIC
@@ -98,6 +150,7 @@ def digests(seed):
         "octic_from_joints": octics,
         "real_roots": [real_roots(p) for p in polys],
         "enumerate_ik": solutions,
+        "enumerate_ik_loci": [enumerate_ik(geom, *p) for p in _loci_points(geom, rng)],
         "select_working_solution": [select_working_solution(sols, geom) for sols in solutions],
         "tool_ik": [tool_ik(geom, tool) for tool in tools],
         "enumerate_fk": [enumerate_fk(geom, joints) for joints in triples],

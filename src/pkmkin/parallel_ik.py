@@ -143,7 +143,8 @@ class IsoEllipse:
 def _rod_terms(geom, x_p, y_p, z_p, c, s):
     """The slider-free part of the four rod constraints at an orientation
     with cosine c and sine s, leg I twice: per constraint its planar term
-    X^2 + Y^2 (mm^2) and the height its slider is measured from (mm)."""
+    X^2 + Y^2 (mm^2) and the height h its slider is measured from (mm), so
+    that its residual at slider rho is X^2 + Y^2 + (h - rho)^2 - L^2."""
     X1 = x_p + geom.D1 - geom.d1
     X2 = x_p + geom.D2 - geom.d2
     return (X1**2 + (y_p + geom.R1 * c - geom.r1)**2, z_p + geom.R1 * s,
@@ -152,19 +153,14 @@ def _rod_terms(geom, x_p, y_p, z_p, c, s):
             X2**2 + (y_p + geom.R2 * c - geom.r4)**2, z_p + geom.R2 * s)
 
 
-def _slider_residuals(geom, terms, rho1, rho2, rho3):
-    """The four rod-constraint residuals (mm^2) from the _rod_terms of a pose."""
-    p1a, h1a, p1b, h1b, p2, h2, p3, h3 = terms
+def constraint_residuals(geom, x_p, y_p, z_p, alpha, rho1, rho2, rho3):
+    """The four rod-length constraint residuals (mm^2), leg I twice."""
+    p1a, h1a, p1b, h1b, p2, h2, p3, h3 = _rod_terms(geom, x_p, y_p, z_p,
+                                                    math.cos(alpha), math.sin(alpha))
     return (p1a + (h1a - rho1)**2 - geom.L1**2,
             p1b + (h1b - rho1)**2 - geom.L1**2,
             p2 + (h2 - rho2)**2 - geom.L2**2,
             p3 + (h3 - rho3)**2 - geom.L3**2)
-
-
-def constraint_residuals(geom, x_p, y_p, z_p, alpha, rho1, rho2, rho3):
-    """The four rod-length constraint residuals (mm^2), leg I twice."""
-    return _slider_residuals(
-        geom, _rod_terms(geom, x_p, y_p, z_p, math.cos(alpha), math.sin(alpha)), rho1, rho2, rho3)
 
 
 def _coupling_terms(geom, x_p, y_p, c, s):
@@ -311,12 +307,6 @@ def iso_ellipse(geom, alpha):
                       semi_minor_b=b, alpha=wrap_angle(alpha))
 
 
-def _clamped_sqrt(radicand, scale, leg):
-    if radicand < -RADICAND_CLAMP_REL * scale:
-        raise NegativeRadicandError(leg, radicand)
-    return math.sqrt(max(radicand, 0.0))
-
-
 def allowed_s1(geom, pose):
     """Admissible leg-I branch signs for a pose on the coupling locus.
 
@@ -324,14 +314,17 @@ def allowed_s1(geom, pose):
     geometry forces rho1 = z_p (zero radicand).  At alpha in {0, pi} both
     signs are admissible; otherwise the sign rule fixes s1 uniquely.
     """
-    return _sign_rule(geom, pose.y_p, math.cos(pose.alpha), math.sin(pose.alpha))[0]
+    signs, offset = _sign_rule(geom, pose.y_p, math.cos(pose.alpha), math.sin(pose.alpha))
+    return RHO1_PINNED if offset == 0.0 else frozenset(signs)
 
 
 def _sign_rule(geom, y_p, c, s):
-    """(allowed_s1, rho1 - z_p) at an orientation with cosine c and sine s,
-    the offset None where s1 is free."""
+    """(s1 signs, rho1 - z_p) at an orientation with cosine c and sine s:
+    on the axis both signs, the offset None; where the rule pins rho1 = z_p,
+    s1 = -1, which stands for both, and the offset -0.0; otherwise the sign
+    of the offset."""
     if abs(s) < DEGENERATE_SIN_TOL:
-        return frozenset((-1, 1)), None
+        return (-1, 1), None
     # the sign rule solved for the slider offset rho1 - z_p; it vanishes at
     # y_p = 0 or R1 cos(alpha) = r1, where the radicand does too.  Poses
     # mapped through the table chain only reach those loci to round-off, so
@@ -340,36 +333,36 @@ def _sign_rule(geom, y_p, c, s):
     # offset that leaves z_p unchanged bit for bit
     offset = y_p * (geom.R1 * c - geom.r1) / (geom.R1 * s)
     if not abs(offset) > DEDUP_TOL:
-        return RHO1_PINNED, -0.0
-    return frozenset((_sgn(offset),)), offset
+        return (-1,), -0.0
+    return ((1,) if offset > 0.0 else (-1,)), offset
 
 
-def _sgn(v):
-    # int() casts keep numpy scalar inputs from producing np.bool_ arithmetic
-    return int(v > 0) - int(v < 0)
-
-
-def _leg_roots(geom, x_p, y_p, c):
-    """The clamped square roots of the three slider solutions' radicands
-    (mm) at an orientation with cosine c; a leg that cannot close raises
-    NegativeRadicandError, leg I checked first, then II, III."""
+def _sliders(geom, x_p, y_p, z_p, c, s, offset):
+    """The sliders (rho1, rho2, rho3) of the s = -1 roots and of the s = +1
+    roots at an orientation with cosine c and sine s, given the sign rule's
+    offset.  A radicand less than RADICAND_CLAMP_REL of its squared rod
+    length below zero is grazing contact and clamps to 0; a leg that cannot
+    close raises NegativeRadicandError, leg I checked first, then II, III."""
     X1 = x_p + geom.D1 - geom.d1
     X2 = x_p + geom.D2 - geom.d2
     rad1 = geom.a_sq(c) - X1**2 - y_p**2
     rad2 = geom.L2**2 - X2**2 - (y_p - geom.R2 * c + geom.r4)**2
     rad3 = geom.L3**2 - X2**2 - (y_p + geom.R2 * c - geom.r4)**2
-    return (_clamped_sqrt(rad1, geom.L1**2, "I"),
-            _clamped_sqrt(rad2, geom.L2**2, "II"),
-            _clamped_sqrt(rad3, geom.L3**2, "III"))
-
-
-def _sliders(geom, z_p, s, offset, roots, s1, s2, s3):
+    if rad1 < -RADICAND_CLAMP_REL * geom.L1**2:
+        raise NegativeRadicandError("I", rad1)
+    if rad2 < -RADICAND_CLAMP_REL * geom.L2**2:
+        raise NegativeRadicandError("II", rad2)
+    if rad3 < -RADICAND_CLAMP_REL * geom.L3**2:
+        raise NegativeRadicandError("III", rad3)
+    root1, root2, root3 = (math.sqrt(max(rad1, 0.0)), math.sqrt(max(rad2, 0.0)),
+                           math.sqrt(max(rad3, 0.0)))
     # off the axis the sign rule gives rho1 - z_p without a square root: the
     # leg-I radicand is round-off next to the y_p = 0 edge of an ellipse,
     # and there its root would put rho1 off by up to ~1e-5 mm
-    rho1 = z_p + (s1 * roots[0] if offset is None else offset)
+    rho1 = (z_p - root1, z_p + root1) if offset is None else (z_p + offset,) * 2
     lift = geom.R2 * s
-    return rho1, z_p - lift + s2 * roots[1], z_p + lift + s3 * roots[2]
+    return ((rho1[0], z_p - lift - root2, z_p + lift - root3),
+            (rho1[1], z_p - lift + root2, z_p + lift + root3))
 
 
 def joints_from_pose(geom, pose, indices):
@@ -379,13 +372,13 @@ def joints_from_pose(geom, pose, indices):
     SignRuleViolation when indices.s1 contradicts the leg-I sign rule.
     """
     c, s = math.cos(pose.alpha), math.sin(pose.alpha)
-    allowed, offset = _sign_rule(geom, pose.y_p, c, s)
-    if allowed is not RHO1_PINNED and indices.s1 not in allowed:
+    signs, offset = _sign_rule(geom, pose.y_p, c, s)
+    if offset != 0.0 and indices.s1 not in signs:
         raise SignRuleViolation(
             f"s1={indices.s1:+d} contradicts the leg-I sign rule at alpha={pose.alpha:.9f}")
-    return ParallelJoints(*_sliders(geom, pose.z_p, s, offset,
-                                    _leg_roots(geom, pose.x_p, pose.y_p, c),
-                                    *indices.as_tuple()))
+    minus, plus = _sliders(geom, pose.x_p, pose.y_p, pose.z_p, c, s, offset)
+    return ParallelJoints(*(rho_plus if sign > 0 else rho_minus
+                            for sign, rho_minus, rho_plus in zip(indices.as_tuple(), minus, plus)))
 
 
 # the eight sign branches, built once (ConfigurationIndices is frozen)
@@ -397,40 +390,53 @@ def _branches(geom, x_p, y_p, z_p, alpha):
     four rod constraints, as (joints, indices, residual, within_limits), in
     sign order s1, s2, s3 with -1 first.
 
-    The sine and cosine, the leg roots and the slider-free rod terms are
-    evaluated once.  Each constraint involves one slider, so it is evaluated
-    per leg and sign, and a branch's residual is the worst of its three
-    legs'.  Among the signs the sign rule allows, a leg whose two signs give
-    sliders within DEDUP_TOL of each other (leg I pinned to rho1 = z_p, a
-    grazing leg whose root clamps to 0) contributes its s = -1 slider only,
-    so no two branches coincide.
+    The sine and cosine, the sign rule, the sliders of both signs and the
+    slider-free rod terms are evaluated once.  Each constraint involves one
+    slider, so it is evaluated per leg and sign, for the leg-I signs the
+    sign rule allows only, and a branch's residual is the worst of its
+    three legs'.  A leg whose two signs give sliders within DEDUP_TOL of
+    each other (a grazing leg, whose root clamps to 0) contributes its
+    s = -1 slider only, so no two branches coincide.
     """
     c, s = math.cos(alpha), math.sin(alpha)
-    allowed, offset = _sign_rule(geom, y_p, c, s)
+    signs, offset = _sign_rule(geom, y_p, c, s)
     try:
-        roots = _leg_roots(geom, x_p, y_p, c)
+        (m1, m2, m3), (q1, q2, q3) = _sliders(geom, x_p, y_p, z_p, c, s, offset)
     except NegativeRadicandError:
         return []
-    terms = _rod_terms(geom, x_p, y_p, z_p, c, s)
+    p1a, h1a, p1b, h1b, p2, h2, p3, h3 = _rod_terms(geom, x_p, y_p, z_p, c, s)
+    L1_sq, L2_sq, L3_sq = geom.L1**2, geom.L2**2, geom.L3**2
     lo, hi = geom.rho_min, geom.rho_max
-    minus = _sliders(geom, z_p, s, offset, roots, -1, -1, -1)
-    plus = _sliders(geom, z_p, s, offset, roots, 1, 1, 1)
-    m1a, m1b, m2, m3 = _slider_residuals(geom, terms, *minus)
-    p1a, p1b, p2, p3 = _slider_residuals(geom, terms, *plus)
-    # per leg: (sign, rho, |residual|, within limits), leg I the worse of two
-    legs = []
-    for signs, vm, vp, em, ep in zip(
-            ((-1, 1) if allowed is RHO1_PINNED else sorted(allowed), (-1, 1), (-1, 1)),
-            minus, plus, (max(abs(m1a), abs(m1b)), abs(m2), abs(m3)),
-            (max(abs(p1a), abs(p1b)), abs(p2), abs(p3))):
-        options = [(-1, vm, em, lo <= vm <= hi)] if -1 in signs else []
-        if 1 in signs and not (options and abs(vp - vm) <= DEDUP_TOL):
-            options.append((1, vp, ep, lo <= vp <= hi))
-        legs.append(options)
+    # per leg and sign: (sign, rho, |residual|, within limits); leg I on the
+    # signs the sign rule allows (off the axis one slider, z_p + offset,
+    # whatever the sign), the worse of its two constraints.  A leg whose
+    # two sliders lie within DEDUP_TOL of each other takes s = -1 only
+    leg1 = []
+    for s1, rho in zip(signs, (m1, q1)):
+        if leg1 and abs(rho - m1) <= DEDUP_TOL:
+            break
+        leg1.append((s1, rho, max(abs(p1a + (h1a - rho)**2 - L1_sq),
+                                  abs(p1b + (h1b - rho)**2 - L1_sq)), lo <= rho <= hi))
+    leg2 = ((-1, m2, abs(p2 + (h2 - m2)**2 - L2_sq), lo <= m2 <= hi),
+            (1, q2, abs(p2 + (h2 - q2)**2 - L2_sq), lo <= q2 <= hi))
+    leg3 = ((-1, m3, abs(p3 + (h3 - m3)**2 - L3_sq), lo <= m3 <= hi),
+            (1, q3, abs(p3 + (h3 - q3)**2 - L3_sq), lo <= q3 <= hi))
+    if abs(q2 - m2) <= DEDUP_TOL:
+        leg2 = leg2[:1]
+    if abs(q3 - m3) <= DEDUP_TOL:
+        leg3 = leg3[:1]
     tol = SOLUTION_REL_TOL * geom.residual_scale
-    return [(ParallelJoints(rho1, rho2, rho3), _INDICES[s1, s2, s3], residual, ok1 and ok2 and ok3)
-            for (s1, rho1, e1, ok1), (s2, rho2, e2, ok2), (s3, rho3, e3, ok3) in product(*legs)
-            for residual in (max(e1, e2, e3),) if residual <= tol]
+    out = []
+    for s1, rho1, e1, ok1 in leg1:
+        for s2, rho2, e2, ok2 in leg2:
+            e12 = max(e1, e2)
+            for s3, rho3, e3, ok3 in leg3:
+                # max(e1, e2, e3), whose NaN handling max keeps
+                residual = max(e12, e3)
+                if residual <= tol:
+                    out.append((ParallelJoints(rho1, rho2, rho3), _INDICES[s1, s2, s3], residual,
+                                ok1 and ok2 and ok3))
+    return out
 
 
 def enumerate_ik(geom, x_p, y_p, z_p):
@@ -441,9 +447,13 @@ def enumerate_ik(geom, x_p, y_p, z_p):
     except that a leg whose two signs give the same slider within 1e-9 mm
     takes s = -1 only, so no two branches coincide.  Branches come sorted
     ascending by (alpha, indices.as_tuple()).  Empty when the position lies
-    outside every coupling ellipse.
+    outside every coupling ellipse; ValueError, naming the coordinate, for
+    an infinite or NaN one.
     """
     x_p, y_p, z_p = float(x_p), float(y_p), float(z_p)
+    for name, value in (("x_p", x_p), ("y_p", y_p), ("z_p", z_p)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     # orientation candidates are wrapped, and wrap_angle is idempotent
     return [IkSolution(joints, alpha, indices, residual, within_limits)
             for alpha in orientation_candidates(geom, x_p, y_p)

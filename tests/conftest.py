@@ -125,15 +125,24 @@ def _leg23_rho_candidates(geom, x, y, z, alpha, leg):
     c, s = math.cos(alpha), math.sin(alpha)
     X2 = x + geom.D2 - geom.d2
     if leg == 2:
-        rad = geom.L2**2 - X2**2 - (y - geom.R2 * c + geom.r4)**2
+        L, rad = geom.L2, geom.L2**2 - X2**2 - (y - geom.R2 * c + geom.r4)**2
         center = z - geom.R2 * s
     else:
-        rad = geom.L3**2 - X2**2 - (y + geom.R2 * c - geom.r4)**2
+        L, rad = geom.L3, geom.L3**2 - X2**2 - (y + geom.R2 * c - geom.r4)**2
         center = z + geom.R2 * s
-    if rad < -1e-9 * geom.L2**2:
+    if rad < -1e-9 * L**2:
         return []
     root = math.sqrt(max(rad, 0.0))
     return sorted({center - root, center + root})
+
+
+def legs_that_cannot_close(geom, x, y, z, alpha):
+    """The legs, in order I, II, III, whose raw rod quadratic has no real
+    slider at this pose (leg I by its first rod)."""
+    return [leg for leg, rhos in (("I", _leg1_rho_candidates(geom, x, y, z, alpha)),
+                                  ("II", _leg23_rho_candidates(geom, x, y, z, alpha, 2)),
+                                  ("III", _leg23_rho_candidates(geom, x, y, z, alpha, 3)))
+            if not rhos]
 
 
 def _leg1_consistency(geom, x, y, z, alpha):

@@ -19,8 +19,8 @@ from pkmkin import parallel_ik, rootfind
 from pkmkin.parallel_ik import (DEDUP_TOL, RHO1_PINNED, coupling_residual,
                                 coupling_scale, constraint_residuals)
 
-from conftest import (assert_distinct, brute_force_ik, grazing_point, locus_points,
-                      raw_residuals, region_points)
+from conftest import (assert_distinct, brute_force_ik, grazing_point, legs_that_cannot_close,
+                      locus_points, raw_residuals, region_points)
 
 RNG = np.random.default_rng(20240811)
 POINT = (-250.0, 60.0, 900.0)
@@ -477,9 +477,32 @@ def test_out_of_workspace_empty(geom):
     assert enumerate_ik(geom, 5000.0, 0.0, 900.0) == []
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k, name", [(0, "x_p"), (1, "y_p"), (2, "z_p")])
+def test_non_finite_ik_input_is_one_value_error(geom, k, name, value):
+    # a NaN z_p used to give [] (every residual NaN), a NaN x_p or y_p
+    # "non-finite coefficient", naming no input
+    point = list(POINT)
+    point[k] = value
+    for args in (point, [np.float64(v) for v in point]):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            enumerate_ik(geom, *args)
+
+
 def test_solution_invariants(geom):
-    for x, y, z in region_points(np.random.default_rng(12), 6):
-        for sol in enumerate_ik(geom, x, y, z):
+    # every branch: the residual bound, the sign identity, and the joints
+    # joints_from_pose gives for its pose and signs, bit for bit, since one
+    # slider helper serves both; an orientation without branches has a leg
+    # that cannot close, and joints_from_pose names the first such leg
+    rng = np.random.default_rng(12)
+    points = region_points(rng, 6) + locus_points(geom, rng)
+    # the arc of the alpha = 0.3 ellipse past the points where leg III
+    # (y > 0) and leg II (y < 0) graze
+    points += [(*iso_ellipse(geom, 0.3).point(phi), 900.0) for phi in np.linspace(2.9, 3.4, 11)]
+    legs_open = set()
+    for x, y, z in points:
+        sols = enumerate_ik(geom, x, y, z)
+        for sol in sols:
             assert sol.residual_norm <= 1e-8 * geom.residual_scale
             # sign identity on every branch with sin(alpha) != 0
             c, s = math.cos(sol.alpha), math.sin(sol.alpha)
@@ -487,12 +510,19 @@ def test_solution_invariants(geom):
                 lhs = y * (geom.R1 * c - geom.r1)
                 rhs = geom.R1 * s * (sol.joints.rho1 - z)
                 assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-6)
-            # joints reproducible from (pose, indices)
             pose = PlatformPose.solved(geom, x, y, z, sol.alpha)
-            joints = joints_from_pose(geom, pose, sol.indices)
-            assert joints.rho1 == pytest.approx(sol.joints.rho1, abs=1e-9)
-            assert joints.rho2 == pytest.approx(sol.joints.rho2, abs=1e-9)
-            assert joints.rho3 == pytest.approx(sol.joints.rho3, abs=1e-9)
+            assert joints_from_pose(geom, pose, sol.indices) == sol.joints
+        for alpha in set(orientation_candidates(geom, x, y)) - {sol.alpha for sol in sols}:
+            legs = legs_that_cannot_close(geom, x, y, z, alpha)
+            assert legs, (x, y, z, alpha)
+            pose = PlatformPose.solved(geom, x, y, z, alpha)
+            allowed = allowed_s1(geom, pose)
+            s1 = -1 if allowed is RHO1_PINNED else min(allowed)
+            with pytest.raises(NegativeRadicandError) as exc:
+                joints_from_pose(geom, pose, ConfigurationIndices(s1, -1, -1))
+            assert exc.value.leg == legs[0]
+            legs_open.add(legs[0])
+    assert legs_open == {"I", "II", "III"}
 
 
 def assert_branches_exact(geom, point, sols):
