@@ -13,7 +13,9 @@ enumerate_ik lines, select_working_solution and real_roots (through the
 cubics); a change to the branch construction moves tool_ik too, which
 builds its branches the same way; and a change to the slider formulas,
 which joints_from_pose shares, moves the FK and Newton lines as well,
-through the working joints.  The enumerate_ik_loci line runs enumerate_ik
+through the working joints.  A change to the tilt sextic's coefficients
+moves tilt_polynomial, real_roots (which solves the sextics too), tool_ik
+and the tool-ik calls of cli.  The enumerate_ik_loci line runs enumerate_ik
 on the loci its branch construction special-cases (see _loci_points).
 
 The last line, `cli`, is the SHA-256 of the argv, exit code, stdout and

@@ -19,7 +19,7 @@ import numpy as np
 from .parallel_ik import (ConfigurationIndices, ParallelJoints, _branches,
                           _coupling_holds, _on_working_branch, _record, _unique,
                           wrap_angle)
-from .rootfind import CLUSTER_REL_TOL, Polynomial, _add, _mul, real_roots
+from .rootfind import CLUSTER_REL_TOL, Polynomial, real_roots
 
 # relative widening of the tilt range, in u = tan(theta1/2), within which the
 # tilt polynomial's root candidates are polished
@@ -125,38 +125,44 @@ def _platform_coordinates(geom, table, theta1):
 # ---------------------------------------------------------------------------
 # machine-level IK: the parallel-module constraints at the table-chain pose
 
-def tilt_polynomial(geom, tool):
-    """Degree-<=6 characteristic polynomial in u = tan(theta1/2).
+def _product(a, b):
+    """Product of two ascending coefficient sequences of Python floats."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
 
-    Assembled exactly: with S(u), C(u) the half-angle numerators of
-    sin/cos(theta1 + phi1) and E(u) that of the spread bracket, clearing
-    (1 + u^2)^3 from the tilt relation leaves
-    R1^2 X1^2 S^2 T + [(r1^2 + R1^2) T - 2 R1 r1 C] E^2
-    - R1^2 S^2 [(L1^2 - R1^2 - r1^2) T + 2 R1 r1 C].
-    Every tilt it gives must pass the coupling test of tilt_candidates;
-    test_tilt_polynomial_matches_the_coupling_residual checks the derivation
-    against the coupling residual at three probe nodes.  Raises
-    OverflowError when a tool coordinate or a coefficient is not finite.
+
+def tilt_polynomial(geom, tool):
+    """Degree-<=6 characteristic polynomial in u = tan(theta1/2): the
+    coupling relation R1^2 s^2 (X1^2 - a_sq(c)) + leg1_span_sq(c) y_p^2 in
+    half-angle form.  With T = 1 + u^2 and S, C, E the numerators of
+    sin/cos(theta1 + phi1) and y_p over T, clearing T^3 leaves
+    P = R1^2 A S^2 + B E^2, where A = (X1^2 - K) T - 2 R1 r1 C,
+    B = (R1^2 + r1^2) T - 2 R1 r1 C and K = L1^2 - R1^2 - r1^2: four
+    products and one sum, in Python floats.  A working axis tilt (s = 0,
+    y_p = 0) is a double root, which tilt_candidates injects;
+    test_tilt_polynomial_matches_the_coupling_residual checks the derivation.
+    Raises OverflowError when a tool coordinate or a coefficient is not
+    finite.
     """
     if not all(map(math.isfinite, (tool.x_u, tool.y_u, tool.z_u))):
         raise OverflowError("tilt polynomial: tool position out of float range")
     R1, r1 = geom.R1, geom.r1
     x_p, swing, depth, phi1 = _rotary_frame(geom, tool)
     cp1, sp1 = math.cos(phi1), math.sin(phi1)
-    X1c = x_p + geom.D1 - geom.d1
-
-    T = np.array([1.0, 0.0, 1.0])
-    S = np.array([sp1, 2.0 * cp1, -sp1])
-    C = np.array([cp1, -2.0 * sp1, -cp1])
-    E = np.array([swing + geom.Delta * sp1,
-                  2.0 * geom.Delta * cp1 - 2.0 * depth,
-                  -swing - geom.Delta * sp1])
-    K = geom.L1**2 - R1**2 - r1**2
-    S2 = _mul(S, S)
-    coeffs = _add(R1**2 * X1c**2 * _mul(S2, T),
-                  _mul(_add((r1**2 + R1**2) * T, -(2.0 * R1 * r1 * C)), _mul(E, E)),
-                  -_mul(S2, _add(K * T, 2.0 * R1 * r1 * C)) * R1**2).tolist()
-    # np.convolve overflows to inf without a warning
+    lever, span = 2.0 * R1 * r1, R1**2 + r1**2
+    x_term = (x_p + geom.D1 - geom.d1)**2 - (geom.L1**2 - R1**2 - r1**2)  # X1^2 - K
+    # T = (1, 0, 1), C = (cp1, -2 sp1, -cp1)
+    A = (x_term - lever * cp1, 2.0 * lever * sp1, x_term + lever * cp1)
+    B = (span - lever * cp1, 2.0 * lever * sp1, span + lever * cp1)
+    S = (sp1, 2.0 * cp1, -sp1)
+    E0 = swing + geom.Delta * sp1
+    E = (E0, 2.0 * geom.Delta * cp1 - 2.0 * depth, -E0)
+    S2, E2 = _product(S, S), _product(E, E)
+    coeffs = [R1**2 * a + b for a, b in zip(_product(A, S2), _product(B, E2))]
+    # float products overflow to inf without an exception
     if not all(map(math.isfinite, coeffs)):
         raise OverflowError("tilt polynomial: coefficients out of float range")
     return Polynomial(coeffs)

@@ -37,8 +37,8 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
                      DegenerateOrientationError, InterpolationError)
 from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
-                          PlatformPose, _on_working_branch, _record, _unique,
-                          constraint_residuals)
+                          PlatformPose, _on_working_branch, _record, _require_finite,
+                          _unique, constraint_residuals)
 from .rootfind import TRIM_REL_TOL, Polynomial, real_roots
 
 FK_RESIDUAL_REL_TOL = 1e-7
@@ -285,7 +285,8 @@ def octic_from_joints(geom, joints):
     slider differences.  Raises InterpolationError when the geometry's
     numerator does not contain the spurious factor (1 + t^2)^2 P1(t)^2, and
     where C1 = 0 with rho2 = rho3 voids the elimination; OverflowError when
-    the sliders are too large for floats.
+    the finite sliders are too large for floats, ValueError for an infinite
+    or NaN one.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
@@ -314,12 +315,14 @@ def octic_from_joints(geom, joints):
 def _as_joints(joints):
     """Sliders as Python floats, whose arithmetic raises OverflowError where
     numpy scalars would warn first; joints that are already Python floats
-    come back as they are (enumerate_fk passes its own to octic_from_joints)."""
-    if (type(joints) is ParallelJoints
+    come back as they are (enumerate_fk passes its own to octic_from_joints).
+    ValueError, naming the slider, for an infinite or NaN one."""
+    if not (type(joints) is ParallelJoints
             and type(joints.rho1) is type(joints.rho2) is type(joints.rho3) is float):
-        return joints
-    rho = joints.as_tuple() if isinstance(joints, ParallelJoints) else joints
-    return ParallelJoints(*map(float, rho))
+        rho = joints.as_tuple() if isinstance(joints, ParallelJoints) else joints
+        joints = ParallelJoints(*map(float, rho))
+    _require_finite(("rho1", "rho2", "rho3"), joints.as_tuple())
+    return joints
 
 
 def _sphere_candidates(geom, joints, alpha):
@@ -479,7 +482,8 @@ def enumerate_fk(geom, joints):
     constraints hold to 1e-7 * max(L^2).  An octic with only c2, c4 and c6
     nonzero (rho2 = rho3 with L2 = L3) has its roots in closed form
     (_even_roots).  Empty when the sliders admit no assembly;
-    InterpolationError when the geometry's octic fails its compile.
+    InterpolationError when the geometry's octic fails its compile;
+    ValueError, naming the slider, for an infinite or NaN one.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)

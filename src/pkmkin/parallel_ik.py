@@ -44,6 +44,13 @@ def wrap_angle(a):
     return w - math.pi
 
 
+def _require_finite(names, values):
+    """ValueError naming the first of the values that is infinite or NaN."""
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _record(*angles):
     """Frozen dataclass for a record the solvers build on every call, with an
     __init__ generated from its fields, as dataclasses generates its own,
@@ -368,9 +375,11 @@ def _sliders(geom, x_p, y_p, z_p, c, s, offset):
 def joints_from_pose(geom, pose, indices):
     """Slider coordinates for one sign branch of a solved pose.
 
-    Raises NegativeRadicandError when a leg cannot close and
-    SignRuleViolation when indices.s1 contradicts the leg-I sign rule.
+    Raises ValueError, naming the coordinate, for an infinite or NaN one,
+    NegativeRadicandError when a leg cannot close and SignRuleViolation when
+    indices.s1 contradicts the leg-I sign rule.
     """
+    _require_finite(("x_p", "y_p", "z_p"), (pose.x_p, pose.y_p, pose.z_p))
     c, s = math.cos(pose.alpha), math.sin(pose.alpha)
     signs, offset = _sign_rule(geom, pose.y_p, c, s)
     if offset != 0.0 and indices.s1 not in signs:
@@ -451,9 +460,7 @@ def enumerate_ik(geom, x_p, y_p, z_p):
     an infinite or NaN one.
     """
     x_p, y_p, z_p = float(x_p), float(y_p), float(z_p)
-    for name, value in (("x_p", x_p), ("y_p", y_p), ("z_p", z_p)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _require_finite(("x_p", "y_p", "z_p"), (x_p, y_p, z_p))
     # orientation candidates are wrapped, and wrap_angle is idempotent
     return [IkSolution(joints, alpha, indices, residual, within_limits)
             for alpha in orientation_candidates(geom, x_p, y_p)

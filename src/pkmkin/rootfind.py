@@ -3,12 +3,12 @@
 Candidate roots come in closed form up to degree 3 and as companion
 eigenvalues above.  Each is polished with a few Newton steps, then accepted
 against a scaled residual bound and merged when closer than 1e-9 * (1 + |root|).
-The private coefficient kernel (_mul, _add, _horner) assembles the tilt
-sextic per call and evaluates every polynomial.
+Every polynomial is evaluated by _horner on Python floats.
 
-numpy is imported the first time a companion eigenproblem or the
-coefficient kernel runs (or a caller reads `np`, `_eigvals` or `_SHIFTS`),
-so the closed forms up to degree 3 run without it.
+numpy is imported the first time a companion eigenproblem runs, coefficients
+come in as anything but a tuple or list of Python floats, or a caller reads
+`np`, `_eigvals` or `_SHIFTS`; so the closed forms up to degree 3, on
+coefficients given as Python floats, run without it.
 """
 
 import cmath
@@ -29,11 +29,13 @@ _THIRDS = (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)  # Viete: theta/3 + t
 
 
 def _numpy():
-    """numpy, imported on first use.  It binds np together with _eigvals,
-    the LAPACK gufunc behind numpy.linalg.eigvals (private API, so
-    numpy < 2.5), and _SHIFTS, the companion subdiagonals, one per degree,
-    of which _candidates fills a copy.  The three are added to the module
-    then and never rebound, so no attribute changes under a caller."""
+    """numpy, imported on first use: by a companion eigenproblem
+    (_candidates) or by _trim for coefficients that are not Python floats.
+    It binds np together with _eigvals, the LAPACK gufunc behind
+    numpy.linalg.eigvals (private API, so numpy < 2.5), and _SHIFTS, the
+    companion subdiagonals, one per degree, of which _candidates fills a
+    copy.  The three are added to the module then and never rebound, so no
+    attribute changes under a caller."""
     global np, _eigvals, _SHIFTS
     if "np" not in globals():
         import numpy
@@ -67,27 +69,6 @@ def _trim(c):
     while k > 1 and abs(c[k - 1]) <= TRIM_REL_TOL * scale:
         k -= 1
     return c[:k]
-
-
-# ---------------------------------------------------------------------------
-# coefficient kernel: the tilt polynomial's assembly (_mul, _add) and every
-# evaluation (_horner); ascending float arrays, trailing zeros kept
-# (Polynomial trims them)
-
-def _mul(a, b):
-    """Product of two coefficient arrays."""
-    return _numpy().convolve(a, b)
-
-
-def _add(*polys):
-    """Sum, left to right, of the operands zero-padded to the longest; the
-    first is copied in, not added to zeros, which would turn its -0.0 into
-    0.0."""
-    acc = _numpy().zeros(max(p.size for p in polys))
-    acc[:polys[0].size] = polys[0]
-    for p in polys[1:]:
-        acc[:p.size] += p
-    return acc
 
 
 def _horner(coeffs, x):

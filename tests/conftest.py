@@ -9,12 +9,10 @@ genuine cross-check.
 """
 
 import math
-from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 
 from pkmkin import DEFAULT_SYNTHETIC, SIXTEEN_BRANCH_REGION, iso_ellipse, wrap_angle
 
@@ -22,16 +20,6 @@ from pkmkin import DEFAULT_SYNTHETIC, SIXTEEN_BRANCH_REGION, iso_ellipse, wrap_a
 @pytest.fixture(scope="session")
 def geom():
     return DEFAULT_SYNTHETIC
-
-
-def use_numpy_polynomial(monkeypatch, module):
-    """Swap the rootfind coefficient kernel that `module` imported for
-    numpy.polynomial's polymul and polyadd.  _mul and _add keep the trailing
-    zeros numpy trims, and a product can differ from polymul's in its last
-    bits or the sign of a zero, so the callers compare the solver outputs
-    built on the kernel."""
-    monkeypatch.setattr(module, "_mul", npoly.polymul)
-    monkeypatch.setattr(module, "_add", lambda *polys: reduce(npoly.polyadd, polys))
 
 
 def angle_delta(a, b):

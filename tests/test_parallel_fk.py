@@ -18,7 +18,7 @@ from pkmkin import parallel_fk, real_roots, rootfind
 from pkmkin.cli import main
 from pkmkin.parallel_fk import AssemblyMode
 from pkmkin.parallel_ik import ConfigurationIndices, PlatformPose
-from pkmkin.rootfind import _add, _horner
+from pkmkin.rootfind import _horner
 
 from conftest import angle_delta, raw_residuals, region_points
 
@@ -419,11 +419,12 @@ def chain_samples(g, joints):
     """(t, cleared midpoint residual) at the probe nodes where the chain is
     well defined, straight from the public elimination chain, with P1(t)
     and Q(t) by Horner on their coefficients."""
-    P1 = np.array([g.R1 - g.r1, 0.0, -(g.R1 + g.r1)])
-    Q = _add((joints.rho3 - joints.rho2) * P1, np.array([0.0, 4.0 * g.C1])).tolist()
+    P1 = [g.R1 - g.r1, 0.0, -(g.R1 + g.r1)]
+    d = joints.rho3 - joints.rho2
+    Q = [d * P1[0] + 0.0, d * P1[1] + 4.0 * g.C1, d * P1[2]]
     out = []
     for t in PROBE_NODES:
-        pv, qv = _horner(P1.tolist(), t), _horner(Q, t)
+        pv, qv = _horner(P1, t), _horner(Q, t)
         if abs(pv) < 1e-3 or abs(qv) < 1e-3:
             continue
         alpha = 2.0 * math.atan(t)
@@ -654,6 +655,26 @@ def test_fk_numpy_float_sliders_overflow_without_warning(geom, rho):
         warnings.simplefilter("error")
         for joints in (np.array(rho), ParallelJoints(*np.array(rho))):
             assert enumerate_fk(geom, joints) == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_fk_non_finite_slider_is_one_value_error(geom, k, value):
+    # a NaN slider used to come out as "sliders out of float range"
+    rho = [450.0, 400.0, 380.0]
+    rho[k] = value
+    for solve in (enumerate_fk, octic_from_joints):
+        for joints in (ParallelJoints(*rho), np.array(rho)):
+            with pytest.raises(ValueError, match=f"^rho{k + 1} must be finite, got {value}$"):
+                solve(geom, joints)
+
+
+def test_fk_finite_sliders_out_of_float_range_stay_an_overflow_error(geom):
+    # the scaled slider differences overflow, or their powers do
+    for solve in (enumerate_fk, octic_from_joints):
+        for rho in ((1.7e308, -1.7e308, 0.0), (1e308, -1e308, 0.0)):
+            with pytest.raises(OverflowError):
+                solve(geom, ParallelJoints(*rho))
 
 
 def test_fk_slider_types_give_the_same_modes(geom):

@@ -489,6 +489,17 @@ def test_non_finite_ik_input_is_one_value_error(geom, k, name, value):
             enumerate_ik(geom, *args)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k, name", [(0, "x_p"), (1, "y_p"), (2, "z_p")])
+def test_non_finite_pose_coordinate_is_one_value_error(geom, k, name, value):
+    # joints_from_pose returned NaN sliders for a NaN x_p, and gave a
+    # SignRuleViolation for an infinite y_p, where the input is at fault
+    point = list(POINT)
+    point[k] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        joints_from_pose(geom, PlatformPose(*point, 0.3), ConfigurationIndices(-1, -1, -1))
+
+
 def test_solution_invariants(geom):
     # every branch: the residual bound, the sign identity, and the joints
     # joints_from_pose gives for its pose and signs, bit for bit, since one

@@ -11,7 +11,7 @@ from pkmkin import (DEFAULT_SYNTHETIC, ParallelJoints, Polynomial, PlatformPose,
                     orientation_candidates, parallel_fk, real_roots,
                     real_roots_in_unit_interval, rootfind, select_working_solution,
                     tilt_polynomial, tool_pose_from_platform)
-from pkmkin.rootfind import CLUSTER_REL_TOL, _add, _horner, _horner_slope, _polish
+from pkmkin.rootfind import CLUSTER_REL_TOL, _horner, _horner_slope, _polish
 
 from conftest import locus_points, region_points
 
@@ -266,21 +266,6 @@ def kernel_operands():
     for r in randoms[::3]:
         r[-1] = 0.0
     return [np.array(c, dtype=float) for c in fixed] + randoms
-
-
-def test_kernel_add_pads_and_keeps_trailing_zeros():
-    # the first operand's -0.0 is copied in, beyond a shorter operand too;
-    # a sum that cancels keeps its length
-    assert same_bits(_add(np.array([-0.0, 1.0, -0.0]), np.array([-0.0, 2.0])), [-0.0, 3.0, -0.0])
-    assert same_bits(_add(np.array([1.0]), np.array([2.0, -0.0]), np.array([-3.0, 0.0])),
-                     [0.0, 0.0])
-
-
-def test_kernel_add_leaves_operands_alone():
-    a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])
-    _add(a, b)
-    _add(b, a)
-    assert a.tolist() == [1.0, 2.0] and b.tolist() == [3.0, 4.0, 5.0]
 
 
 def test_kernel_horner_matches_polyval():
