@@ -38,7 +38,7 @@ from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
                      DegenerateOrientationError, InterpolationError)
 from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
                           PlatformPose, _on_working_branch, _record, _require_finite,
-                          _unique, constraint_residuals)
+                          _rod_residuals, _unique, constraint_residuals)
 from .rootfind import TRIM_REL_TOL, Polynomial, real_roots
 
 FK_RESIDUAL_REL_TOL = 1e-7
@@ -333,14 +333,16 @@ def _sphere_candidates(geom, joints, alpha):
     one quadratic, giving at most two points in closed form.  Unlike the
     y(z), z(alpha) elimination chain, this never divides by the
     R1 cos(alpha) - r1 or rho2 ~ rho3 denominators, so it stays exact at
-    and near every degenerate orientation.  Candidates only; the caller
-    residual-checks them.
+    and near every degenerate orientation.  Candidates only, each as
+    (x, y, z, alpha, cos(alpha), sin(alpha)); the caller residual-checks
+    them.
     """
     c, s = math.cos(alpha), math.sin(alpha)
     r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
     a2 = geom.a_sq(c)
     if a2 < 0.0:
         return []
+    R2s = geom.R2 * s
     w2 = geom.R2 * c - geom.r4
     gap, span = geom.offset_gap, (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
     # legs II - III difference: a1 y + b1 z = d1
@@ -349,14 +351,11 @@ def _sphere_candidates(geom, joints, alpha):
     d1 = (r3_ - r2_ - 2.0 * geom.R2 * s) * (r2_ + r3_) + geom.L2**2 - geom.L3**2
     # leg-I midpoint - leg II difference: 2 gap x + a2y y + b2 z = d2
     a2y = 2.0 * w2
-    b2 = 2.0 * (geom.R2 * s + r2_ - r1_)
-    d2 = (w2**2 + a2 - geom.L2**2
-          + (geom.R2 * s + r2_ - r1_) * (r1_ + geom.R2 * s + r2_)
-          - gap * span)
-    norm1 = max(abs(a1), abs(b1))
-    if norm1 <= 1e-12 * (abs(w2) + geom.R2 + 1.0):
+    rise21 = R2s + r2_ - r1_
+    b2 = 2.0 * rise21
+    d2 = w2**2 + a2 - geom.L2**2 + rise21 * (r1_ + R2s + r2_) - gap * span
+    if max(abs(a1), abs(b1)) <= 1e-12 * (abs(w2) + geom.R2 + 1.0):
         return []  # leg difference void: solutions are not isolated
-    out = []
     # parameterize the first plane by its better-conditioned coordinate
     if abs(a1) >= abs(b1):
         # y = (d1 - b1 t) / a1, z = t
@@ -369,19 +368,17 @@ def _sphere_candidates(geom, joints, alpha):
     x0 = (d2 - a2y * y0 - b2 * z0) / (2.0 * gap)
     x1 = (-a2y * y1 - b2 * z1) / (2.0 * gap)
     # leg-I midpoint sphere: (x + D1 - d1)^2 + y^2 + (z - rho1)^2 = a2
-    e0, e1 = x0 + geom.D1 - geom.d1, x1
-    f0, f1 = y0, y1
-    g0, g1 = z0 - r1_, z1
-    qa = e1**2 + f1**2 + g1**2
-    qb = 2.0 * (e0 * e1 + f0 * f1 + g0 * g1)
-    qc = e0**2 + f0**2 + g0**2 - a2
+    e0, g0 = x0 + geom.D1 - geom.d1, z0 - r1_
+    qa = x1**2 + y1**2 + z1**2
+    qb = 2.0 * (e0 * x1 + y0 * y1 + g0 * z1)
+    qc = e0**2 + y0**2 + g0**2 - a2
     disc = qb**2 - 4.0 * qa * qc
     if disc < 0.0 or qa == 0.0:
         return []
-    for sgn in (-1.0, 1.0):
-        t = (-qb + sgn * math.sqrt(disc)) / (2.0 * qa)
-        out.append((x0 + x1 * t, y0 + y1 * t, z0 + z1 * t, alpha))
-    return out
+    root, den = math.sqrt(disc), 2.0 * qa
+    t1, t2 = (-qb - root) / den, (-qb + root) / den
+    return [(x0 + x1 * t1, y0 + y1 * t1, z0 + z1 * t1, alpha, c, s),
+            (x0 + x1 * t2, y0 + y1 * t2, z0 + z1 * t2, alpha, c, s)]
 
 
 def _jacobian(geom, x, y, z, a, joints):
@@ -402,14 +399,14 @@ def _jacobian(geom, x, y, z, a, joints):
 
 
 def _polish_pose(geom, joints, v, prefilter, converged):
-    """The candidate stage: a candidate within the prefilter residual
-    (1e-3 * max(L^2) in enumerate_fk) takes damped Newton steps on the full
-    constraint system until its residual reaches the converged one
-    (1e-14 * max(L^2)) or no step lowers it.  Returns the pose, as Python
-    floats, and the last residual computed."""
+    """The pose polish: a candidate within the prefilter residual takes
+    damped Newton steps on the full constraint system until its residual
+    reaches the converged one or no step lowers it (enumerate_fk enters it
+    only between the two).  Returns the pose, as Python floats, and the
+    last residual computed."""
     rho = joints.as_tuple()
     f = constraint_residuals(geom, *v, *rho)
-    norm = max(abs(r) for r in f)
+    norm = max(map(abs, f))
     if norm > prefilter:
         return v, norm
     while norm > converged:
@@ -422,7 +419,7 @@ def _polish_pose(geom, joints, v, prefilter, converged):
         for _ in range(20):
             vn = tuple(c + lam * d for c, d in zip(v, step))
             fn = constraint_residuals(geom, *vn, *rho)
-            norm_n = max(abs(r) for r in fn)
+            norm_n = max(map(abs, fn))
             if norm_n < norm:
                 v, f, norm = vn, fn, norm_n
                 break
@@ -478,10 +475,12 @@ def enumerate_fk(geom, joints):
     sphere intersection, and so are alpha = pi where the trimmed octic has
     degree < 8 and alpha = 0 where rho2 = rho3 or |c0| <= TRIM_REL_TOL *
     max|c|, unless the root t = 0 gave it (both where C1 = 0 voids the
-    octic).  Every candidate is Newton-polished and kept only if all four
-    constraints hold to 1e-7 * max(L^2).  An octic with only c2, c4 and c6
-    nonzero (rho2 = rho3 with L2 = L3) has its roots in closed form
-    (_even_roots).  Empty when the sliders admit no assembly;
+    octic).  Each orientation's cosine and sine, taken once by the sphere
+    intersection, give its candidates' rod residuals; only candidates
+    within 1e-3 but not 1e-14 * max(L^2) are polished, and modes hold all
+    four constraints to 1e-7 * max(L^2).  An octic with
+    only c2, c4 and c6 nonzero (rho2 = rho3 with L2 = L3) has its roots in
+    closed form (_even_roots).  Empty when the sliders admit no assembly;
     InterpolationError when the geometry's octic fails its compile;
     ValueError, naming the slider, for an infinite or NaN one.
     """
@@ -506,18 +505,22 @@ def enumerate_fk(geom, joints):
             axes.append(0.0)
     alphas = [2.0 * math.atan(t) for t in roots] + axes
     scale = geom.residual_scale
-    tols = FK_PREFILTER_REL_TOL * scale, 1e-14 * scale
+    prefilter, converged = FK_PREFILTER_REL_TOL * scale, 1e-14 * scale
+    rho1, rho2, rho3 = joints.as_tuple()
     modes = []
-    for candidate in (c for a in alphas for c in _sphere_candidates(geom, joints, a)):
-        (x, y, z, alpha), residual = _polish_pose(geom, joints, candidate, *tols)
-        # a NaN residual fails this test too
-        if not residual <= FK_RESIDUAL_REL_TOL * scale:
-            continue
-        pose = PlatformPose(x, y, z, alpha)
-        indices = back_derived_indices(geom, pose, joints)
-        modes.append(AssemblyMode(
-            pose=pose, indices=indices, residual_norm=residual,
-            reachable=_on_working_branch(geom, indices, pose.alpha)))
+    for a in alphas:
+        for x, y, z, alpha, c, s in _sphere_candidates(geom, joints, a):
+            residual = max(map(abs, _rod_residuals(geom, x, y, z, c, s, rho1, rho2, rho3)))
+            v = x, y, z, alpha
+            if converged < residual <= prefilter:
+                v, residual = _polish_pose(geom, joints, v, prefilter, converged)
+            # a NaN residual fails this test too
+            if not residual <= FK_RESIDUAL_REL_TOL * scale:
+                continue
+            pose = PlatformPose(*v)
+            indices = back_derived_indices(geom, pose, joints)
+            modes.append(AssemblyMode(pose, indices, residual,
+                                      _on_working_branch(geom, indices, pose.alpha)))
     pose_key = attrgetter("pose.alpha", "pose.x_p", "pose.y_p", "pose.z_p")
     modes.sort(key=pose_key)
     return _dedup(modes, pose_key, FK_DEDUP_TOL)

@@ -160,14 +160,21 @@ def _rod_terms(geom, x_p, y_p, z_p, c, s):
             X2**2 + (y_p + geom.R2 * c - geom.r4)**2, z_p + geom.R2 * s)
 
 
-def constraint_residuals(geom, x_p, y_p, z_p, alpha, rho1, rho2, rho3):
-    """The four rod-length constraint residuals (mm^2), leg I twice."""
-    p1a, h1a, p1b, h1b, p2, h2, p3, h3 = _rod_terms(geom, x_p, y_p, z_p,
-                                                    math.cos(alpha), math.sin(alpha))
+def _rod_residuals(geom, x_p, y_p, z_p, c, s, rho1, rho2, rho3):
+    """The four rod-length constraint residuals (mm^2), leg I twice, at an
+    orientation with cosine c and sine s: _rod_terms completed with the
+    sliders."""
+    p1a, h1a, p1b, h1b, p2, h2, p3, h3 = _rod_terms(geom, x_p, y_p, z_p, c, s)
     return (p1a + (h1a - rho1)**2 - geom.L1**2,
             p1b + (h1b - rho1)**2 - geom.L1**2,
             p2 + (h2 - rho2)**2 - geom.L2**2,
             p3 + (h3 - rho3)**2 - geom.L3**2)
+
+
+def constraint_residuals(geom, x_p, y_p, z_p, alpha, rho1, rho2, rho3):
+    """The four rod-length constraint residuals (mm^2), leg I twice."""
+    return _rod_residuals(geom, x_p, y_p, z_p, math.cos(alpha), math.sin(alpha),
+                          rho1, rho2, rho3)
 
 
 def _coupling_terms(geom, x_p, y_p, c, s):

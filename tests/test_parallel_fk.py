@@ -10,14 +10,16 @@ from numpy.polynomial import polynomial as npoly
 
 from pkmkin import (CoincidentOffsetError, DegenerateDenominatorError,
                     DegenerateOrientationError, InterpolationError,
-                    ParallelJoints, enumerate_fk, enumerate_ik, joints_from_pose,
-                    newton_fk, octic_from_joints, select_assembly_mode,
+                    ParallelJoints, enumerate_fk, enumerate_ik, iso_ellipse,
+                    joints_from_pose, newton_fk, octic_from_joints, select_assembly_mode,
                     select_working_solution, serialize_geometry, xp_from,
                     yp_from, zp_from)
 from pkmkin import parallel_fk, real_roots, rootfind
 from pkmkin.cli import main
 from pkmkin.parallel_fk import AssemblyMode
-from pkmkin.parallel_ik import ConfigurationIndices, PlatformPose
+from pkmkin.errors import NegativeRadicandError, SignRuleViolation
+from pkmkin.parallel_ik import (ConfigurationIndices, PlatformPose, _on_working_branch,
+                                _rod_residuals, constraint_residuals)
 from pkmkin.rootfind import _horner
 
 from conftest import angle_delta, raw_residuals, region_points
@@ -305,15 +307,20 @@ def test_octic_degree_drops_exactly_for_equal_legs_II_III(geom):
         assert octic_from_joints(geom, joints).degree == degree == 6
 
 
-def census_plane_triples():
-    """The rho2 = rho3 triples of the joint-census benchmark pools of seeds
-    0-3: rho ~ U(-200, 1500)^3, every fourth from the fourth with
-    rho3 = rho2 (600 triples)."""
+def census_triples():
+    """The joint-census benchmark pools of seeds 0-3: rho ~ U(-200, 1500)^3,
+    every fourth from the fourth with rho3 = rho2 (2400 triples)."""
     triples = []
     for seed in range(4):
         rho = np.random.default_rng(seed).uniform(-200.0, 1500.0, size=(600, 3))
-        triples += [ParallelJoints(r1, r2, r2) for r1, r2, _ in rho[3::4].tolist()]
+        rho[3::4, 2] = rho[3::4, 1]
+        triples += [ParallelJoints(*r) for r in rho.tolist()]
     return triples
+
+
+def census_plane_triples():
+    """The rho2 = rho3 triples of census_triples (600 triples)."""
+    return census_triples()[3::4]
 
 
 @pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])
@@ -368,26 +375,25 @@ def test_plane_axis_modes_sit_at_alpha_zero_in_pose_order(geom):
 def test_working_region_modes_need_no_polish_step(geom, monkeypatch):
     # from the exactly rounded matrix, the octic's roots give candidates
     # already within the converged residual: at most 1 % of the accepted
-    # candidates take a Newton step in _polish_pose
-    polish, jacobian = parallel_fk._polish_pose, parallel_fk._jacobian
-    steps, accepted = [], []
+    # modes take a Newton step.  A step is one _jacobian call, charged to
+    # the accepted mode nearest to where it was taken, which can only
+    # overcount the modes that stepped
+    jacobian, steps, accepted = parallel_fk._jacobian, [], []
 
-    def counting_jacobian(*args):
-        steps.append(args)
-        return jacobian(*args)
-
-    def recording_polish(g, joints, v, prefilter, converged):
-        before = len(steps)
-        pose, residual = polish(g, joints, v, prefilter, converged)
-        if residual <= parallel_fk.FK_RESIDUAL_REL_TOL * g.residual_scale:
-            accepted.append(len(steps) > before)
-        return pose, residual
+    def counting_jacobian(g, x, y, z, a, joints):
+        steps.append((x, y, z, a))
+        return jacobian(g, x, y, z, a, joints)
 
     monkeypatch.setattr(parallel_fk, "_jacobian", counting_jacobian)
-    monkeypatch.setattr(parallel_fk, "_polish_pose", recording_polish)
     rng = np.random.default_rng(83)
     for x, y, z in region_points(rng, 300):
-        enumerate_fk(geom, working_joints(geom, x, y, z).joints)
+        joints = working_joints(geom, x, y, z).joints
+        steps.clear()
+        poses = [m.pose for m in enumerate_fk(geom, joints)]
+        stepped = {min(range(len(poses)), key=lambda k: max(
+            abs(poses[k].x_p - sx), abs(poses[k].y_p - sy), abs(poses[k].z_p - sz),
+            angle_delta(poses[k].alpha, sa))) for sx, sy, sz, sa in steps} if poses else set()
+        accepted += [k in stepped for k in range(len(poses))]
     assert len(accepted) >= 300 and sum(accepted) <= 0.01 * len(accepted)
 
 
@@ -623,6 +629,85 @@ def test_working_region_fk_tries_no_axis_orientation(geom, monkeypatch):
         assert select_assembly_mode(enumerate_fk(geom, working_joints(geom, x, y, z).joints))
     assert len(tried) >= 200
     assert not {0.0, math.pi} & set(tried)
+
+
+def rod_alphas(geom):
+    """Orientations where the rod constraints' association matters most:
+    alpha = 0, +-pi, R1 cos(alpha) = r1 and its neighbouring floats, and a
+    few generic ones."""
+    crossing = math.acos(geom.r1 / geom.R1)
+    return [0.0, math.pi, -math.pi, 0.3, -1.2, 2.6] + [
+        sign * a for a in (crossing, math.nextafter(crossing, 0.0), math.nextafter(crossing, 4.0))
+        for sign in (1.0, -1.0)]
+
+
+def rod_poses(geom):
+    """Seeded poses at rod_alphas and random orientations, at random positions."""
+    rng = np.random.default_rng(61)
+    alphas = rod_alphas(geom) + rng.uniform(-math.pi, math.pi, 20).tolist()
+    return [(*rng.uniform((-500.0, -200.0, 300.0), (100.0, 200.0, 1200.0)).tolist(), a)
+            for a in alphas for _ in range(4)]
+
+
+def test_rod_residuals_match_the_restated_constraint_bit_for_bit(geom):
+    # the (c, s) rod helper the FK candidate stage calls, and
+    # constraint_residuals, keep the association of the constraint as the
+    # machine description states it: (y + R1 cos(alpha)) - r1, not
+    # y + (R1 cos(alpha) - r1)
+    rng = np.random.default_rng(67)
+    for x, y, z, a in rod_poses(geom):
+        rho = rng.uniform(-200.0, 1500.0, 3).tolist()
+        raw = raw_residuals(geom, x, y, z, a, *rho)
+        assert _rod_residuals(geom, x, y, z, math.cos(a), math.sin(a), *rho) == raw
+        assert constraint_residuals(geom, x, y, z, a, *rho) == raw
+
+
+def rod_triples(geom):
+    """Slider triples, on every sign branch that closes, of the poses
+    (x, 0, z, alpha in {0, pi}) and of iso-ellipse points at the other
+    rod_alphas."""
+    rng = np.random.default_rng(71)
+    poses = [PlatformPose(x, 0.0, z, alpha) for alpha in (0.0, math.pi)
+             for x, z in rng.uniform((-500.0, 500.0), (0.0, 1200.0), (6, 2)).tolist()]
+    poses += [PlatformPose(*iso_ellipse(geom, alpha).point(phi), float(rng.uniform(600.0, 1100.0)),
+                           alpha)
+              for alpha in rod_alphas(geom)[3:] for phi in (0.5, 2.0, 4.0)]
+    triples = []
+    for pose, signs in product(poses, product((-1, 1), repeat=3)):
+        try:
+            triples.append(joints_from_pose(geom, pose, ConfigurationIndices(*signs)))
+        except (NegativeRadicandError, SignRuleViolation):
+            pass
+    return triples
+
+
+def test_fk_candidate_stage_matches_each_mode_stored_pose(geom, monkeypatch):
+    # the candidate stage takes each orientation's cosine and sine once: a
+    # mode's signs and reachable flag are those of its stored pose, and a
+    # mode whose stored pose is a sphere-intersection candidate (no polish
+    # step, alpha unmoved by wrap_angle) has the residual of the restated
+    # constraint at that pose
+    sphere, candidates = parallel_fk._sphere_candidates, set()
+
+    def recording_sphere(g, joints, alpha):
+        out = sphere(g, joints, alpha)
+        candidates.update(c[:4] for c in out)
+        return out
+
+    monkeypatch.setattr(parallel_fk, "_sphere_candidates", recording_sphere)
+    modes = unpolished = 0
+    for joints in census_triples() + rod_triples(geom):
+        candidates.clear()
+        for m in enumerate_fk(geom, joints):
+            modes += 1
+            p = m.pose
+            assert m.indices == parallel_fk.back_derived_indices(geom, p, joints), (joints, m)
+            assert m.reachable == _on_working_branch(geom, m.indices, p.alpha), (joints, m)
+            if (p.x_p, p.y_p, p.z_p, p.alpha) in candidates:
+                unpolished += 1
+                assert m.residual_norm == max(map(abs, raw_residuals(
+                    geom, p.x_p, p.y_p, p.z_p, p.alpha, *joints.as_tuple()))), (joints, m)
+    assert modes >= 4000 and unpolished >= 1000
 
 
 def test_polish_stops_quietly_on_a_singular_jacobian(geom, monkeypatch):
