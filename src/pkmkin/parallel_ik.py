@@ -147,28 +147,28 @@ class IsoEllipse:
                 self.semi_minor_b * math.sin(phi))
 
 
-def _rod_terms(geom, x_p, y_p, z_p, c, s):
-    """The slider-free part of the four rod constraints at an orientation
-    with cosine c and sine s, leg I twice: per constraint its planar term
-    X^2 + Y^2 (mm^2) and the height h its slider is measured from (mm), so
-    that its residual at slider rho is X^2 + Y^2 + (h - rho)^2 - L^2."""
-    X1 = x_p + geom.D1 - geom.d1
-    X2 = x_p + geom.D2 - geom.d2
-    return (X1**2 + (y_p + geom.R1 * c - geom.r1)**2, z_p + geom.R1 * s,
-            X1**2 + (y_p - geom.R1 * c + geom.r1)**2, z_p - geom.R1 * s,
-            X2**2 + (y_p - geom.R2 * c + geom.r4)**2, z_p - geom.R2 * s,
-            X2**2 + (y_p + geom.R2 * c - geom.r4)**2, z_p + geom.R2 * s)
+def _rod_vectors(geom, x_p, y_p, z_p, c, s):
+    """The slider-free rod vectors of the four rod constraints (leg I twice)
+    at an orientation with cosine c and sine s, in mm: the x offsets X1
+    (leg I) and X2 (legs II, III), the four y components Y, then the four
+    heights h the sliders are measured from, so that a constraint's residual
+    at slider rho is X^2 + Y^2 + (h - rho)^2 - L^2.  The rod residuals, the
+    sliders and the FK Jacobian all read the rods from here."""
+    R1c, R1s, R2c, R2s = geom.R1 * c, geom.R1 * s, geom.R2 * c, geom.R2 * s
+    return (x_p + geom.D1 - geom.d1, x_p + geom.D2 - geom.d2,
+            y_p + R1c - geom.r1, y_p - R1c + geom.r1, y_p - R2c + geom.r4, y_p + R2c - geom.r4,
+            z_p + R1s, z_p - R1s, z_p - R2s, z_p + R2s)
 
 
 def _rod_residuals(geom, x_p, y_p, z_p, c, s, rho1, rho2, rho3):
     """The four rod-length constraint residuals (mm^2), leg I twice, at an
-    orientation with cosine c and sine s: _rod_terms completed with the
+    orientation with cosine c and sine s: _rod_vectors completed with the
     sliders."""
-    p1a, h1a, p1b, h1b, p2, h2, p3, h3 = _rod_terms(geom, x_p, y_p, z_p, c, s)
-    return (p1a + (h1a - rho1)**2 - geom.L1**2,
-            p1b + (h1b - rho1)**2 - geom.L1**2,
-            p2 + (h2 - rho2)**2 - geom.L2**2,
-            p3 + (h3 - rho3)**2 - geom.L3**2)
+    X1, X2, Y1a, Y1b, Y2, Y3, h1a, h1b, h2, h3 = _rod_vectors(geom, x_p, y_p, z_p, c, s)
+    return (X1**2 + Y1a**2 + (h1a - rho1)**2 - geom.L1**2,
+            X1**2 + Y1b**2 + (h1b - rho1)**2 - geom.L1**2,
+            X2**2 + Y2**2 + (h2 - rho2)**2 - geom.L2**2,
+            X2**2 + Y3**2 + (h3 - rho3)**2 - geom.L3**2)
 
 
 def constraint_residuals(geom, x_p, y_p, z_p, alpha, rho1, rho2, rho3):
@@ -351,17 +351,17 @@ def _sign_rule(geom, y_p, c, s):
     return ((1,) if offset > 0.0 else (-1,)), offset
 
 
-def _sliders(geom, x_p, y_p, z_p, c, s, offset):
+def _sliders(geom, rods, y_p, z_p, c, offset):
     """The sliders (rho1, rho2, rho3) of the s = -1 roots and of the s = +1
-    roots at an orientation with cosine c and sine s, given the sign rule's
-    offset.  A radicand less than RADICAND_CLAMP_REL of its squared rod
-    length below zero is grazing contact and clamps to 0; a leg that cannot
-    close raises NegativeRadicandError, leg I checked first, then II, III."""
-    X1 = x_p + geom.D1 - geom.d1
-    X2 = x_p + geom.D2 - geom.d2
+    roots from a pose's rods (_rod_vectors) at cosine c, given the sign
+    rule's offset; leg I by its midpoint sphere, at (y_p, z_p).  A radicand
+    less than RADICAND_CLAMP_REL of its squared rod length below zero is
+    grazing contact and clamps to 0; a leg that cannot close raises
+    NegativeRadicandError, leg I checked first, then II, III."""
+    X1, X2, _, _, Y2, Y3, _, _, h2, h3 = rods
     rad1 = geom.a_sq(c) - X1**2 - y_p**2
-    rad2 = geom.L2**2 - X2**2 - (y_p - geom.R2 * c + geom.r4)**2
-    rad3 = geom.L3**2 - X2**2 - (y_p + geom.R2 * c - geom.r4)**2
+    rad2 = geom.L2**2 - X2**2 - Y2**2
+    rad3 = geom.L3**2 - X2**2 - Y3**2
     if rad1 < -RADICAND_CLAMP_REL * geom.L1**2:
         raise NegativeRadicandError("I", rad1)
     if rad2 < -RADICAND_CLAMP_REL * geom.L2**2:
@@ -374,9 +374,7 @@ def _sliders(geom, x_p, y_p, z_p, c, s, offset):
     # leg-I radicand is round-off next to the y_p = 0 edge of an ellipse,
     # and there its root would put rho1 off by up to ~1e-5 mm
     rho1 = (z_p - root1, z_p + root1) if offset is None else (z_p + offset,) * 2
-    lift = geom.R2 * s
-    return ((rho1[0], z_p - lift - root2, z_p + lift - root3),
-            (rho1[1], z_p - lift + root2, z_p + lift + root3))
+    return (rho1[0], h2 - root2, h3 - root3), (rho1[1], h2 + root2, h3 + root3)
 
 
 def joints_from_pose(geom, pose, indices):
@@ -392,7 +390,8 @@ def joints_from_pose(geom, pose, indices):
     if offset != 0.0 and indices.s1 not in signs:
         raise SignRuleViolation(
             f"s1={indices.s1:+d} contradicts the leg-I sign rule at alpha={pose.alpha:.9f}")
-    minus, plus = _sliders(geom, pose.x_p, pose.y_p, pose.z_p, c, s, offset)
+    rods = _rod_vectors(geom, pose.x_p, pose.y_p, pose.z_p, c, s)
+    minus, plus = _sliders(geom, rods, pose.y_p, pose.z_p, c, offset)
     return ParallelJoints(*(rho_plus if sign > 0 else rho_minus
                             for sign, rho_minus, rho_plus in zip(indices.as_tuple(), minus, plus)))
 
@@ -406,8 +405,8 @@ def _branches(geom, x_p, y_p, z_p, alpha):
     four rod constraints, as (joints, indices, residual, within_limits), in
     sign order s1, s2, s3 with -1 first.
 
-    The sine and cosine, the sign rule, the sliders of both signs and the
-    slider-free rod terms are evaluated once.  Each constraint involves one
+    The sine and cosine, the sign rule, the rod vectors and the sliders of
+    both signs are evaluated once.  Each constraint involves one
     slider, so it is evaluated per leg and sign, for the leg-I signs the
     sign rule allows only, and a branch's residual is the worst of its
     three legs'.  A leg whose two signs give sliders within DEDUP_TOL of
@@ -416,11 +415,13 @@ def _branches(geom, x_p, y_p, z_p, alpha):
     """
     c, s = math.cos(alpha), math.sin(alpha)
     signs, offset = _sign_rule(geom, y_p, c, s)
+    rods = _rod_vectors(geom, x_p, y_p, z_p, c, s)
     try:
-        (m1, m2, m3), (q1, q2, q3) = _sliders(geom, x_p, y_p, z_p, c, s, offset)
+        (m1, m2, m3), (q1, q2, q3) = _sliders(geom, rods, y_p, z_p, c, offset)
     except NegativeRadicandError:
         return []
-    p1a, h1a, p1b, h1b, p2, h2, p3, h3 = _rod_terms(geom, x_p, y_p, z_p, c, s)
+    X1, X2, Y1a, Y1b, Y2, Y3, h1a, h1b, h2, h3 = rods
+    p1a, p1b, p2, p3 = X1**2 + Y1a**2, X1**2 + Y1b**2, X2**2 + Y2**2, X2**2 + Y3**2
     L1_sq, L2_sq, L3_sq = geom.L1**2, geom.L2**2, geom.L3**2
     lo, hi = geom.rho_min, geom.rho_max
     # per leg and sign: (sign, rho, |residual|, within limits); leg I on the

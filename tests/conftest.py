@@ -42,12 +42,16 @@ def region_points(rng, n, region=SIXTEEN_BRANCH_REGION):
 def locus_points(geom, rng):
     """Points (x, y, z) on the loci the IK branch construction special-cases:
     region points; the y = 0 axis, where alpha in {0, pi} carries 8 branches
-    (both signs of s1); and points round iso-ellipses, among them the
-    perpendicular-leg one (R1 cos alpha = r1, rho1 pinned to z) and the
-    y = 0 edges (phi = 0, pi), where the leg-I radicand grazes zero."""
+    (both signs of s1), and its points where leg I grazes at alpha = 0 or
+    pi, whose two s1 signs give one slider (s1 = -1 only); and points round
+    iso-ellipses, among them the perpendicular-leg one (R1 cos alpha = r1,
+    rho1 pinned to z) and the y = 0 edges (phi = 0, pi), where the leg-I
+    radicand grazes zero."""
     pts = region_points(rng, 20)
     pts += [(geom.center_x + dx, 0.0, z) for dx in (-200.0, 0.0, 150.0, 400.0)
             for z in (800.0, 1000.0)]
+    pts += [(geom.center_x + sign * math.sqrt(geom.a_sq(c)), 0.0, 900.0)
+            for c in (1.0, -1.0) for sign in (1.0, -1.0)]
     for alpha in (0.3, -0.9, 1.2, 2.6, math.acos(geom.r1 / geom.R1)):
         ell = iso_ellipse(geom, alpha)
         pts += [(*ell.point(phi), rng.uniform(700.0, 1100.0))

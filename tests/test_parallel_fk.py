@@ -380,9 +380,9 @@ def test_working_region_modes_need_no_polish_step(geom, monkeypatch):
     # overcount the modes that stepped
     jacobian, steps, accepted = parallel_fk._jacobian, [], []
 
-    def counting_jacobian(g, x, y, z, a, joints):
-        steps.append((x, y, z, a))
-        return jacobian(g, x, y, z, a, joints)
+    def counting_jacobian(g, x, y, z, c, s, joints):
+        steps.append((x, y, z, math.atan2(s, c)))
+        return jacobian(g, x, y, z, c, s, joints)
 
     monkeypatch.setattr(parallel_fk, "_jacobian", counting_jacobian)
     rng = np.random.default_rng(83)
@@ -662,6 +662,28 @@ def test_rod_residuals_match_the_restated_constraint_bit_for_bit(geom):
         assert constraint_residuals(geom, x, y, z, a, *rho) == raw
 
 
+def test_polish_jacobian_matches_central_differences(geom):
+    # the polish's Jacobian, from the (c, s) rod vectors, against central
+    # differences of the restated constraint: a wrong sign in the alpha
+    # column would only slow the polish or send it the wrong way, silently
+    rng = np.random.default_rng(73)
+    h = 1e-6
+    for x, y, z, a in rod_poses(geom):
+        joints = ParallelJoints(*rng.uniform(-200.0, 1500.0, 3).tolist())
+        v = np.array([x, y, z, a])
+        J = parallel_fk._jacobian(geom, x, y, z, math.cos(a), math.sin(a), joints).reshape(4, 4)
+        f_mag = max(map(abs, raw_residuals(geom, x, y, z, a, *joints.as_tuple())))
+        for k in range(4):
+            dv = np.zeros(4)
+            dv[k] = h
+            fd = (np.array(raw_residuals(geom, *(v + dv).tolist(), *joints.as_tuple()))
+                  - np.array(raw_residuals(geom, *(v - dv).tolist(), *joints.as_tuple()))) / (2.0 * h)
+            # cancellation noise in the difference is ~eps * |f| / h
+            noise = 1e-15 * f_mag / h
+            scale = max(1.0, np.max(np.abs(J[:, k])))
+            assert np.all(np.abs(fd - J[:, k]) <= 1e-6 * scale + noise), (x, y, z, a, k)
+
+
 def rod_triples(geom):
     """Slider triples, on every sign branch that closes, of the poses
     (x, 0, z, alpha in {0, pi}) and of iso-ellipse points at the other
@@ -712,17 +734,27 @@ def test_fk_candidate_stage_matches_each_mode_stored_pose(geom, monkeypatch):
 
 def test_polish_stops_quietly_on_a_singular_jacobian(geom, monkeypatch):
     # a singular Jacobian gives the solve gufunc a zero pivot: NaN step, no
-    # exception and no RuntimeWarning, and the candidate comes back as it is
+    # exception and no RuntimeWarning; the negated true one gives steps
+    # that no damping makes lower the norm, so the line search gives up.
+    # Either way the candidate and its norm come back as they are
     sol = working_joints(geom, -250.0, 60.0, 900.0)
     candidate = (-250.0 + 1e-4, 60.0, 900.0, sol.alpha)
+    c, s = math.cos(sol.alpha), math.sin(sol.alpha)
+    f = _rod_residuals(geom, *candidate[:3], c, s, *sol.joints.as_tuple())
+    norm = max(map(abs, f))
     scale = geom.residual_scale
-    monkeypatch.setattr(parallel_fk, "_jacobian", lambda *args: np.zeros(16))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pose, residual = parallel_fk._polish_pose(geom, sol.joints, candidate,
-                                                  1e-3 * scale, 1e-14 * scale)
-    assert pose == candidate
-    assert 1e-14 * scale < residual <= 1e-3 * scale
+    assert 1e-14 * scale < norm <= 1e-3 * scale
+    true_jacobian, calls = parallel_fk._jacobian, []
+    for jacobian in (lambda *args: np.zeros(16), lambda *args: -true_jacobian(*args)):
+        calls.clear()
+        monkeypatch.setattr(parallel_fk, "_jacobian",
+                            lambda *args: calls.append(args) or jacobian(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pose, residual = parallel_fk._polish_pose(geom, sol.joints, candidate, c, s, f,
+                                                      norm, 1e-14 * scale)
+        assert pose == candidate and residual == norm
+        assert len(calls) == 1
 
 
 def test_fk_unassemblable_joints_empty(geom):

@@ -168,14 +168,17 @@ def sturm_count(sp, poly):
 
 
 def has_root_cluster(poly, coeffs):
-    """Whether two exact roots lie within the root-cluster width.  Float
-    roots screen for candidate pairs (their error, about sqrt(eps) on a
-    cluster, is far below the 1e-4 screen); 30-digit roots decide."""
+    """Whether two distinct exact roots lie within the root-cluster width.
+    Float roots screen for candidate pairs (their error, about sqrt(eps) on
+    a cluster, is far below the 1e-4 screen); 30-digit roots of the
+    square-free part decide (an exact multiple root, such as the coupling
+    cubic's double root cos(alpha) = 1 where leg I grazes on y_p = 0, is
+    one root, and its 30-digit iteration would not converge)."""
     def close(roots, tol):
         return any(abs(a - b) <= tol * (1.0 + abs(a))
                    for i, a in enumerate(roots) for b in roots[:i])
     return (close(np.roots(coeffs[::-1]).tolist(), 1e-4)
-            and close([complex(r) for r in poly.nroots(n=30)], CLUSTER_REL_TOL))
+            and close([complex(r) for r in poly.sqf_part().nroots(n=30)], CLUSTER_REL_TOL))
 
 
 def characteristic_polynomials():

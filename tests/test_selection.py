@@ -98,21 +98,17 @@ def test_enumerate_fk_reachable_follows_the_rule(geom):
 # ---------------------------------------------------------------------------
 # tolerance dedup
 
-def _key(item):
-    return item[1]
-
-
 def test_dedup_keeps_first_and_order():
-    items = [("a", (3.0, 0.0, 0.0, 0.0)), ("b", (1.0, 0.0, 0.0, 0.0)),
-             ("c", (3.0, 0.0, 0.0, 0.0)), ("d", (2.0, 0.0, 0.0, 0.0)),
-             ("e", (1.0, 0.0, 0.0, 0.0))]
-    assert [name for name, _ in _dedup(items, _key, 0.25)] == ["a", "b", "d"]
+    pairs = [((3.0, 0.0, 0.0, 0.0), "a"), ((1.0, 0.0, 0.0, 0.0), "b"),
+             ((3.0, 0.0, 0.0, 0.0), "c"), ((2.0, 0.0, 0.0, 0.0), "d"),
+             ((1.0, 0.0, 0.0, 0.0), "e")]
+    assert _dedup(pairs, 0.25) == ["a", "b", "d"]
 
 
 def test_dedup_merges_at_exactly_tol():
     tol = 0.5  # exact in binary, so every difference below is exact
-    items = [("a", (1.0, 2.0, 3.0, 4.0)), ("b", (1.5, 1.5, 3.5, 3.5))]
-    assert _dedup(items, _key, tol) == items[:1]
+    pairs = [((1.0, 2.0, 3.0, 4.0), "a"), ((1.5, 1.5, 3.5, 3.5), "b")]
+    assert _dedup(pairs, tol) == ["a"]
 
 
 @pytest.mark.parametrize("component", range(4))
@@ -121,5 +117,5 @@ def test_dedup_keeps_one_component_over_tol(component):
     base = (1.0, 2.0, 3.0, 4.0)
     over = list(base)
     over[component] += tol + 2.0**-40
-    items = [("a", base), ("b", tuple(over))]
-    assert _dedup(items, _key, tol) == items
+    pairs = [(base, "a"), (tuple(over), "b")]
+    assert _dedup(pairs, tol) == ["a", "b"]
