@@ -18,9 +18,11 @@ moves tilt_polynomial, real_roots (which solves the sextics too), tool_ik
 and the tool-ik calls of cli.  A change to the FK candidate stage (sphere
 intersection, rod residuals, prefilter and polish, branch signs) that keeps
 the bits moves no line; one that does not moves the enumerate_fk line and
-cli, through its fk, tool-fk and roundtrip calls.  The enumerate_ik_loci
-line runs enumerate_ik on the loci its branch construction special-cases
-(see _loci_points).
+cli, through its fk, tool-fk and roundtrip calls.  A change to how the
+octic's coefficients are evaluated (its sums, its monomials) moves
+octic_from_joints, real_roots (which solves the octics too), enumerate_fk
+and cli.  The enumerate_ik_loci line runs enumerate_ik on the loci its
+branch construction special-cases (see _loci_points).
 
 The last line, `cli`, is the SHA-256 of the argv, exit code, stdout and
 stderr of a fixed battery of in-process pkmkin.cli.main calls on a temporary

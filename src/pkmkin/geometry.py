@@ -83,6 +83,11 @@ class MachineGeometry:
         from .parallel_fk import compile_octic
         return compile_octic(self)
 
+    def __getstate__(self):
+        # the compiled octic holds generated code, which does not pickle: a
+        # pickled or copied geometry compiles its own on first use
+        return {name: value for name, value in self.__dict__.items() if name != "compiled_octic"}
+
 
 # Keys that must appear in every geometry document, in field order; the
 # fields with a default, the tilting-table ranges, are optional (permissive).

@@ -14,8 +14,9 @@ R1 cos(alpha) - r1; dividing it out leaves the degree-8 polynomial whose
 real roots enumerate the assembly modes.  Its coefficients are polynomials
 of degree <= 6 in the slider differences, so the assembly and the division
 run once per geometry, on polynomial-valued differences, in exact integer
-arithmetic, where a factor that does not divide raises; each slider triple
-then costs one matrix-vector product.  On rho2 = rho3 with L2 = L3 the
+arithmetic, where a factor that does not divide raises.  The rounded result
+is generated into straight-line Python, so each slider triple then costs a
+few float powers and products and nine sums.  On rho2 = rho3 with L2 = L3 the
 octic is even with a double root at t = 0, and its other roots come from a
 quadratic.
 Each root's platform position is recovered by intersecting the three
@@ -133,13 +134,10 @@ def xp_from(geom, alpha, joints):
 # the monomials of degree <= 6 in v then maps a slider triple to its octic.
 # The matrix is compiled by running the assembly once, at the triple
 # (h v1, -h v2 / 2, h v2 / 2), on polynomial-valued v, in exact integer
-# arithmetic, and rounding each entry once.
+# arithmetic, and rounding each entry once; its nonzero entries are then
+# generated into one straight-line Python function of v.
 
-_STRIDE = 7                 # one slider variable: powers 0..6
-_MONOMIALS = np.array([(e1, e2) for e1 in range(_STRIDE) for e2 in range(_STRIDE - e1)]).T
-# where each monomial's two factors sit in the flat table of powers
-# (v1^0..v1^6, v2^0..v2^6)
-_POWER_INDEX = _MONOMIALS + np.array([[0], [_STRIDE]])
+_MONOMIALS = np.array([(e1, e2) for e1 in range(7) for e2 in range(7 - e1)]).T
 
 
 class _Exact(dict):
@@ -252,17 +250,44 @@ def _deflate(N, factor):
     return quot, scale
 
 
+def _evaluator(matrix):
+    """The function (v1, v2) -> [c0, ..., c8] of the matrix's octic, as
+    generated straight-line Python on floats: each power of v1 and v2 that a
+    nonzero column needs is one float power, which raises OverflowError out
+    of float range; each monomial of two factors is one product of them; and
+    c_k is the left-to-right sum of row k's nonzero entries times their
+    monomials, in column order (0.0 for a row of zeros)."""
+    monomials = list(zip(*_MONOMIALS.tolist()))
+    used = [e for e, column in zip(monomials, matrix.T) if column.any()]
+    lines = [f"v{i}_{k} = v{i} ** {k}" for i in (1, 2)
+             for k in sorted({e[i - 1] for e in used}) if k > 1]
+    factors = {}
+    for e1, e2 in used:
+        names = [f"v{i}_{k}" if k > 1 else f"v{i}" for i, k in ((1, e1), (2, e2)) if k]
+        if len(names) == 2:
+            lines.append(f"m{e1}_{e2} = {names[0]} * {names[1]}")
+            names = [f"m{e1}_{e2}"]
+        factors[e1, e2] = names
+    rows = [" + ".join(" * ".join([repr(c), *factors[e]]) for c, e in zip(row, monomials) if c)
+            or "0.0" for row in matrix.tolist()]
+    namespace = {}
+    exec("def octic(v1, v2):\n" + "".join(f"    {line}\n" for line in lines)
+         + f"    return [{', '.join(rows)}]\n", {}, namespace)
+    return namespace["octic"]
+
+
 def compile_octic(geom):
-    """(h, (9, 28) matrix) of the geometry's octic.
+    """(h, (9, 28) matrix, evaluator) of the geometry's octic.
 
     Row k of the matrix holds the coefficients of t^k over the monomials
     v1^e1 v2^e2 of degree <= 6, in the column order of _MONOMIALS.  The
     cleared numerator is divided exactly by the geometry-only spurious
     factor (1 + t^2)^2 P1(t)^2, in integers, and each entry is rounded to
-    the nearest float once.  Raises InterpolationError when the factor does
-    not divide out.  Computed once per geometry instance, as
-    MachineGeometry.compiled_octic; the geometry must have distinct offsets
-    (octic_from_joints checks).
+    the nearest float once.  The evaluator is the matrix as straight-line
+    code (see _evaluator), which octic_from_joints calls.  Raises
+    InterpolationError when the factor does not divide out.  Computed once
+    per geometry instance, as MachineGeometry.compiled_octic; the geometry
+    must have distinct offsets (octic_from_joints checks).
     """
     # the largest power of two within the slider half-stroke (1024 on the
     # synthetic geometry): scaling by h is then exact, and rho2 = rho3 gives
@@ -276,18 +301,19 @@ def compile_octic(geom):
     column = {e: j for j, e in enumerate(zip(*_MONOMIALS.tolist()))}
     for (k, e1, e2), c in quot.items():
         matrix[k, column[e1, e2]] = c / den
-    return h, matrix
+    return h, matrix, _evaluator(matrix)
 
 
 def octic_from_joints(geom, joints):
     """Degree-<=8 characteristic polynomial in t = tan(alpha/2).
 
-    The geometry's compiled matrix applied to the monomials of the scaled
-    slider differences.  Raises InterpolationError when the geometry's
-    numerator does not contain the spurious factor (1 + t^2)^2 P1(t)^2, and
-    where C1 = 0 with rho2 = rho3 voids the elimination; OverflowError when
-    the finite sliders are too large for floats, ValueError for an infinite
-    or NaN one.
+    The geometry's compiled evaluator (see compile_octic) at the scaled
+    slider differences, in Python floats.  Raises InterpolationError when
+    the geometry's numerator does not contain the spurious factor
+    (1 + t^2)^2 P1(t)^2, and where C1 = 0 with rho2 = rho3 voids the
+    elimination; OverflowError when the finite sliders, their powers or the
+    coefficients are too large for floats, ValueError for an infinite or
+    NaN slider.
     """
     _require_distinct_offsets(geom)
     joints = _as_joints(joints)
@@ -295,19 +321,15 @@ def octic_from_joints(geom, joints):
     if geom.C1 == 0.0 and r2_ == r3_:
         raise InterpolationError(
             "C1 = 0 with rho2 = rho3 voids the elimination: no characteristic polynomial")
-    h, matrix = geom.compiled_octic
-    v = ((r1_ - 0.5 * (r2_ + r3_)) / h, (r3_ - r2_) / h)
-    if not all(map(math.isfinite, v)):
+    h, _, evaluate = geom.compiled_octic
+    v1, v2 = (r1_ - 0.5 * (r2_ + r3_)) / h, (r3_ - r2_) / h
+    if not (math.isfinite(v1) and math.isfinite(v2)):
         raise OverflowError("characteristic polynomial: sliders out of float range")
-    # Python-float powers raise OverflowError where numpy's would warn
-    powers = np.array([vi**k for vi in v for k in range(_STRIDE)])
-    try:
-        with np.errstate(over="raise"):
-            f1, f2 = powers[_POWER_INDEX]
-            octic = matrix @ (f1 * f2)
-    except FloatingPointError as exc:
-        raise OverflowError(f"characteristic polynomial: {exc}") from None
-    return Polynomial(octic)
+    coeffs = evaluate(v1, v2)
+    # float products and sums overflow to inf or NaN without an exception
+    if not all(map(math.isfinite, coeffs)):
+        raise OverflowError("characteristic polynomial: coefficients out of float range")
+    return Polynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------

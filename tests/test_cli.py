@@ -244,6 +244,16 @@ def test_numeric_overflow_keeps_the_library_message(geom_file, capsys):
                    " (characteristic polynomial: sliders out of float range)\n")
 
 
+def test_numeric_overflow_names_the_octic_coefficients(geom_file, capsys):
+    # slider powers in float range whose octic coefficients are not get the
+    # library's message; powers out of range (1e200) stay a bare float
+    # power's OverflowError, which test_numeric_overflow_exit_1 pins
+    code, out, err = run_cli(capsys, "fk", geom_file, "--", "1e53", "-1e53", "1e53")
+    assert (code, out) == (1, "")
+    assert err == ("pkmkin: numeric overflow: fk input out of float range"
+                   " (characteristic polynomial: coefficients out of float range)\n")
+
+
 @pytest.mark.parametrize("rho", [("1e200", "400", "380"), ("1e53", "-1e53", "1e53"),
                                  ("1e308", "1e308", "1e308"), ("1e48", "-1e48", "3e48"),
                                  ("1e50", "-1e50", "3e50")],

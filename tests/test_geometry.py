@@ -1,11 +1,14 @@
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkmkin import (DEFAULT_SYNTHETIC, GeometryError, MachineGeometry,
-                    load_geometry, read_geometry_file, serialize_geometry,
+from pkmkin import (DEFAULT_SYNTHETIC, GeometryError, MachineGeometry, ParallelJoints,
+                    enumerate_fk, load_geometry, read_geometry_file, serialize_geometry,
                     validate)
 from pkmkin.geometry import OPTIONAL_KEYS
 
@@ -160,3 +163,19 @@ def test_derived_quantities():
     assert g.residual_scale == 520.0**2  # L2 = L3 = 520 dominates
     assert math.isclose(g.a_sq(1.0), g.L1**2 - (g.R1 - g.r1)**2)
     assert math.isclose(g.a_sq(-1.0), g.L1**2 - (g.R1 + g.r1)**2)
+
+
+def test_geometry_with_a_compiled_octic_pickles_and_deep_copies():
+    # the compiled octic holds generated code, which does not pickle: the
+    # copies leave it out, compile their own and give the same modes
+    geom = replace(DEFAULT_SYNTHETIC)
+    joints = ParallelJoints(500.0, 400.0, 420.0)
+    modes = repr(enumerate_fk(geom, joints))
+    assert "compiled_octic" in vars(geom) and modes.count("AssemblyMode") == 2
+    copies = [pickle.loads(pickle.dumps(geom, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in [*copies, copy.deepcopy(geom)]:
+        assert other == geom and hash(other) == hash(geom)
+        assert "compiled_octic" not in vars(other)
+        assert repr(enumerate_fk(other, joints)) == modes
+    assert "compiled_octic" in vars(geom)
