@@ -130,14 +130,12 @@ def xp_from(geom, alpha, joints):
 # A common offset of the three sliders moves the platform along z and leaves
 # the octic unchanged, so each of its coefficients is a polynomial of degree
 # <= 6 in the slider differences alone, scaled as
-# v = (rho1 - (rho2 + rho3) / 2, rho3 - rho2) / h.  One (9, 28) matrix over
-# the monomials of degree <= 6 in v then maps a slider triple to its octic.
-# The matrix is compiled by running the assembly once, at the triple
-# (h v1, -h v2 / 2, h v2 / 2), on polynomial-valued v, in exact integer
-# arithmetic, and rounding each entry once; its nonzero entries are then
-# generated into one straight-line Python function of v.
-
-_MONOMIALS = np.array([(e1, e2) for e1 in range(7) for e2 in range(7 - e1)]).T
+# v = (rho1 - (rho2 + rho3) / 2, rho3 - rho2) / h: the octic is a sum of
+# terms c t^k v1^e1 v2^e2, keyed by (k, e1, e2).  They are compiled by
+# running the assembly once, at the triple (h v1, -h v2 / 2, h v2 / 2), on
+# polynomial-valued v, in exact integer arithmetic, and rounding each
+# coefficient once; the nonzero ones are then generated into one
+# straight-line Python function of v.
 
 
 class _Exact(dict):
@@ -250,15 +248,14 @@ def _deflate(N, factor):
     return quot, scale
 
 
-def _evaluator(matrix):
-    """The function (v1, v2) -> [c0, ..., c8] of the matrix's octic, as
+def _evaluator(terms):
+    """The function (v1, v2) -> [c0, ..., c8] of the octic's terms, as
     generated straight-line Python on floats: each power of v1 and v2 that a
-    nonzero column needs is one float power, which raises OverflowError out
-    of float range; each monomial of two factors is one product of them; and
-    c_k is the left-to-right sum of row k's nonzero entries times their
-    monomials, in column order (0.0 for a row of zeros)."""
-    monomials = list(zip(*_MONOMIALS.tolist()))
-    used = [e for e, column in zip(monomials, matrix.T) if column.any()]
+    term needs is one float power, which raises OverflowError out of float
+    range; each monomial of two factors is one product of them; and c_k is
+    the left-to-right sum of row k's terms, coefficient times monomial, in
+    (e1, e2) order (0.0 for a row without terms)."""
+    used = sorted({key[1:] for key in terms})
     lines = [f"v{i}_{k} = v{i} ** {k}" for i in (1, 2)
              for k in sorted({e[i - 1] for e in used}) if k > 1]
     factors = {}
@@ -268,23 +265,24 @@ def _evaluator(matrix):
             lines.append(f"m{e1}_{e2} = {names[0]} * {names[1]}")
             names = [f"m{e1}_{e2}"]
         factors[e1, e2] = names
-    rows = [" + ".join(" * ".join([repr(c), *factors[e]]) for c, e in zip(row, monomials) if c)
-            or "0.0" for row in matrix.tolist()]
+    rows = [[] for _ in range(9)]
+    for k, e1, e2 in sorted(terms):
+        rows[k].append(" * ".join([repr(terms[k, e1, e2]), *factors[e1, e2]]))
+    lines.append(f"return [{', '.join(' + '.join(row) or '0.0' for row in rows)}]")
     namespace = {}
-    exec("def octic(v1, v2):\n" + "".join(f"    {line}\n" for line in lines)
-         + f"    return [{', '.join(rows)}]\n", {}, namespace)
+    exec("def octic(v1, v2):\n" + "".join(f"    {line}\n" for line in lines), {}, namespace)
     return namespace["octic"]
 
 
 def compile_octic(geom):
-    """(h, (9, 28) matrix, evaluator) of the geometry's octic.
+    """(h, terms, evaluator) of the geometry's octic.
 
-    Row k of the matrix holds the coefficients of t^k over the monomials
-    v1^e1 v2^e2 of degree <= 6, in the column order of _MONOMIALS.  The
-    cleared numerator is divided exactly by the geometry-only spurious
-    factor (1 + t^2)^2 P1(t)^2, in integers, and each entry is rounded to
-    the nearest float once.  The evaluator is the matrix as straight-line
-    code (see _evaluator), which octic_from_joints calls.  Raises
+    terms maps the exponents (k, e1, e2) of each nonzero term
+    c t^k v1^e1 v2^e2 (e1 + e2 <= 6) to its coefficient c.  The cleared
+    numerator is divided exactly by the geometry-only spurious factor
+    (1 + t^2)^2 P1(t)^2, in integers, and each coefficient is rounded to the
+    nearest float once.  The evaluator is the terms as straight-line code
+    (see _evaluator), which octic_from_joints calls.  Raises
     InterpolationError when the factor does not divide out.  Computed once
     per geometry instance, as MachineGeometry.compiled_octic; the geometry
     must have distinct offsets (octic_from_joints checks).
@@ -297,11 +295,8 @@ def compile_octic(geom):
     quot, scale = _deflate(N, factor)
     # N carries S^10 and the factor S^2; int / int rounds once
     den = scale * S**8
-    matrix = np.zeros((9, _MONOMIALS.shape[1]))
-    column = {e: j for j, e in enumerate(zip(*_MONOMIALS.tolist()))}
-    for (k, e1, e2), c in quot.items():
-        matrix[k, column[e1, e2]] = c / den
-    return h, matrix, _evaluator(matrix)
+    terms = {key: value for key, c in quot.items() if (value := c / den)}
+    return h, terms, _evaluator(terms)
 
 
 def octic_from_joints(geom, joints):

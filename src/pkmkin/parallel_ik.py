@@ -222,7 +222,9 @@ def _coupling_holds(geom, x_p, y_p, alpha):
 def coupling_cubic(geom, x_p, y_p):
     """Characteristic cubic in cos(alpha); coefficients ascending.
 
-    The leading coefficient is 2 R1^3 r1 for every position.
+    The leading coefficient is 2 R1^3 r1 for every position.  ValueError,
+    naming it, for an infinite or NaN coordinate; else OverflowError when a
+    coefficient is not finite.
     """
     R1, r1 = geom.R1, geom.r1
     X1 = x_p + geom.D1 - geom.d1
@@ -231,7 +233,11 @@ def coupling_cubic(geom, x_p, y_p):
     p2 = R1**2 * K - R1**2 * X1**2
     p3 = -2.0 * R1**3 * r1 - 2.0 * R1 * r1 * y_p**2
     p4 = R1**2 * X1**2 + (R1**2 + r1**2) * y_p**2 - R1**2 * K
-    return Polynomial((p4, p3, p2, p1))
+    try:
+        return Polynomial((p4, p3, p2, p1))
+    except ValueError:  # float products overflow to inf without an exception
+        _require_finite(("x_p", "y_p"), (x_p, y_p))
+        raise OverflowError("coupling cubic: coefficients out of float range") from None
 
 
 def _polish_alpha(geom, x_p, y_p, alpha):

@@ -225,10 +225,7 @@ def real_roots(p, lo=-math.inf, hi=math.inf):
 
 
 def real_roots_in_unit_interval(p):
-    """Real roots filtered to [-1-1e-9, 1+1e-9] and clamped into [-1, 1],
-    ascending, raising as real_roots does; only candidates within 1.5 of 0
-    are polished.  No merge beyond real_roots' own: orientation_candidates
+    """real_roots(p, -1.5, 1.5) filtered to [-1-1e-9, 1+1e-9] and clamped
+    into [-1, 1]; no merge beyond real_roots' own: orientation_candidates
     merges the orientations they give, at DEDUP_TOL."""
-    coeffs, candidates = _candidates(p)
-    near = [r for r in candidates if abs(r) <= 1.5]
-    return [min(1.0, max(-1.0, r)) for r in _refine(coeffs, near) if -1.0 - 1e-9 <= r <= 1.0 + 1e-9]
+    return [min(1.0, max(-1.0, r)) for r in real_roots(p, -1.5, 1.5) if -1.0 - 1e-9 <= r <= 1.0 + 1e-9]

@@ -254,6 +254,21 @@ def test_numeric_overflow_names_the_octic_coefficients(geom_file, capsys):
                    " (characteristic polynomial: coefficients out of float range)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ik", "--", "1e153", "0", "900"),
+    ("roundtrip", "--count", "2", "--box", "1e153", "2e153", "0", "1", "0", "1"),
+], ids=["ik", "roundtrip"])
+def test_numeric_overflow_names_the_coupling_cubic(geom_file, argv):
+    # squares in float range, cubic coefficients out of it: one stderr
+    # line that names the stage, no traceback
+    command, *numbers = argv
+    run = subprocess.run([sys.executable, "-m", "pkmkin.cli", command, geom_file, *numbers],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (f"pkmkin: numeric overflow: {command} input out of float range"
+                          " (coupling cubic: coefficients out of float range)\n")
+
+
 @pytest.mark.parametrize("rho", [("1e200", "400", "380"), ("1e53", "-1e53", "1e53"),
                                  ("1e308", "1e308", "1e308"), ("1e48", "-1e48", "3e48"),
                                  ("1e50", "-1e50", "3e50")],

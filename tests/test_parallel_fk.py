@@ -1,7 +1,9 @@
 import math
+import operator
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -237,19 +239,40 @@ def exact_octic(geom, h):
     return {e[:3]: float(sp.Rational(coeff) / sp.Rational(den)) for e, coeff in terms}
 
 
-@pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0},
-                                  {"R1": 300.3, "r1": 119.9, "L1": 490.05, "D2": 280.125}])
+COMPILE_DIMS = [{}, {"L2": 560.0, "L3": 480.0},
+                {"R1": 300.3, "r1": 119.9, "L1": 490.05, "D2": 280.125}]
+
+
+@pytest.mark.parametrize("dims", COMPILE_DIMS)
 def test_compiled_octic_matches_exact_compile(geom, dims):
-    # every entry is the exact one rounded once; the lengths of dims2 are
-    # not integers, so the compile's common power-of-two scale is not 1
+    # every term is the exact one rounded once, and only the nonzero ones are
+    # kept; the lengths of dims2 are not integers, so the compile's common
+    # power-of-two scale is not 1
     g = replace(geom, **dims)
-    h, matrix, _ = g.compiled_octic
-    exact = np.zeros_like(matrix)
-    column = {tuple(e): j for j, e in enumerate(parallel_fk._MONOMIALS.T.tolist())}
-    for (k, *e), value in exact_octic(g, h).items():
-        exact[k, column[tuple(e)]] = value
-    assert h == 1024.0 and matrix.shape == (9, 28)
-    assert matrix.tobytes() == exact.tobytes()
+    h, terms, _ = g.compiled_octic
+    exact = {key: value.hex() for key, value in exact_octic(g, h).items() if value}
+    assert h == 1024.0 and all(k <= 8 and e1 + e2 <= 6 for k, e1, e2 in terms)
+    assert {key: value.hex() for key, value in terms.items()} == exact
+
+
+@pytest.mark.parametrize("dims", COMPILE_DIMS)
+def test_evaluator_is_the_ordered_sum_of_the_terms(geom, dims):
+    # c_k is the left-to-right sum of row k's terms in (e1, e2) order, each
+    # c, c * v1^e1, c * v2^e2 or c * (v1^e1 * v2^e2): the order that the
+    # same-bits claims of the generated evaluator rest on; v2 = 0 and v1 = 0
+    # make signed zeros, which hex() tells apart
+    g = replace(geom, **dims)
+    _, terms, evaluate = g.compiled_octic
+    rng = np.random.default_rng(33)
+    points = rng.uniform(-2.0, 2.0, size=(200, 2)).tolist()
+    points += [[v1, 0.0] for v1, _ in points[:20]] + [[0.0, v2] for _, v2 in points[20:40]]
+    for v1, v2 in points:
+        rows = [[] for _ in range(9)]
+        for (k, e1, e2), c in sorted(terms.items()):
+            rows[k].append(c * (v1**e1 * v2**e2) if e1 and e2 else c * v1**e1 if e1
+                           else c * v2**e2 if e2 else c)
+        expected = [reduce(operator.add, row).hex() if row else "0x0.0p+0" for row in rows]
+        assert [c.hex() for c in evaluate(v1, v2)] == expected, (v1, v2)
 
 
 def test_compile_rejects_a_factor_that_does_not_divide(geom, monkeypatch):
@@ -356,15 +379,14 @@ def test_octic_coefficients_match_the_exact_octic(geom, dims):
 @pytest.mark.parametrize("dims", [{}, {"L2": 560.0, "L3": 480.0}])
 def test_plane_octic_is_even_exactly_when_L2_equals_L3(geom, dims, monkeypatch):
     # on rho2 = rho3 (v2 = 0) the octic is c2 t^2 + c4 t^4 + c6 t^6 for
-    # L2 = L3: the matrix columns without a v2 factor are exact zeros in
-    # rows 0, 1, 3, 5, 7 and 8, and enumerate_fk takes the roots in closed
-    # form.  With L2 != L3 they are not, and the octic keeps the
-    # eigenvalue path
+    # L2 = L3: no term without a v2 factor lies in rows 0, 1, 3, 5, 7 and 8,
+    # and enumerate_fk takes the roots in closed form.  With L2 != L3 some
+    # do, and the octic keeps the eigenvalue path
     g = replace(geom, **dims)
     even = not dims
-    without_v2 = g.compiled_octic[1][:, parallel_fk._MONOMIALS[1] == 0]
-    assert (without_v2[[0, 1, 3, 5, 7, 8]] == 0.0).all() == even
-    assert (without_v2[[2, 4, 6]] != 0.0).any(axis=1).all()
+    rows_without_v2 = {k for k, _, e2 in g.compiled_octic[1] if e2 == 0}
+    assert (not rows_without_v2 & {0, 1, 3, 5, 7, 8}) == even
+    assert {2, 4, 6} <= rows_without_v2
     calls = []
     monkeypatch.setattr(parallel_fk, "real_roots", lambda p: calls.append(p) or real_roots(p))
     rng = np.random.default_rng(71)

@@ -489,6 +489,27 @@ def test_non_finite_ik_input_is_one_value_error(geom, k, name, value):
             enumerate_ik(geom, *args)
 
 
+@pytest.mark.parametrize("call, args", [
+    (enumerate_ik, (1e153, 0.0, 900.0)),
+    (coupling_cubic, (1e153, 0.0)),
+    (orientation_candidates, (-250.0, 1e154)),
+], ids=["enumerate_ik", "coupling_cubic", "orientation_candidates"])
+def test_coupling_cubic_overflow_names_its_stage(geom, call, args):
+    # finite inputs whose squares are in float range but whose cubic
+    # coefficients are not: an OverflowError naming the stage, as the tilt
+    # polynomial and the octic raise, not Polynomial's "non-finite coefficient"
+    with pytest.raises(OverflowError, match="^coupling cubic: coefficients out of float range$"):
+        call(geom, *args)
+
+
+@pytest.mark.parametrize("k, name", [(0, "x_p"), (1, "y_p")])
+def test_non_finite_coupling_cubic_input_is_one_value_error(geom, k, name):
+    point = [-250.0, 60.0]
+    point[k] = math.nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+        coupling_cubic(geom, *point)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("k, name", [(0, "x_p"), (1, "y_p"), (2, "z_p")])
 def test_non_finite_pose_coordinate_is_one_value_error(geom, k, name, value):

@@ -349,9 +349,9 @@ def test_eigenvalue_failure_raises_linalg_error(monkeypatch, stub):
             real_roots(p)
         with pytest.raises(np.linalg.LinAlgError):
             real_roots_in_unit_interval(p)
-    # the coupling cubic no longer reaches LAPACK; a non-finite coefficient
-    # still raises, never gives an empty list
-    with pytest.raises(ValueError, match="non-finite coefficient"):
+    # the coupling cubic no longer reaches LAPACK; a non-finite input still
+    # raises, naming the coordinate, never gives an empty list
+    with pytest.raises(ValueError, match="x_p must be finite, got nan"):
         orientation_candidates(DEFAULT_SYNTHETIC, math.nan, 60.0)
 
 
