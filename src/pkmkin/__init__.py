@@ -20,22 +20,19 @@ __version__ = "0.1.0"
 # defining module -> the public names it exports through the package
 _EXPORTS = {
     "errors": ("AmbiguousSelectionError", "CoincidentOffsetError",
-               "DegenerateDenominatorError", "DegenerateOrientationError",
-               "GeometryError", "InconsistentPoseError", "InterpolationError",
-               "KinematicsError", "NegativeRadicandError", "SignRuleViolation",
-               "UnreachableOrientationError"),
+               "DegenerateOrientationError", "GeometryError", "InconsistentPoseError",
+               "InterpolationError", "KinematicsError", "NegativeRadicandError",
+               "SignRuleViolation", "UnreachableOrientationError"),
     "geometry": ("DEFAULT_SYNTHETIC", "SIXTEEN_BRANCH_REGION", "MachineGeometry",
                  "load_geometry", "read_geometry_file", "serialize_geometry", "validate"),
     "machine": ("MachineIkSolution", "MachineJoints", "ToolPose", "select_machine_solution",
-                "table_transform", "tilt_candidates", "tilt_polynomial", "tool_ik",
-                "tool_pose_from_platform"),
+                "tilt_candidates", "tilt_polynomial", "tool_ik", "tool_pose_from_platform"),
     "oracle": ("ResidualVector", "newton_fk", "newton_fk_batch",
                "residuals_machine", "residuals_parallel"),
     "parallel_fk": ("AssemblyMode", "enumerate_fk", "octic_from_joints",
-                    "select_assembly_mode", "xp_from", "yp_from", "zp_from"),
-    "parallel_ik": ("RHO1_PINNED", "ConfigurationIndices", "IkSolution",
-                    "IsoEllipse", "ParallelJoints", "PlatformPose", "allowed_s1",
-                    "coupling_cubic", "enumerate_ik", "iso_ellipse",
+                    "select_assembly_mode"),
+    "parallel_ik": ("ConfigurationIndices", "IkSolution", "IsoEllipse", "ParallelJoints",
+                    "PlatformPose", "coupling_cubic", "enumerate_ik", "iso_ellipse",
                     "joints_from_pose", "orientation_candidates",
                     "select_working_solution", "wrap_angle"),
     "rootfind": ("Polynomial", "real_roots", "real_roots_in_unit_interval"),

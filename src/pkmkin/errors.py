@@ -37,11 +37,6 @@ class InconsistentPoseError(KinematicsError):
     relation for its position."""
 
 
-class DegenerateDenominatorError(KinematicsError):
-    """A back-substitution denominator vanished; the degenerate branch must
-    be used instead."""
-
-
 class CoincidentOffsetError(KinematicsError):
     """Slider-to-platform x-offsets of leg I and legs II/III coincide; the
     x_p elimination is impossible for this geometry."""

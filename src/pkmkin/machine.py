@@ -14,11 +14,9 @@ on legs II and III.
 
 import math
 
-import numpy as np
-
 from .parallel_ik import (ConfigurationIndices, ParallelJoints, _branches,
-                          _coupling_holds, _on_working_branch, _record, _unique,
-                          wrap_angle)
+                          _coupling_holds, _on_working_branch, _record, _require_finite,
+                          _unique, wrap_angle)
 from .rootfind import CLUSTER_REL_TOL, Polynomial, real_roots
 
 # relative widening of the tilt range, in u = tan(theta1/2), within which the
@@ -61,32 +59,11 @@ class MachineIkSolution:
     within_limits: bool
 
 
-def _rotation(angle, i, j):
-    """Homogeneous rotation by angle in the (i, j) coordinate plane."""
-    c, s = math.cos(angle), math.sin(angle)
-    m = np.eye(4)
-    m[i, i] = m[j, j] = c
-    m[i, j], m[j, i] = -s, s
-    return m
-
-
-def _trans_z(d):
-    m = np.eye(4)
-    m[2, 3] = d
-    return m
-
-
-def table_transform(geom, theta1, theta2):
-    """Rigid transform taking table-frame coordinates to the base frame: the
-    homogeneous-matrix reference, called by no solver, that the tests check
-    tool_pose_from_platform against (test_tool_map_matches_frame_chain and
-    the CLI's test_tool_fk_matches_fk_through_table_map)."""
-    return (_trans_z(geom.d_a) @ _rotation(theta1, 1, 2) @ _trans_z(geom.d_t)
-            @ _rotation(math.pi, 1, 2) @ _rotation(theta2, 0, 1))
-
-
 def tool_pose_from_platform(geom, pose, theta1, theta2):
-    """Map a platform pose through the table chain to a tool pose."""
+    """Map a platform pose through the table chain to a tool pose;
+    ValueError, naming it, for an infinite or NaN coordinate or angle."""
+    _require_finite(("x_p", "y_p", "z_p", "theta1", "theta2"),
+                    (pose.x_p, pose.y_p, pose.z_p, theta1, theta2))
     c1, s1 = math.cos(theta1), math.sin(theta1)
     c2, s2 = math.cos(theta2), math.sin(theta2)
     swing = (geom.Delta * math.sin(pose.alpha - theta1)
@@ -144,11 +121,10 @@ def tilt_polynomial(geom, tool):
     products and one sum, in Python floats.  A working axis tilt (s = 0,
     y_p = 0) is a double root, which tilt_candidates injects;
     test_tilt_polynomial_matches_the_coupling_residual checks the derivation.
-    Raises OverflowError when a tool coordinate or a coefficient is not
-    finite.
+    ValueError, naming it, for an infinite or NaN tool coordinate; else
+    OverflowError when a coefficient is not finite.
     """
-    if not all(map(math.isfinite, (tool.x_u, tool.y_u, tool.z_u))):
-        raise OverflowError("tilt polynomial: tool position out of float range")
+    _require_finite(("x_u", "y_u", "z_u"), (tool.x_u, tool.y_u, tool.z_u))
     R1, r1 = geom.R1, geom.r1
     x_p, swing, depth, phi1 = _rotary_frame(geom, tool)
     cp1, sp1 = math.cos(phi1), math.sin(phi1)

@@ -23,9 +23,8 @@ Each root's platform position is recovered by intersecting the three
 constraint spheres directly (division free, so exact even next to the
 degenerate orientations); alpha = pi (t = oo) and alpha = 0 are tried
 where the octic's end coefficients allow them, and every mode must pass
-the rod residual test.  The elimination-chain formulas themselves are
-exposed as yp_from / zp_from / xp_from, the reference the tests check the
-compiled octic against.
+the rod residual test.  The elimination-chain formulas themselves live
+in tests/reference.py, the reference the compiled octic is checked against.
 """
 
 import math
@@ -35,8 +34,7 @@ import numpy as np
 # the LAPACK gufunc behind numpy.linalg.solve for a vector; private API, so numpy < 2.5
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
-from .errors import (CoincidentOffsetError, DegenerateDenominatorError,
-                     DegenerateOrientationError, InterpolationError)
+from .errors import CoincidentOffsetError, InterpolationError
 # constraint_residuals stays bound here: perfbench's tracer checks it is not wrapped
 from .parallel_ik import (_INDICES, ConfigurationIndices, ParallelJoints,  # noqa: F401
                           PlatformPose, _on_working_branch, _record, _require_finite,
@@ -46,7 +44,6 @@ from .rootfind import TRIM_REL_TOL, Polynomial, real_roots
 FK_RESIDUAL_REL_TOL = 1e-7
 FK_PREFILTER_REL_TOL = 1e-3
 FK_DEDUP_TOL = 1e-7
-PERPENDICULAR_LEG_REL_TOL = 1e-12
 
 
 @_record()
@@ -63,65 +60,6 @@ def _require_distinct_offsets(geom):
     if geom.offset_gap == 0.0:
         raise CoincidentOffsetError(
             "D1 - d1 == D2 - d2: the x_p elimination denominator vanishes")
-
-
-def yp_from(geom, alpha, z_p, rho1):
-    """y_p from the difference of the two leg-I rod constraints.
-
-    Singular when the leg-I direction is perpendicular to the slider plane
-    (R1 cos(alpha) = r1), which also makes the iso-orientation ellipse a
-    circle.  A reference that no solver calls, like xp_from (see there).
-    """
-    den = geom.R1 * math.cos(alpha) - geom.r1
-    if abs(den) < PERPENDICULAR_LEG_REL_TOL * geom.R1:
-        raise DegenerateOrientationError(
-            f"R1 cos(alpha) = r1 at alpha={alpha!r}: y_p is not determined by leg I")
-    return geom.R1 * math.sin(alpha) * (rho1 - z_p) / den
-
-
-def zp_from(geom, alpha, joints):
-    """z_p from the difference of the leg-II and leg-III constraints.
-
-    The (L2^2 - L3^2) term vanishes for identical parallelogram legs.  The
-    denominator vanishes when rho2 = rho3 meets sin(alpha) = 0; that case
-    is covered by the axis-aligned branch of enumerate_fk.  A reference that
-    no solver calls, like xp_from (see there).
-    """
-    c, s = math.cos(alpha), math.sin(alpha)
-    r1_, r2_, r3_ = joints.rho1, joints.rho2, joints.rho3
-    lead = geom.R1 * c - geom.r1
-    den = 2.0 * (2.0 * geom.C1 * s + lead * (r3_ - r2_))
-    num = (lead * ((r2_ + r3_) * (r3_ - r2_) - 2.0 * geom.R2 * (r3_ + r2_ - 2.0 * r1_) * s)
-           + 4.0 * geom.C1 * r1_ * s
-           + (geom.L2**2 - geom.L3**2) * lead)
-    den_scale = (4.0 * abs(geom.C1) + 2.0 * (geom.R1 + geom.r1)
-                 * (abs(r3_ - r2_) + 1.0))
-    if abs(den) < 1e-12 * den_scale:
-        raise DegenerateDenominatorError(
-            f"z_p denominator vanishes at alpha={alpha!r} for rho2~rho3")
-    return num / den
-
-
-def xp_from(geom, alpha, joints):
-    """x_p from the difference of the leg-I midpoint and leg-II spheres.
-
-    Requires the x-offset gap (D1 - d1) - (D2 - d2) to be nonzero; the
-    offsets make the squared x terms cancel, leaving x_p linear.  No solver
-    calls the three *_from formulas: they are the reference that
-    test_probe_node_table_matches_the_elimination_chain checks the compiled
-    octic against, at six probe nodes, which is why they stay.
-    """
-    _require_distinct_offsets(geom)
-    z_p = zp_from(geom, alpha, joints)
-    y_p = yp_from(geom, alpha, z_p, joints.rho1)
-    c, s = math.cos(alpha), math.sin(alpha)
-    w2 = geom.R2 * c - geom.r4
-    gap = geom.offset_gap
-    span = (geom.D1 - geom.d1) + (geom.D2 - geom.d2)
-    rhs = (geom.a_sq(c) - geom.L2**2 + w2**2 - 2.0 * y_p * w2
-           - (geom.R2 * s + joints.rho2 - joints.rho1)
-           * (2.0 * z_p - joints.rho1 - geom.R2 * s - joints.rho2))
-    return rhs / (2.0 * gap) - span / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,6 @@ DEGENERATE_SIN_TOL = 1e-12
 # cosine roots this close to +-1 are the axis orientations
 COS_SNAP_TOL = 1e-12
 
-#: allowed_s1 marker for the degenerate leg-I branch where rho1 = z_p.
-RHO1_PINNED = "rho1 = z_p"
-
 
 def wrap_angle(a):
     """Normalize an angle to (-pi, pi], with -pi canonicalized to +pi;
@@ -200,19 +197,6 @@ def _term_scale(t1, t2, t3):
     return max(1.0, t1, abs(t2), abs(t3))
 
 
-def coupling_scale(geom, x_p, y_p, alpha):
-    """Largest coupling-term magnitude; reference for relative residuals.
-
-    Intentionally built only from the terms the relation actually sums at
-    this (point, alpha): near the axis orientations every term vanishes, so
-    boundary-clamped cosine roots from just outside [-1, 1] cannot sneak in
-    as candidates on the strength of an unrelated global scale.  No solver
-    calls it: it is the coupling test's own scale, kept for the tests that
-    bound residuals by it (test_cubic_roots_satisfy_coupling, criterion 6).
-    """
-    return _term_scale(*_coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha)))
-
-
 def _coupling_holds(geom, x_p, y_p, alpha):
     """The coupling test of every orientation candidate, from one evaluation."""
     t1, t2, t3 = _coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha))
@@ -325,17 +309,6 @@ def iso_ellipse(geom, alpha):
     b = geom.R1 * abs(s) * a / math.sqrt(geom.leg1_span_sq(c))
     return IsoEllipse(center_x=geom.center_x, semi_major_a=a,
                       semi_minor_b=b, alpha=wrap_angle(alpha))
-
-
-def allowed_s1(geom, pose):
-    """Admissible leg-I branch signs for a pose on the coupling locus.
-
-    Returns a frozenset of signs, or the RHO1_PINNED marker when the leg-I
-    geometry forces rho1 = z_p (zero radicand).  At alpha in {0, pi} both
-    signs are admissible; otherwise the sign rule fixes s1 uniquely.
-    """
-    signs, offset = _sign_rule(geom, pose.y_p, math.cos(pose.alpha), math.sin(pose.alpha))
-    return RHO1_PINNED if offset == 0.0 else frozenset(signs)
 
 
 def _sign_rule(geom, y_p, c, s):

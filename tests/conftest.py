@@ -15,6 +15,10 @@ import numpy as np
 import pytest
 
 from pkmkin import DEFAULT_SYNTHETIC, SIXTEEN_BRANCH_REGION, iso_ellipse, wrap_angle
+from pkmkin.parallel_ik import _coupling_terms, _sign_rule, _term_scale
+
+#: allowed_s1 marker for the degenerate leg-I branch where rho1 = z_p.
+RHO1_PINNED = "rho1 = z_p"
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +29,31 @@ def geom():
 def angle_delta(a, b):
     """Distance between two angles modulo 2 pi (pi and -pi coincide)."""
     return abs(wrap_angle(a - b))
+
+
+def allowed_s1(geom, pose):
+    """Admissible leg-I branch signs for a pose on the coupling locus.
+
+    Returns a frozenset of signs, or the RHO1_PINNED marker when the leg-I
+    geometry forces rho1 = z_p (zero radicand).  At alpha in {0, pi} both
+    signs are admissible; otherwise the sign rule fixes s1 uniquely.  It
+    reads the IK solvers' own sign rule (_sign_rule) at the pose.
+    """
+    signs, offset = _sign_rule(geom, pose.y_p, math.cos(pose.alpha), math.sin(pose.alpha))
+    return RHO1_PINNED if offset == 0.0 else frozenset(signs)
+
+
+def coupling_scale(geom, x_p, y_p, alpha):
+    """Largest coupling-term magnitude; reference for relative residuals.
+
+    Intentionally built only from the terms the relation actually sums at
+    this (point, alpha): near the axis orientations every term vanishes, so
+    boundary-clamped cosine roots from just outside [-1, 1] cannot sneak in
+    as candidates on the strength of an unrelated global scale.  The
+    solvers' coupling test takes the same scale (_term_scale), from the
+    same terms.
+    """
+    return _term_scale(*_coupling_terms(geom, x_p, y_p, math.cos(alpha), math.sin(alpha)))
 
 
 def region_points(rng, n, region=SIXTEEN_BRANCH_REGION):

@@ -25,9 +25,9 @@ from pkmkin import (DEFAULT_SYNTHETIC, MachineJoints,
                     select_working_solution, serialize_geometry,
                     tilt_candidates, tool_ik, tool_pose_from_platform,
                     wrap_angle)
-from pkmkin.parallel_ik import coupling_residual, coupling_scale
+from pkmkin.parallel_ik import coupling_residual
 
-from conftest import angle_delta, region_points
+from conftest import angle_delta, coupling_scale, region_points
 
 GEOM = DEFAULT_SYNTHETIC
 SCALE = GEOM.residual_scale

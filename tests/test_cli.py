@@ -12,12 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pkmkin import DEFAULT_SYNTHETIC, serialize_geometry, table_transform
+from pkmkin import DEFAULT_SYNTHETIC, serialize_geometry
 from pkmkin import parallel_fk as pfk
 from pkmkin import parallel_ik as pik
 from pkmkin.cli import main
 from pkmkin.errors import AmbiguousSelectionError
-from pkmkin.parallel_ik import coupling_residual, coupling_scale
+from pkmkin.parallel_ik import coupling_residual
+
+from conftest import coupling_scale
+from reference import table_transform
 
 
 @pytest.fixture(scope="module")

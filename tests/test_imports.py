@@ -80,6 +80,12 @@ def test_importing_the_package_imports_no_solver():
     assert json.loads(run.stdout) == ["pkmkin"]
 
 
+def test_importing_the_machine_module_imports_no_numpy():
+    code = "import json, sys, pkmkin.machine; print(json.dumps('numpy' in sys.modules))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) is False
+
+
 def test_real_roots_of_a_python_float_list_never_imports_numpy():
     code = ("import json, sys; from pkmkin.rootfind import real_roots; "
             "print(json.dumps([real_roots([1.0, -3.0, 2.0]), 'numpy' in sys.modules]))")

@@ -11,14 +11,15 @@ from pkmkin import (ConfigurationIndices, MachineJoints, ParallelJoints, Platfor
                     enumerate_fk, enumerate_ik, iso_ellipse, joints_from_pose,
                     orientation_candidates, residuals_machine, residuals_parallel,
                     select_machine_solution, select_working_solution,
-                    table_transform, tilt_candidates, tilt_polynomial,
-                    tool_ik, tool_pose_from_platform, wrap_angle)
+                    tilt_candidates, tilt_polynomial, tool_ik, tool_pose_from_platform,
+                    wrap_angle)
 from pkmkin import machine
 from pkmkin.machine import _platform_coordinates, _rotary_frame
 from pkmkin.parallel_ik import DEDUP_TOL, constraint_residuals, coupling_residual
 from pkmkin.rootfind import _horner_slope, real_roots
 
 from conftest import angle_delta, assert_distinct, grazing_point, locus_points, region_points
+from reference import table_transform
 
 
 def working_pose(geom, rng):
@@ -508,11 +509,25 @@ def test_tool_ik_numpy_scalar_inputs_match_python_floats(geom, tool):
 @pytest.mark.parametrize("coordinate", [0, 1, 2], ids=["x_u", "y_u", "z_u"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_tool_ik_non_finite_position_raises_once(geom, coordinate, value):
-    # one OverflowError from tilt_polynomial's entry, no numpy warning first
+    # one ValueError naming the coordinate, from tilt_polynomial's entry, as
+    # enumerate_ik and enumerate_fk raise theirs; no numpy warning first
     position = [120.0, -80.0, -150.0]
     position[coordinate] = value
-    with pytest.raises(OverflowError, match="tilt polynomial: tool position"):
-        tool_ik(geom, ToolPose(*position, 0.3, 1.1))
+    name = ("x_u", "y_u", "z_u")[coordinate]
+    for solve in (tool_ik, tilt_candidates, tilt_polynomial):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            solve(geom, ToolPose(*position, 0.3, 1.1))
+
+
+@pytest.mark.parametrize("field", ["x_p", "y_p", "z_p", "theta1", "theta2"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_tool_pose_from_platform_non_finite_input_is_one_value_error(geom, field, value):
+    # a NaN z_p used to map to a NaN tool and an infinite theta1 to raise a
+    # bare "math domain error"
+    args = {"x_p": -250.0, "y_p": 60.0, "z_p": 900.0, "theta1": 0.3, "theta2": 0.1, field: value}
+    pose = PlatformPose(args["x_p"], args["y_p"], args["z_p"], 0.1)
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        tool_pose_from_platform(geom, pose, args["theta1"], args["theta2"])
 
 
 def test_tilt_polynomial_overflow_is_an_overflow_error(geom):

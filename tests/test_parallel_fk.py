@@ -11,12 +11,10 @@ import pytest
 import sympy as sp
 from numpy.polynomial import polynomial as npoly
 
-from pkmkin import (CoincidentOffsetError, DegenerateDenominatorError,
-                    DegenerateOrientationError, InterpolationError,
+from pkmkin import (CoincidentOffsetError, DegenerateOrientationError, InterpolationError,
                     ParallelJoints, enumerate_fk, enumerate_ik, iso_ellipse,
                     joints_from_pose, newton_fk, octic_from_joints, select_assembly_mode,
-                    select_working_solution, serialize_geometry, xp_from,
-                    yp_from, zp_from)
+                    select_working_solution, serialize_geometry)
 from pkmkin import parallel_fk, real_roots, rootfind
 from pkmkin.cli import main
 from pkmkin.parallel_fk import AssemblyMode
@@ -26,6 +24,7 @@ from pkmkin.parallel_ik import (ConfigurationIndices, PlatformPose, _on_working_
 from pkmkin.rootfind import _horner
 
 from conftest import angle_delta, raw_residuals, region_points
+from reference import DegenerateDenominatorError, xp_from, yp_from, zp_from
 
 
 def working_joints(geom, x, y, z):

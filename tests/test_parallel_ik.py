@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from pkmkin import (AmbiguousSelectionError, ConfigurationIndices,
                     DegenerateOrientationError, InconsistentPoseError,
                     NegativeRadicandError, PlatformPose, SignRuleViolation,
-                    UnreachableOrientationError, allowed_s1, coupling_cubic,
-                    enumerate_ik, iso_ellipse, joints_from_pose,
-                    orientation_candidates, real_roots_in_unit_interval,
-                    residuals_parallel, select_working_solution, wrap_angle)
+                    UnreachableOrientationError, coupling_cubic, enumerate_ik,
+                    iso_ellipse, joints_from_pose, orientation_candidates,
+                    real_roots_in_unit_interval, residuals_parallel,
+                    select_working_solution, wrap_angle)
 from pkmkin import parallel_ik, rootfind
-from pkmkin.parallel_ik import (DEDUP_TOL, RHO1_PINNED, coupling_residual,
-                                coupling_scale, constraint_residuals)
+from pkmkin.parallel_ik import DEDUP_TOL, coupling_residual, constraint_residuals
 
-from conftest import (assert_distinct, brute_force_ik, grazing_point, legs_that_cannot_close,
-                      locus_points, raw_residuals, region_points)
+from conftest import (RHO1_PINNED, allowed_s1, assert_distinct, brute_force_ik, coupling_scale,
+                      grazing_point, legs_that_cannot_close, locus_points, raw_residuals,
+                      region_points)
 
 RNG = np.random.default_rng(20240811)
 POINT = (-250.0, 60.0, 900.0)
