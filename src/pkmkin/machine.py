@@ -129,7 +129,10 @@ def tilt_polynomial(geom, tool):
     x_p, swing, depth, phi1 = _rotary_frame(geom, tool)
     cp1, sp1 = math.cos(phi1), math.sin(phi1)
     lever, span = 2.0 * R1 * r1, R1**2 + r1**2
-    x_term = (x_p + geom.D1 - geom.d1)**2 - (geom.L1**2 - R1**2 - r1**2)  # X1^2 - K
+    try:
+        x_term = (x_p + geom.D1 - geom.d1)**2 - (geom.L1**2 - R1**2 - r1**2)  # X1^2 - K
+    except OverflowError:  # a float power out of range
+        raise OverflowError("tilt polynomial: coefficients out of float range") from None
     # T = (1, 0, 1), C = (cp1, -2 sp1, -cp1)
     A = (x_term - lever * cp1, 2.0 * lever * sp1, x_term + lever * cp1)
     B = (span - lever * cp1, 2.0 * lever * sp1, span + lever * cp1)

@@ -130,64 +130,148 @@ _COS, _SIN, _RODS, _RESIDUALS = 9, 10, slice(11, 23), slice(23, 27)
 _ROWS = 27
 
 
+def _rows(legs, block):
+    """The views of a state block's rows that `_fill` reads and writes:
+    x, y, z, alpha, cos, sin, `legs` with the block's slider row in place
+    of its own, the rods (3, 4, m) and the residuals (4, m)."""
+    x, y, z, alpha = block[_POSE]
+    return (x, y, z, alpha, block[_COS], block[_SIN],
+            (*legs[:4], block[_SLIDERS], legs[5]),
+            block[_RODS].reshape(3, 4, -1), block[_RESIDUALS])
+
+
+def _fill(rows, squares=None):
+    """Fill cos, sin, rods and residuals from the pose and slider rows of
+    `_rows`, in place; `squares`, of the residuals' shape, takes the
+    intermediate squares."""
+    x, y, z, alpha, c, s, legs, rods, residuals = rows
+    np.cos(alpha, out=c)
+    np.sin(alpha, out=s)
+    _rods(legs, x, y, z, c, s, out=rods)
+    _residuals(legs, rods, out=residuals, squares=squares)
+
+
 def _evaluate(legs, block, squares=None):
     """Fill a state block's cos, sin, rods and residuals from its pose and
     slider rows, in place; `legs` is `_legs(geom, rho)[..., None]`, of
     which the sliders come from the block instead; `squares`, of the
     residuals' shape, takes the intermediate squares."""
-    x, y, z, alpha = block[_POSE]
-    c = np.cos(alpha, out=block[_COS])
-    s = np.sin(alpha, out=block[_SIN])
-    legs = (*legs[:4], block[_SLIDERS], legs[5])
-    rods = _rods(legs, x, y, z, c, s, out=block[_RODS].reshape(3, 4, -1))
-    _residuals(legs, rods, out=block[_RESIDUALS], squares=squares)
+    _fill(_rows(legs, block), squares)
+
+
+def _fill_jacobian(rows, J, scratch):
+    """The analytic Jacobian of the residuals of the columns of `_rows`,
+    written into J of shape (4, 4, m), whose transpose has one matrix per
+    column and one leg per matrix row; `scratch` is (4, m)."""
+    _, _, _, _, c, s, legs, rods, _ = rows
+    _, dy, dz = rods
+    np.multiply(2, rods, out=J[:3])
+    # each rod's platform end sits at arm * (cos, sin)(alpha) in (y, z):
+    # 2 (dz arm c - dy arm s), in that order
+    turn = np.multiply(dz, legs[2], out=J[3])
+    turn *= c
+    np.multiply(dy, legs[2], out=scratch)
+    scratch *= s
+    turn -= scratch
+    turn *= 2
 
 
 def _jacobian(legs, block):
     """Analytic Jacobian of the residuals of a state block's columns;
     shape (m, 4, 4), one leg per matrix row."""
-    arm = legs[2]
-    rods = block[_RODS].reshape(3, 4, -1)
-    c, s = block[_COS], block[_SIN]
-    _, dy, dz = rods
     J = np.empty((4, 4, block.shape[1]))
-    np.multiply(2, rods, out=J[:3])
-    # each rod's platform end sits at arm * (cos, sin)(alpha) in (y, z)
-    J[3] = 2 * (dz * arm * c - dy * arm * s)
+    _fill_jacobian(_rows(legs, block), J, np.empty(J.shape[1:]))
     return J.T
 
 
 # the damped step lengths 2^-k for k = 0..29, exact in binary
 _STEP_LENGTHS = np.ldexp(1.0, -np.arange(30))[:, None]
 
+# A line search over at least _SPLIT_COLUMNS columns tries the first
+# _FIRST_LENGTHS lengths on every column, then the other 26 only on the
+# columns none of those improved.  On the oracle-crosscheck pool of seed 0,
+# with 60 or more active starts, 43 % of the column-steps take lam = 1 and
+# 67 % one of the first 4 lengths; with fewer, 13 % do, and the second
+# round's fixed numpy cost outweighs the columns it saves.  On 2 vCPUs
+# (CPython 3.11, numpy 2.4) 60 / 4 made a 100-start newton_fk 2-3 % faster
+# than one 30-length round; on the pools of seeds 0 and 3, 40 / 4, 80 / 4,
+# 60 / 3, 60 / 6 and 50 / 5 measured from 3 % slower to 1 % faster.
+_SPLIT_COLUMNS = 60
+_FIRST_LENGTHS = 4
+
+
+class _Trials:
+    """One line-search round's views of a flat workspace: each length of
+    `lengths` (shape (k, 1)) on each of m columns, as a trial state block
+    of k x m columns, length-major, in the workspace's first 31 k m floats;
+    `rest` is the workspace after them."""
+
+    def __init__(self, legs, work, lengths, m):
+        n = len(lengths) * m
+        self.lengths = lengths
+        self.trial = work[:_ROWS * n].reshape(_ROWS, n)
+        self.squares = work[_ROWS * n:(_ROWS + 4) * n].reshape(4, n)
+        moved = self.trial[:_COS].reshape(_COS, len(lengths), m)
+        self.pose, self.carried = moved[_POSE], moved[_INDEX:]
+        self.rows = _rows(legs, self.trial)
+        self.rest = work[(_ROWS + 4) * n:]
+
+    def norms(self, block, step):
+        """Set the trial block from the pose, index and slider rows of
+        `block` (m columns) and `step`, evaluate it, and return the
+        residual max-norm of each trial column."""
+        np.multiply(self.lengths, step[:, None], out=self.pose)
+        self.pose += block[_POSE, None]
+        self.carried[...] = block[_INDEX:_COS, None]
+        _fill(self.rows, self.squares)
+        return np.abs(self.rows[-1], out=self.squares).max(axis=0)
+
+
+def _first_round(legs, work, m):
+    """The first line-search round of m columns in `work`: all 30 lengths
+    below _SPLIT_COLUMNS columns, the first _FIRST_LENGTHS from there on."""
+    lengths = _STEP_LENGTHS if m < _SPLIT_COLUMNS else _STEP_LENGTHS[:_FIRST_LENGTHS]
+    return _Trials(legs, work, lengths, m)
+
 
 def _line_search(legs, block, step, norm, work):
     """Per column of a state block, the first pose + lam * step with lam =
     1, 1/2, ..., 2^-29 whose residual max-norm is below `norm`.
 
-    All 30 lengths are evaluated as one block of 30 x m columns, held in
-    the front of the flat workspace `work`, and the first that improves is
-    the lam that halving from 1 until the norm drops would pick.  Returns
-    the state block at the accepted steps, without the columns no lam
-    improved, and the residual max-norm of each of its columns.
+    Below _SPLIT_COLUMNS columns all 30 lengths are evaluated as one block
+    of 30 x m columns, held in the front of the flat workspace `work`.
+    From _SPLIT_COLUMNS on, a first round evaluates the first 4 lengths on
+    every column, and a second the other 26 on the p columns none of
+    those improved, written after the first round's 31 x 4 m floats; both
+    fit in the 31 x 30 m floats of the one-round search.  Either way the
+    first length that improves is the lam that halving from 1 until the
+    norm drops would pick.  `work` may also be the `_first_round` of the
+    workspace for blocks of this width, kept across calls.  Returns the
+    state block at the accepted steps, in block order and without the
+    columns no lam improved, and the residual max-norm of each of its
+    columns.
     """
-    k, m = len(_STEP_LENGTHS), block.shape[1]
-    n = k * m
-    trial = work[:_ROWS * n].reshape(_ROWS, n)
-    squares = work[_ROWS * n:(_ROWS + 4) * n].reshape(4, n)
-    # the index row is left unfilled: accepted columns take it from the block
-    moved = trial[:_COS].reshape(_COS, k, m)
-    np.multiply(_STEP_LENGTHS, step[:, None], out=moved[_POSE])
-    moved[_POSE] += block[_POSE, None]
-    moved[_SLIDERS] = block[_SLIDERS, None]
-    _evaluate(legs, trial, squares)
-    norms = np.abs(trial[_RESIDUALS], out=squares).max(axis=0)
-    good = norms.reshape(k, m) < norm
-    cols = good.any(axis=0).nonzero()[0]
-    picked = good.argmax(axis=0)[cols] * m + cols
-    accepted = trial[:, picked]
-    accepted[_INDEX] = block[_INDEX, cols]
-    return accepted, norms[picked]
+    m = block.shape[1]
+    first = work if isinstance(work, _Trials) else _first_round(legs, work, m)
+    trial, norms = first.trial, first.norms(block, step)
+    good = norms.reshape(-1, m) < norm
+    found = good.any(axis=0)
+    length = good.argmax(axis=0)
+    if len(first.lengths) < len(_STEP_LENGTHS) and not found.all():
+        rest = (~found).nonzero()[0]
+        later = _Trials(legs, first.rest, _STEP_LENGTHS[len(first.lengths):], len(rest))
+        later_norms = later.norms(block[:_COS, rest], step[:, rest])
+        good = later_norms.reshape(-1, len(rest)) < norm[rest]
+        hit = good.any(axis=0).nonzero()[0]
+        # a column the second round improves takes over its own lam = 1
+        # slot of the first round, which it did not accept
+        taken = good.argmax(axis=0)[hit] * len(rest) + hit
+        trial[:, rest[hit]] = later.trial[:, taken]
+        norms[rest[hit]] = later_norms[taken]
+        found[rest[hit]] = True
+    cols = found.nonzero()[0]
+    picked = length[cols] * m + cols
+    return trial[:, picked], norms[picked]
 
 
 def _newton_columns(legs, block, tol, max_iter):
@@ -202,27 +286,44 @@ def _newton_columns(legs, block, tol, max_iter):
     a column with |det J| <= 1e-300 and no zero pivot takes its step.  The
     accepted step's rods, (cos, sin), residuals and max-norm carry over to
     the next Jacobian.  Every line search works in one flat workspace, sized
-    for the first, which has the most columns.  Returns the pose and index
-    rows of the columns that converged to `tol`.
+    for the first, which has the most columns.  While no column stops, the
+    accepted steps are copied back into the same block, so its row views,
+    the Jacobian, right-hand side and step buffers and the line search's
+    first-round views are built once per active set.  Returns the pose and
+    index rows of the columns that converged to `tol`.
     """
     _evaluate(legs, block)
     norm = np.abs(block[_RESIDUALS]).max(axis=0)
     work = np.empty((_ROWS + 4) * len(_STEP_LENGTHS) * block.shape[1])
     done = []
+    viewed = None
     for _ in range(max_iter):
         # converged and NaN columns (a NaN fails the test) stop
         go = norm > tol
         if not go.all():
             done.append(block[:_INDEX + 1, norm <= tol])
             block, norm = block[:, go], norm[go]
-        if not block.shape[1]:
+        m = block.shape[1]
+        if not m:
             break
-        J = _jacobian(legs, block)
+        if block is not viewed:
+            # a new active set: its views and buffers, and solve's
+            # (m, 4, 4) and (m, 4, 1) views of the Jacobian, -f and step
+            viewed, rows, first = block, _rows(legs, block), _first_round(legs, work, m)
+            J = np.empty((4, 4, m))
+            scratch, rhs, step = np.empty((3, 4, m))
+            solve_in, solve_out = (J.T, rhs.T[..., None]), step.T[..., None]
+        _fill_jacobian(rows, J, scratch)
+        np.negative(rows[-1], out=rhs)
         # numpy.linalg.solve's own floating-point state, with the invalid
         # flag ignored as well: a singular column raises it in solve
         with np.errstate(all="ignore"):
-            step = _solve(J, -block[_RESIDUALS].T[..., None], signature="dd->d")[..., 0].T
-        block, norm = _line_search(legs, block, step, norm, work)
+            _solve(*solve_in, signature="dd->d", out=solve_out)
+        accepted, norm = _line_search(legs, block, step, norm, first)
+        if accepted.shape[1] == m:
+            block[...] = accepted
+        else:
+            block = accepted
     done.append(block[:_INDEX + 1, norm <= tol])
     return np.concatenate(done, axis=1)
 
@@ -307,9 +408,12 @@ def newton_fk(geom, joints, starts=100, seed=0):
 
     Each outer iteration damps the Newton step of every active start by the
     first of 1, 1/2, ..., 2^-29 that lowers the residual max-norm: exactly
-    the step that halving from 1 would pick.  All 30 lengths are tried in
-    one batched pass, in a workspace allocated once per call for 30
-    candidates per start: 31 floats each, about 740 KB at 100 starts.  A
+    the step that halving from 1 would pick.  While 60 or more starts are
+    active, a first batched pass tries the lengths 1 to 1/8 on every start
+    and a second the other 26 on the starts none of those improved; with
+    fewer, all 30 lengths are tried in one pass.  Both use one workspace
+    allocated once per call for 30 candidates per start: 31 floats each,
+    about 740 KB at 100 starts.  A
     start that no step improves stops, among them a singular start, one
     whose Jacobian's LU has an exactly zero pivot (its step is NaN), and
     every start stops after 100 iterations.  ValueError for starts not an
@@ -325,9 +429,10 @@ def newton_fk_batch(geom, joints_seq, starts, seeds):
 
     Vector k draws its starts from seeds[k] and its own default box, exactly
     as `newton_fk` does, so the k-th returned list is `==` to
-    `newton_fk(geom, joints_seq[k], starts, seeds[k])`.  The line-search
-    workspace holds 30 candidates per start of every vector, 7.4 KB per
-    start, so the memory grows with the batch: 50 vectors of 100 starts
-    take about 37 MB.
+    `newton_fk(geom, joints_seq[k], starts, seeds[k])`.  The line search
+    takes its two passes while 60 or more starts of all vectors together
+    are active.  Its one workspace holds 30 candidates per start of every
+    vector, 7.4 KB per start, which both passes share, so the memory grows
+    with the batch: 50 vectors of 100 starts take about 37 MB.
     """
     return _newton(geom, joints_seq, starts, seeds)

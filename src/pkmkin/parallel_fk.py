@@ -258,7 +258,10 @@ def octic_from_joints(geom, joints):
     v1, v2 = (r1_ - 0.5 * (r2_ + r3_)) / h, (r3_ - r2_) / h
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise OverflowError("characteristic polynomial: sliders out of float range")
-    coeffs = evaluate(v1, v2)
+    try:
+        coeffs = evaluate(v1, v2)
+    except OverflowError:  # a power of v1 or v2 out of float range
+        raise OverflowError("characteristic polynomial: coefficients out of float range") from None
     # float products and sums overflow to inf or NaN without an exception
     if not all(map(math.isfinite, coeffs)):
         raise OverflowError("characteristic polynomial: coefficients out of float range")

@@ -213,13 +213,15 @@ def coupling_cubic(geom, x_p, y_p):
     R1, r1 = geom.R1, geom.r1
     X1 = x_p + geom.D1 - geom.d1
     K = geom.L1**2 - R1**2 - r1**2
-    p1 = 2.0 * R1**3 * r1
-    p2 = R1**2 * K - R1**2 * X1**2
-    p3 = -2.0 * R1**3 * r1 - 2.0 * R1 * r1 * y_p**2
-    p4 = R1**2 * X1**2 + (R1**2 + r1**2) * y_p**2 - R1**2 * K
     try:
+        p1 = 2.0 * R1**3 * r1
+        p2 = R1**2 * K - R1**2 * X1**2
+        p3 = -2.0 * R1**3 * r1 - 2.0 * R1 * r1 * y_p**2
+        p4 = R1**2 * X1**2 + (R1**2 + r1**2) * y_p**2 - R1**2 * K
         return Polynomial((p4, p3, p2, p1))
-    except ValueError:  # float products overflow to inf without an exception
+    # a float power out of range raises OverflowError, while products
+    # overflow to inf without an exception and Polynomial rejects them
+    except (OverflowError, ValueError):
         _require_finite(("x_p", "y_p"), (x_p, y_p))
         raise OverflowError("coupling cubic: coefficients out of float range") from None
 

@@ -222,21 +222,23 @@ def test_non_finite_number_exit_1(geom_file, capsys, argv):
     assert "not a finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ("ik", "1e200", "60", "900"),
-    ("fk", "1e200", "400", "380"),
-    ("tool-ik", "1e200", "0", "0", "0", "0"),
-    ("tool-fk", "1e200", "0", "0", "0", "0"),
-    ("roundtrip", "--count", "2", "--box", "1e200", "1e201", "0", "1", "0", "1"),
+@pytest.mark.parametrize("argv, stage", [
+    (("ik", "1e200", "60", "900"), "coupling cubic"),
+    (("fk", "1e200", "400", "380"), "characteristic polynomial"),
+    (("tool-ik", "1e200", "0", "0", "0", "0"), "tilt polynomial"),
+    (("tool-fk", "1e200", "0", "0", "0", "0"), "characteristic polynomial"),
+    (("roundtrip", "--count", "2", "--box", "1e200", "1e201", "0", "1", "0", "1"),
+     "coupling cubic"),
 ], ids=["ik", "fk", "tool-ik", "tool-fk", "roundtrip"])
-def test_numeric_overflow_exit_1(geom_file, capsys, argv):
-    # each overflows in a bare float operation, whose OverflowError carries
-    # Python's errno tuple, not a message
+def test_numeric_overflow_exit_1(geom_file, capsys, argv, stage):
+    # each overflows in a float power, whose own OverflowError carries
+    # Python's errno tuple; the stage it overflows in is named instead
     command, *numbers = argv
     code, out, err = run_cli(capsys, command, geom_file, *numbers)
     assert code == 1
     assert out == ""
-    assert err == f"pkmkin: numeric overflow: {command} input out of float range\n"
+    assert err == (f"pkmkin: numeric overflow: {command} input out of float range"
+                   f" ({stage}: coefficients out of float range)\n")
     assert "(34," not in err
 
 
@@ -249,8 +251,8 @@ def test_numeric_overflow_keeps_the_library_message(geom_file, capsys):
 
 def test_numeric_overflow_names_the_octic_coefficients(geom_file, capsys):
     # slider powers in float range whose octic coefficients are not get the
-    # library's message; powers out of range (1e200) stay a bare float
-    # power's OverflowError, which test_numeric_overflow_exit_1 pins
+    # library's message, as do powers out of range (1e200), which
+    # test_numeric_overflow_exit_1 pins
     code, out, err = run_cli(capsys, "fk", geom_file, "--", "1e53", "-1e53", "1e53")
     assert (code, out) == (1, "")
     assert err == ("pkmkin: numeric overflow: fk input out of float range"

@@ -537,6 +537,12 @@ def test_tilt_polynomial_overflow_is_an_overflow_error(geom):
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match="tilt polynomial: coefficients"):
             tilt_polynomial(geom, ToolPose(0.0, 0.0, -1e200, 0.2, 0.0))
+        # a tool whose squared x offset overflows in the float power itself
+        for tool in (ToolPose(1e200, 0.0, 0.0, 0.0, 0.0), ToolPose(0.0, 1e200, 0.0, 0.0, 1.0)):
+            for call in (tilt_polynomial, tool_ik):
+                with pytest.raises(OverflowError,
+                                   match="^tilt polynomial: coefficients out of float range$"):
+                    call(geom, tool)
 
 
 @pytest.mark.parametrize("angle", ["phi1", "phi2"])

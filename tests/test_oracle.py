@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from pkmkin import (MachineJoints, ParallelJoints, PlatformPose,
                     residuals_machine, residuals_parallel,
                     select_working_solution, tool_pose_from_platform)
 from pkmkin import oracle
-from pkmkin.oracle import (_INDEX, _POSE, _RESIDUALS, _ROWS, _SLIDERS, _STEP_LENGTHS,
+from pkmkin.oracle import (_INDEX, _POSE, _RESIDUALS, _ROWS, _SLIDERS, _SPLIT_COLUMNS,
+                          _STEP_LENGTHS,
                           NEWTON_DEDUP_TOL, NEWTON_MAX_ITER, NEWTON_REL_TOL,
                           ResidualVector, _canonical, _evaluate,
                           _jacobian, _legs, _line_search, _newton_columns, _residuals,
@@ -143,14 +145,27 @@ def _halving_reference(legs, block, step, norm, work=None):
     return trial[:, improved], np.max(np.abs(trial[_RESIDUALS, improved]), axis=0)
 
 
-@pytest.mark.parametrize("ks", [[0], [5], [29], [None],
-                                [29, None, 0, 5, 9, 10, 19, 20, 5, None, 0, 29],
-                                [1], [0, 0, 0], [0, 1, None, 29]])
+_MIXED_KS = [29, None, 0, 5, 9, 10, 19, 20, 5, None, 0, 29]
+
+
+def _tiled(label, pattern, m):
+    """A case of m columns: the entries of `pattern` repeated."""
+    return pytest.param((pattern * m)[:m], id=f"{label}-{m}")
+
+
+@pytest.mark.parametrize("ks", [[0], [5], [29], [None], _MIXED_KS,
+                                [1], [0, 0, 0], [0, 1, None, 29]]
+                         + [_tiled(label, pattern, m)
+                            for m in (_SPLIT_COLUMNS, _SPLIT_COLUMNS + 1, 3 * _SPLIT_COLUMNS)
+                            for label, pattern in (("stuck", [None]), ("full", [0]),
+                                                   ("late", [9, 29]), ("mixed", _MIXED_KS))])
 def test_damped_step_matches_halving(geom, ks):
     # v sits 1 mm off an exact pose; step = -2^k (v - pose) lands on the pose
     # at lam = 2^-k, the only lam within the norm bound of 1 mm^2.  k = None
     # has a zero step and the norm at v: only a strict drop counts, so no lam
-    # improves and the column is stuck.
+    # improves and the column is stuck.  From _SPLIT_COLUMNS columns on, the
+    # search takes two rounds: k < 4 columns are found in the first, the
+    # others in the second or not at all.
     x, y, z = -250.0, 60.0, 900.0
     sol = select_working_solution(enumerate_ik(geom, x, y, z), geom)
     legs = _legs(geom, sol.joints.as_tuple())[..., None]
@@ -166,8 +181,11 @@ def test_damped_step_matches_halving(geom, ks):
         assert np.array_equal(col[_POSE], v[:, i] + 2.0**-ks[i] * step[:, i])
     # a workspace sized for twice the columns, NaN where nothing is written:
     # the whole carried state (pose, index, sliders, cos, sin, rods,
-    # residuals) and the max-norms come out with the reference's bits
-    work = np.full((_ROWS + 4) * len(_STEP_LENGTHS) * 2 * len(ks), np.nan)
+    # residuals) and the max-norms come out with the reference's bits; a
+    # two-round search gets exactly the floats of one 30-length round, so
+    # its second round must fit behind its first in the same workspace
+    spare = 2 if len(ks) < _SPLIT_COLUMNS else 1
+    work = np.full((_ROWS + 4) * len(_STEP_LENGTHS) * spare * len(ks), np.nan)
     got, got_norm = _line_search(legs, block, step, norm, work)
     assert got.tobytes() == ref.tobytes()
     assert got_norm.tobytes() == ref_norm.tobytes()
@@ -300,7 +318,7 @@ def test_canonical_matches_brute_force_on_clusters():
     assert 6 < len(got) < 300
 
 
-@pytest.mark.parametrize("starts", [1, 100, 400])
+@pytest.mark.parametrize("starts", [1, 100, 400, _SPLIT_COLUMNS - 1, _SPLIT_COLUMNS])
 def test_newton_matches_plain_reference(geom, starts):
     # an independent restatement of the iteration: a change that moves any
     # Newton iterate by a rounding (the Jacobian's operation order, say)
@@ -351,7 +369,7 @@ def test_singular_and_nan_columns_stop_without_warning(geom):
     assert tuple(got[_POSE, 0]) == pytest.approx((x, y, z, sol.alpha), abs=1e-6)
 
 
-@pytest.mark.parametrize("starts", [1, 100, 400])
+@pytest.mark.parametrize("starts", [1, 100, 400, _SPLIT_COLUMNS - 1, _SPLIT_COLUMNS])
 def test_batch_matches_scalar_per_vector(geom, starts):
     # the acceptance-5 mix, sliders that admit no assembly, and the first
     # vector again under another seed
@@ -362,6 +380,22 @@ def test_batch_matches_scalar_per_vector(geom, starts):
     assert got == [newton_fk(geom, j, starts=starts, seed=k) for j, k in zip(joints, seeds)]
     assert got[5] == []
     assert starts == 1 or (got[0] and got[6])
+
+
+def test_batch_solve_keeps_one_line_search_workspace(geom):
+    # a two-round line search writes its second round behind its first in
+    # the one workspace, 31 x 30 floats per start (7.44 MB for 1000
+    # starts); the traced peak of the whole solve stays within 1.25 x that
+    joints = _acceptance_5_mix(geom, 9) + _acceptance_5_mix(geom, 11)
+    tracemalloc.start()
+    try:
+        newton_fk_batch(geom, joints, 100, range(len(joints)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    workspace = (_ROWS + 4) * len(_STEP_LENGTHS) * 100 * len(joints) * 8
+    assert workspace == 7_440_000
+    assert peak <= 1.25 * workspace
 
 
 def test_batch_checks_its_seeds_and_takes_no_vectors(geom):

@@ -845,6 +845,17 @@ def test_fk_finite_sliders_out_of_float_range_stay_an_overflow_error(geom):
                 solve(geom, ParallelJoints(*rho))
 
 
+def test_fk_slider_powers_out_of_float_range_name_the_coefficients(geom):
+    # a power of the scaled slider differences that overflows raises in the
+    # generated evaluator; the stage is named, as for coefficients whose
+    # sums overflow, not the power's bare errno tuple
+    for solve in (enumerate_fk, octic_from_joints):
+        for rho in ((1e200, 400.0, 380.0), (-1e200, 0.0, 0.0), (1e308, -1e308, 0.0)):
+            with pytest.raises(OverflowError,
+                               match="^characteristic polynomial: coefficients out of float range$"):
+                solve(geom, ParallelJoints(*rho))
+
+
 def test_fk_slider_types_give_the_same_modes(geom):
     rng = np.random.default_rng(14)
     for rho in rng.uniform(-200.0, 1500.0, size=(20, 3)):

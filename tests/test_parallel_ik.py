@@ -493,11 +493,16 @@ def test_non_finite_ik_input_is_one_value_error(geom, k, name, value):
     (enumerate_ik, (1e153, 0.0, 900.0)),
     (coupling_cubic, (1e153, 0.0)),
     (orientation_candidates, (-250.0, 1e154)),
-], ids=["enumerate_ik", "coupling_cubic", "orientation_candidates"])
+    (enumerate_ik, (1e200, 60.0, 900.0)),
+    (coupling_cubic, (-250.0, 1e200)),
+], ids=["enumerate_ik", "coupling_cubic", "orientation_candidates",
+        "enumerate_ik-power", "coupling_cubic-power"])
 def test_coupling_cubic_overflow_names_its_stage(geom, call, args):
     # finite inputs whose squares are in float range but whose cubic
-    # coefficients are not: an OverflowError naming the stage, as the tilt
-    # polynomial and the octic raise, not Polynomial's "non-finite coefficient"
+    # coefficients are not, or whose squares are not (1e200, where the float
+    # power raises): an OverflowError naming the stage, as the tilt
+    # polynomial and the octic raise, not Polynomial's "non-finite
+    # coefficient" or the power's bare errno tuple
     with pytest.raises(OverflowError, match="^coupling cubic: coefficients out of float range$"):
         call(geom, *args)
 
